@@ -33,46 +33,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 @dataclass
-class EvoParams:
-    """All per-run evolutionary parameters.
-
-    init_interval_* are the uniform initialization intervals; genotypes may
-    leave them freely during the run (no clipping anywhere).
-    """
-
-    pop_size: int = 24
-    sample_size: int = 12
-    tournament_size: int = 2
-    mutation_prob: float = 0.5
-    mutation_sigma: float = 0.1
-    generations: int = 10
-    init_interval_p1: tuple[float, float] = (-3.0, 3.0)
-    init_interval_p2: tuple[float, float] = (-3.0, 3.0)
-    sample_with_replacement: bool = False
-
-    def validate(self) -> None:
-        if self.pop_size < 1:
-            raise ValueError(f"pop_size must be >= 1, got {self.pop_size}")
-        if not (1 <= self.sample_size <= self.pop_size):
-            raise ValueError(
-                f"sample_size must be in 1..pop_size, got {self.sample_size} "
-                f"with pop_size={self.pop_size}"
-            )
-        if self.tournament_size < 1:
-            raise ValueError(f"tournament_size must be >= 1, got {self.tournament_size}")
-        if not (0.0 <= self.mutation_prob <= 1.0):
-            raise ValueError(f"mutation_prob must be in [0, 1], got {self.mutation_prob}")
-        if not (self.mutation_sigma > 0):
-            raise ValueError(f"mutation_sigma must be positive, got {self.mutation_sigma}")
-        if self.generations < 0:
-            raise ValueError(f"generations must be >= 0, got {self.generations}")
-        for name in ("init_interval_p1", "init_interval_p2"):
-            lo, hi = getattr(self, name)
-            if not (lo < hi):
-                raise ValueError(f"{name} must satisfy lo < hi, got ({lo}, {hi})")
-
-
-@dataclass
 class Population:
     """One population: genotypes plus their subjective fitnesses.
 
@@ -122,17 +82,15 @@ class CoevoState:
     partner2: float | None = None
 
 
-def init_population(params: EvoParams, task: Task, rng: np.random.Generator,
+def init_population(config: ExperimentConfig, task: Task, rng: np.random.Generator,
                     label: str = "P1") -> Population:
     """Draw pop_size genotypes i.i.d. uniform on the population's init interval."""
-    lo, hi = params.init_interval_p1 if label == "P1" else params.init_interval_p2
-    if not (lo < hi):
-        raise ValueError(f"init interval for {label} must satisfy lo < hi, got ({lo}, {hi})")
-    genotypes = rng.uniform(lo, hi, params.pop_size)
+    lo, hi = config.init_interval(label)
+    genotypes = rng.uniform(lo, hi, config.pop_size)
     return Population(genotypes=genotypes, task=task, label=label)
 
 
-def evaluate_test(pop: Population, opponent_prev: Population, params: EvoParams,
+def evaluate_test(pop: Population, opponent_prev: Population, config: ExperimentConfig,
                   kind: ObjectiveKind, rng: np.random.Generator
                   ) -> tuple[Population, np.ndarray]:
     """Assign test-based subjective fitness to every individual.
@@ -142,51 +100,16 @@ def evaluate_test(pop: Population, opponent_prev: Population, params: EvoParams,
     Returns the evaluated population and the (pop_size, sample_size) array
     of samples so the per-generation landscape can be rebuilt from them.
     """
-    if not kind.test_based:
-        raise TypeError(f"{type(kind).__name__} is compositional; use evaluate_compositional")
-    if not params.sample_with_replacement and params.sample_size > len(opponent_prev):
-        raise ValueError(
-            f"sample_size {params.sample_size} exceeds opponent population "
-            f"size {len(opponent_prev)}"
-        )
-    samples = np.empty((len(pop), params.sample_size))
+    samples = np.empty((len(pop), config.sample_size))
     fitnesses = np.empty(len(pop))
     for i, x in enumerate(pop.genotypes):
-        samples[i] = draw_sample(opponent_prev.genotypes, params.sample_size, rng,
-                                 params.sample_with_replacement)
+        samples[i] = draw_sample(opponent_prev.genotypes, config.sample_size, rng,
+                                 config.sample_with_replacement)
         fitnesses[i] = subjective_test(x, samples[i], kind)
     return replace(pop, fitnesses=fitnesses), samples
 
 
-def _evaluate_at_partner(pop: Population, partner: float,
-                         kind: ObjectiveKind) -> Population:
-    fitnesses = np.asarray(subjective_compositional(pop.genotypes, partner, kind))
-    return replace(pop, fitnesses=fitnesses)
-
-
-def evaluate_compositional(pop: Population, opponent_prev: Population,
-                           kind: ObjectiveKind) -> tuple[Population, float]:
-    """Assign compositional subjective fitness to every individual.
-
-    The opposing population presents its best member (under its own task,
-    judged by its stored subjective fitness); every individual's fitness is
-    the shared objective at (own genotype, that representative). Returns the
-    evaluated population and the representative used.
-
-    Raises:
-        ValueError: opponent has no fitnesses yet (evaluation order violation).
-    """
-    if kind.test_based:
-        raise TypeError(f"{type(kind).__name__} is test-based; use evaluate_test")
-    if not opponent_prev.evaluated:
-        raise ValueError(
-            f"opponent {opponent_prev.label} is unevaluated; cannot pick its best member"
-        )
-    partner = opponent_prev.best()
-    return _evaluate_at_partner(pop, partner, kind), partner
-
-
-def tournament_select(pop: Population, params: EvoParams,
+def tournament_select(pop: Population, config: ExperimentConfig,
                       rng: np.random.Generator) -> np.ndarray:
     """Fill pop_size offspring slots by independent tournaments.
 
@@ -197,7 +120,7 @@ def tournament_select(pop: Population, params: EvoParams,
     if not pop.evaluated:
         raise ValueError(f"population {pop.label} has no fitnesses yet")
     n = len(pop)
-    idx = rng.integers(0, n, size=(n, params.tournament_size))
+    idx = rng.integers(0, n, size=(n, config.tournament_size))
     contest = pop.fitnesses[idx]
     # argmax/argmin return the first occurrence, i.e. the first-drawn winner
     if pop.task is Task.MAXIMIZE:
@@ -207,17 +130,49 @@ def tournament_select(pop: Population, params: EvoParams,
     return pop.genotypes[idx[np.arange(n), win]]
 
 
-def mutate(genotypes, params: EvoParams, rng: np.random.Generator) -> np.ndarray:
+def mutate(genotypes, config: ExperimentConfig, rng: np.random.Generator) -> np.ndarray:
     """Gaussian mutation: each genotype independently gains N(0, sigma) noise
     with probability mutation_prob, else passes through bit-exactly."""
     g = np.array(genotypes, dtype=float)
-    mask = rng.random(g.size) < params.mutation_prob
-    noise = rng.normal(0.0, params.mutation_sigma, g.size)
+    mask = rng.random(g.size) < config.mutation_prob
+    noise = rng.normal(0.0, config.mutation_sigma, g.size)
     g[mask] += noise[mask]
     return g
 
 
-def step_generation(state: CoevoState, params: EvoParams, kind: ObjectiveKind,
+def _evaluate(generation: int, pop1: Population, pop2: Population,
+              prev1: Population, prev2: Population, config: ExperimentConfig,
+              kind: ObjectiveKind, rng: np.random.Generator) -> CoevoState:
+    """Score pop1 against P2's previous generation prev2, and pop2 against
+    P1's previous generation prev1, into the state of `generation`.
+
+    Test-based kinds give every individual a fresh evaluator sample; P1 draws
+    all of its samples before P2 draws any. Compositional kinds score along
+    the slice at the opponent's best member. Generation 0 has no fitness to
+    pick a best member by, so a uniformly drawn member of the opponent's
+    initial population stands in, P1's partner drawn first.
+    """
+    samples1 = samples2 = partner1 = partner2 = None
+    if kind.test_based:
+        pop1, samples1 = evaluate_test(pop1, prev2, config, kind, rng)
+        pop2, samples2 = evaluate_test(pop2, prev1, config, kind, rng)
+    else:
+        if generation == 0:
+            partner1 = float(rng.choice(prev2.genotypes))
+            partner2 = float(rng.choice(prev1.genotypes))
+        else:
+            partner1, partner2 = prev2.best(), prev1.best()
+        pop1 = replace(pop1, fitnesses=subjective_compositional(pop1.genotypes, partner1, kind))
+        pop2 = replace(pop2, fitnesses=subjective_compositional(pop2.genotypes, partner2, kind))
+    return CoevoState(
+        pop1=pop1, pop2=pop2, generation=generation,
+        best1=pop1.best(), best2=pop2.best(),
+        samples1=samples1, samples2=samples2,
+        partner1=partner1, partner2=partner2,
+    )
+
+
+def step_generation(state: CoevoState, config: ExperimentConfig, kind: ObjectiveKind,
                     rng: np.random.Generator) -> CoevoState:
     """Advance both populations one generation.
 
@@ -226,75 +181,36 @@ def step_generation(state: CoevoState, params: EvoParams, kind: ObjectiveKind,
     stood at generation k (its evaluated, pre-selection form).
     """
     child1 = replace(state.pop1, genotypes=mutate(
-        tournament_select(state.pop1, params, rng), params, rng), fitnesses=None)
+        tournament_select(state.pop1, config, rng), config, rng), fitnesses=None)
     child2 = replace(state.pop2, genotypes=mutate(
-        tournament_select(state.pop2, params, rng), params, rng), fitnesses=None)
-
-    samples1 = samples2 = None
-    partner1 = partner2 = None
-    if kind.test_based:
-        pop1, samples1 = evaluate_test(child1, state.pop2, params, kind, rng)
-        pop2, samples2 = evaluate_test(child2, state.pop1, params, kind, rng)
-    else:
-        pop1, partner1 = evaluate_compositional(child1, state.pop2, kind)
-        pop2, partner2 = evaluate_compositional(child2, state.pop1, kind)
-
-    return CoevoState(
-        pop1=pop1, pop2=pop2, generation=state.generation + 1,
-        best1=pop1.best(), best2=pop2.best(),
-        samples1=samples1, samples2=samples2,
-        partner1=partner1, partner2=partner2,
-    )
+        tournament_select(state.pop2, config, rng), config, rng), fitnesses=None)
+    return _evaluate(state.generation + 1, child1, child2, state.pop1, state.pop2,
+                     config, kind, rng)
 
 
-def bootstrap_state(params: EvoParams, kind: ObjectiveKind, task_p1: Task,
-                    task_p2: Task, rng: np.random.Generator) -> CoevoState:
+def bootstrap_state(config: ExperimentConfig, kind: ObjectiveKind,
+                    rng: np.random.Generator) -> CoevoState:
     """Create and evaluate the generation-0 state.
 
-    Both initial populations are evaluated against each other's initial
-    genotypes. Test-based kinds need only genotypes, so evaluation is
-    immediate. Compositional kinds need a partner representative before any
-    fitness exists, so each population is evaluated against one uniformly
-    drawn member of the opponent's initial population; the draw is recorded
-    in the state like any other partner.
+    Both initial populations, with the config's tasks, are evaluated against
+    each other's initial genotypes.
     """
-    pop1 = init_population(params, task_p1, rng, "P1")
-    pop2 = init_population(params, task_p2, rng, "P2")
-
-    samples1 = samples2 = None
-    partner1 = partner2 = None
-    if kind.test_based:
-        evaluated1, samples1 = evaluate_test(pop1, pop2, params, kind, rng)
-        evaluated2, samples2 = evaluate_test(pop2, pop1, params, kind, rng)
-    else:
-        partner1 = float(rng.choice(pop2.genotypes))
-        partner2 = float(rng.choice(pop1.genotypes))
-        evaluated1 = _evaluate_at_partner(pop1, partner1, kind)
-        evaluated2 = _evaluate_at_partner(pop2, partner2, kind)
-
-    return CoevoState(
-        pop1=evaluated1, pop2=evaluated2, generation=0,
-        best1=evaluated1.best(), best2=evaluated2.best(),
-        samples1=samples1, samples2=samples2,
-        partner1=partner1, partner2=partner2,
-    )
+    mode = config.interaction_mode()
+    pop1 = init_population(config, mode.task_p1, rng, "P1")
+    pop2 = init_population(config, mode.task_p2, rng, "P2")
+    return _evaluate(0, pop1, pop2, pop1, pop2, config, kind, rng)
 
 
-def run_trajectory(config: "ExperimentConfig", seed) -> list[CoevoState]:
+def run_trajectory(config: ExperimentConfig, seed) -> list[CoevoState]:
     """Run one full coevolutionary trajectory, deterministically from seed.
 
     Returns generations+1 evaluated states (k = 0 included). `seed` is
     anything numpy's default_rng accepts (int or SeedSequence).
     """
-    params = config.evo_params()
-    params.validate()
+    config.validate()
     kind = config.objective_kind()
-    mode = config.interaction_mode()
-
     rng = np.random.default_rng(seed)
-    state = bootstrap_state(params, kind, mode.task_p1, mode.task_p2, rng)
-    states = [state]
-    for _ in range(params.generations):
-        state = step_generation(state, params, kind, rng)
-        states.append(state)
+    states = [bootstrap_state(config, kind, rng)]
+    for _ in range(config.generations):
+        states.append(step_generation(states[-1], config, kind, rng))
     return states

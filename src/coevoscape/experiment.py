@@ -10,14 +10,18 @@ and results do not depend on execution order or worker count.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
+from functools import partial
 from typing import Callable, Iterator
 
 import numpy as np
 from scipy import stats
 
-from .evolution import CoevoState, EvoParams, run_trajectory
+from .evolution import CoevoState, run_trajectory
 from .landscape import BHATT_MODES, make_grid, measure_generation
 from .substrate import InteractionMode, ObjectiveKind, Task, kind_from_name
 
@@ -42,6 +46,29 @@ _SECTIONS = {
 }
 
 _TASK_NAMES = {"maximize": Task.MAXIMIZE, "minimize": Task.MINIMIZE}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+# field annotation -> (type check, what the error message asks for)
+_FIELD_TYPES = {
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "int": (_is_int, "an integer"),
+    "float": (_is_real, "a finite number"),
+    "float | None": (lambda v: v is None or _is_real(v), "a finite number or null"),
+    "tuple[float, float] | None": (
+        lambda v: v is None or (isinstance(v, (tuple, list)) and len(v) == 2
+                                and all(_is_real(x) for x in v)),
+        "a [lo, hi] pair of finite numbers or null"),
+}
 
 
 @dataclass
@@ -97,8 +124,8 @@ class ExperimentConfig:
                         f"unknown key {key!r} in section {section!r}; "
                         f"expected one of {sorted(_SECTIONS[section])}"
                     )
-                if key.startswith("init_interval") and value is not None:
-                    value = tuple(float(v) for v in value)
+                if key.startswith("init_interval") and isinstance(value, list):
+                    value = tuple(value)
                 kwargs[key] = value
         config = cls(**kwargs)
         config.validate()
@@ -128,7 +155,19 @@ class ExperimentConfig:
         return out
 
     def validate(self) -> None:
+        """Raise one ConfigError naming every problem with the values.
+
+        Types are checked first, since the range checks compare values.
+        """
         problems = []
+        for f in fields(self):
+            is_valid, wanted = _FIELD_TYPES[f.type]
+            value = getattr(self, f.name)
+            if not is_valid(value):
+                problems.append(f"{f.name} must be {wanted}, got {value!r}")
+        if problems:
+            raise ConfigError("; ".join(problems))
+
         try:
             self.objective_kind()
         except ValueError as e:
@@ -138,19 +177,29 @@ class ExperimentConfig:
                 problems.append(
                     f"{name} must be 'maximize' or 'minimize', got {getattr(self, name)!r}"
                 )
-        try:
-            self.evo_params().validate()
-        except ValueError as e:
-            problems.append(str(e))
-        if self.grid_points < 2:
-            problems.append(f"grid_points must be >= 2, got {self.grid_points}")
+        for name, least in (("pop_size", 1), ("tournament_size", 1), ("generations", 0),
+                            ("grid_points", 2), ("runs", 1), ("master_seed", 0)):
+            if getattr(self, name) < least:
+                problems.append(f"{name} must be >= {least}, got {getattr(self, name)}")
+        if not (1 <= self.sample_size <= self.pop_size):
+            problems.append(
+                f"sample_size must be in 1..pop_size, got {self.sample_size} "
+                f"with pop_size={self.pop_size}"
+            )
+        if not (0.0 <= self.mutation_prob <= 1.0):
+            problems.append(f"mutation_prob must be in [0, 1], got {self.mutation_prob}")
+        if not (self.mutation_sigma > 0):
+            problems.append(f"mutation_sigma must be positive, got {self.mutation_sigma}")
+        for label in ("P1", "P2"):
+            lo, hi = self.init_interval(label)
+            if not (lo < hi):
+                problems.append(f"init interval for {label} must satisfy lo < hi, "
+                                f"got ({lo}, {hi})")
         lo, hi = self._grid_bounds()
         if not (lo < hi):
             problems.append(f"grid bounds must satisfy lo < hi, got ({lo}, {hi})")
         if self.bhatt_mode not in BHATT_MODES:
             problems.append(f"bhatt_mode must be one of {BHATT_MODES}, got {self.bhatt_mode!r}")
-        if self.runs < 1:
-            problems.append(f"runs must be >= 1, got {self.runs}")
         if problems:
             raise ConfigError("; ".join(problems))
 
@@ -160,7 +209,12 @@ class ExperimentConfig:
     def interaction_mode(self) -> InteractionMode:
         return InteractionMode(_TASK_NAMES[self.task_p1], _TASK_NAMES[self.task_p2])
 
-    def _default_interval(self) -> tuple[float, float]:
+    def init_interval(self, population: str) -> tuple[float, float]:
+        """Initialization interval of population "P1" or "P2", with the
+        substrate default in place of None."""
+        interval = self.init_interval_p1 if population == "P1" else self.init_interval_p2
+        if interval is not None:
+            return interval
         if self.function == "ridge":
             return (0.0, self.ridge_n)
         return (-3.0, 3.0)
@@ -173,20 +227,6 @@ class ExperimentConfig:
         lo = default[0] if self.grid_lo is None else self.grid_lo
         hi = default[1] if self.grid_hi is None else self.grid_hi
         return lo, hi
-
-    def evo_params(self) -> EvoParams:
-        default = self._default_interval()
-        return EvoParams(
-            pop_size=self.pop_size,
-            sample_size=self.sample_size,
-            tournament_size=self.tournament_size,
-            mutation_prob=self.mutation_prob,
-            mutation_sigma=self.mutation_sigma,
-            generations=self.generations,
-            init_interval_p1=self.init_interval_p1 or default,
-            init_interval_p2=self.init_interval_p2 or default,
-            sample_with_replacement=self.sample_with_replacement,
-        )
 
     def grid(self) -> np.ndarray:
         lo, hi = self._grid_bounds()
@@ -275,9 +315,14 @@ def _measure_states(states: list[CoevoState], config: ExperimentConfig
     return out
 
 
-def _run_one(config: ExperimentConfig, run_index: int) -> dict[tuple[str, str], np.ndarray]:
+def _run_one(config: ExperimentConfig, run_index: int,
+             per_run: Callable[[int, list[CoevoState]], None] | None = None
+             ) -> dict[tuple[str, str], np.ndarray]:
     states = run_trajectory(config, trajectory_seed(config.master_seed, run_index))
-    return _measure_states(states, config)
+    measures = _measure_states(states, config)
+    if per_run is not None:
+        per_run(run_index, states)
+    return measures
 
 
 def run_batch(config: ExperimentConfig, workers: int = 1,
@@ -291,25 +336,16 @@ def run_batch(config: ExperimentConfig, workers: int = 1,
     run aborts the batch with its run index and seed derivation reported.
     """
     config.validate()
-    results: list[dict[tuple[str, str], np.ndarray]] = []
-    if workers <= 1 or per_run is not None:
+    run = partial(_run_one, config, per_run=per_run)
+    parallel = workers > 1 and per_run is None
+    with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
+        outcomes = (pool.map if parallel else map)(run, range(config.runs))
+        results = []
         for r in range(config.runs):
             try:
-                states = run_trajectory(config, trajectory_seed(config.master_seed, r))
-                measures = _measure_states(states, config)
+                results.append(next(outcomes))
             except Exception as e:
                 raise RuntimeError(_run_failure(config, r, e)) from e
-            if per_run is not None:
-                per_run(r, states)
-            results.append(measures)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_one, config, r) for r in range(config.runs)]
-            for r, future in enumerate(futures):
-                try:
-                    results.append(future.result())
-                except Exception as e:
-                    raise RuntimeError(_run_failure(config, r, e)) from e
 
     per_run_values = {
         key: np.stack([res[key] for res in results])

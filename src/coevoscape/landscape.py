@@ -46,14 +46,10 @@ BHATT_MODES = ("hellinger", "verbatim")
 
 @dataclass
 class LandscapeProfile:
-    """Fitness values over a fixed grid, tagged with the population and
-    generation they describe."""
+    """Fitness values over a fixed grid."""
 
     grid: np.ndarray
     values: np.ndarray
-    kind: str  # "objective" | "subjective"
-    population: str | None = None  # "P1" | "P2" | None
-    generation: int | None = None
 
 
 @dataclass(frozen=True)
@@ -87,12 +83,11 @@ def objective_profile(kind: ObjectiveKind, grid: np.ndarray,
         values = eval_objective_test(kind, grid)
     else:
         values = eval_objective_shared(kind, grid, reference_partner(kind, task))
-    return LandscapeProfile(grid=grid, values=values, kind="objective")
+    return LandscapeProfile(grid=grid, values=values)
 
 
 def subjective_profile_test(grid: np.ndarray, samples: np.ndarray,
-                            kind: ObjectiveKind, *, population: str | None = None,
-                            generation: int | None = None) -> LandscapeProfile:
+                            kind: ObjectiveKind) -> LandscapeProfile:
     """Mean subjective landscape over one generation's evaluator samples.
 
     `samples` is the (pop_size, sample_size) array retained by the
@@ -107,19 +102,16 @@ def subjective_profile_test(grid: np.ndarray, samples: np.ndarray,
     f_grid = eval_objective_test(kind, grid)
     f_samples = np.atleast_2d(eval_objective_test(kind, samples))
     values = (f_grid[:, None, None] > f_samples[None, :, :]).mean(axis=(1, 2))
-    return LandscapeProfile(grid=grid, values=values, kind="subjective",
-                            population=population, generation=generation)
+    return LandscapeProfile(grid=grid, values=values)
 
 
 def subjective_profile_comp(grid: np.ndarray, partner_best: float,
-                            kind: ObjectiveKind, *, population: str | None = None,
-                            generation: int | None = None) -> LandscapeProfile:
+                            kind: ObjectiveKind) -> LandscapeProfile:
     """Subjective landscape of a compositional generation: the exact slice of
     the shared objective at the opposing representative."""
     grid = np.asarray(grid, dtype=float)
     values = eval_objective_shared(kind, grid, partner_best)
-    return LandscapeProfile(grid=grid, values=values, kind="subjective",
-                            population=population, generation=generation)
+    return LandscapeProfile(grid=grid, values=values)
 
 
 def _check_same_grid(obj: LandscapeProfile, sub: LandscapeProfile) -> None:
@@ -186,15 +178,9 @@ def bhatt(obj: LandscapeProfile, sub: LandscapeProfile, *,
 
 def _subjective_of(state: CoevoState, which: int, grid: np.ndarray,
                    kind: ObjectiveKind) -> LandscapeProfile:
-    pop, samples, partner = (
-        (state.pop1, state.samples1, state.partner1),
-        (state.pop2, state.samples2, state.partner2),
-    )[which]
     if kind.test_based:
-        return subjective_profile_test(grid, samples, kind, population=pop.label,
-                                       generation=state.generation)
-    return subjective_profile_comp(grid, partner, kind, population=pop.label,
-                                   generation=state.generation)
+        return subjective_profile_test(grid, (state.samples1, state.samples2)[which], kind)
+    return subjective_profile_comp(grid, (state.partner1, state.partner2)[which], kind)
 
 
 def snapshot_profiles(state: CoevoState, grid: np.ndarray, kind: ObjectiveKind

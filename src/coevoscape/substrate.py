@@ -133,19 +133,6 @@ class InteractionMode:
     def cooperative(self) -> bool:
         return self.task_p1 == self.task_p2
 
-    @property
-    def competitive(self) -> bool:
-        return not self.cooperative
-
-    @classmethod
-    def cooperative_mode(cls, task: Task = Task.MAXIMIZE) -> "InteractionMode":
-        return cls(task, task)
-
-    @classmethod
-    def competitive_mode(cls) -> "InteractionMode":
-        # default roles: population 1 descends, population 2 climbs
-        return cls(Task.MINIMIZE, Task.MAXIMIZE)
-
 
 def eval_objective_test(kind: ObjectiveKind, x):
     """Objective fitness of a test-based function at x.
@@ -205,14 +192,6 @@ def reference_partner(kind: ObjectiveKind, task: Task) -> float:
     if isinstance(kind, Ridge):
         return kind.n if task is Task.MAXIMIZE else 0.0
     return SINUSOID_OPT_COORD if task is Task.MAXIMIZE else -SINUSOID_OPT_COORD
-
-
-def score(x: float, s_i: float, kind: ObjectiveKind) -> int:
-    """1 if x strictly beats the evaluator s_i in objective fitness, else 0.
-
-    Ties score 0: equal objective fitness is not a win.
-    """
-    return int(eval_objective_test(kind, x) > eval_objective_test(kind, s_i))
 
 
 def subjective_test(x: float, sample, kind: ObjectiveKind) -> float:

@@ -33,12 +33,11 @@ def report(num: int, label: str, ok: bool, detail: str) -> None:
     print(f"[criterion {num}] {label}: {'PASS' if ok else 'FAIL'} ({detail})")
 
 
-def profile(values, grid=None, kind="objective"):
+def profile(values, grid=None):
     values = np.asarray(values, dtype=float)
     if grid is None:
         grid = np.arange(values.size, dtype=float)
-    return LandscapeProfile(grid=np.asarray(grid, dtype=float),
-                            values=values, kind=kind)
+    return LandscapeProfile(grid=np.asarray(grid, dtype=float), values=values)
 
 
 def collect_batch(config):

@@ -7,10 +7,8 @@ import pytest
 
 from coevoscape.evolution import (
     CoevoState,
-    EvoParams,
     Population,
     bootstrap_state,
-    evaluate_compositional,
     evaluate_test,
     init_population,
     mutate,
@@ -42,8 +40,8 @@ def _pop(genotypes, task=Task.MAXIMIZE, fitnesses=None, label="P1"):
 
 
 def test_init_population_within_interval():
-    params = EvoParams(pop_size=24, init_interval_p1=(0.0, 1.0))
-    pop = init_population(params, Task.MAXIMIZE, np.random.default_rng(0))
+    config = ExperimentConfig(pop_size=24, init_interval_p1=(0.0, 1.0))
+    pop = init_population(config, Task.MAXIMIZE, np.random.default_rng(0))
     assert len(pop) == 24
     assert np.all((pop.genotypes >= 0.0) & (pop.genotypes <= 1.0))
     assert not pop.evaluated
@@ -51,43 +49,25 @@ def test_init_population_within_interval():
 
 def test_init_population_nearly_degenerate_interval():
     eps = 1e-9
-    params = EvoParams(pop_size=1, init_interval_p2=(0.5, 0.5 + eps))
-    pop = init_population(params, Task.MAXIMIZE, np.random.default_rng(0), "P2")
+    config = ExperimentConfig(pop_size=1, init_interval_p2=(0.5, 0.5 + eps))
+    pop = init_population(config, Task.MAXIMIZE, np.random.default_rng(0), "P2")
     assert abs(pop.genotypes[0] - 0.5) <= eps
 
 
 def test_init_population_deterministic():
-    params = EvoParams()
-    a = init_population(params, Task.MAXIMIZE, np.random.default_rng(99))
-    b = init_population(params, Task.MAXIMIZE, np.random.default_rng(99))
+    config = ExperimentConfig()
+    a = init_population(config, Task.MAXIMIZE, np.random.default_rng(99))
+    b = init_population(config, Task.MAXIMIZE, np.random.default_rng(99))
     assert np.array_equal(a.genotypes, b.genotypes)
-
-
-def test_init_population_rejects_bad_interval():
-    params = EvoParams(init_interval_p1=(1.0, 1.0))
-    with pytest.raises(ValueError):
-        init_population(params, Task.MAXIMIZE, np.random.default_rng(0))
-
-
-def test_evo_params_validation():
-    with pytest.raises(ValueError):
-        EvoParams(sample_size=25).validate()
-    with pytest.raises(ValueError):
-        EvoParams(mutation_prob=1.5).validate()
-    with pytest.raises(ValueError):
-        EvoParams(mutation_sigma=0.0).validate()
-    with pytest.raises(ValueError):
-        EvoParams(generations=-1).validate()
-    EvoParams().validate()
 
 
 def test_evaluate_test_forced_full_sample():
     # sample_size equal to the opponent size forces the sample to be the
     # whole opponent population, making the fitness hand-checkable
-    params = EvoParams(pop_size=1, sample_size=3)
+    config = ExperimentConfig(pop_size=1, sample_size=3)
     pop = _pop([0.8])
     opponent = _pop([0.1, 0.5, 0.9], label="P2")
-    evaluated, samples = evaluate_test(pop, opponent, params, CRISP,
+    evaluated, samples = evaluate_test(pop, opponent, config, CRISP,
                                        np.random.default_rng(0))
     assert evaluated.fitnesses[0] == pytest.approx(2.0 / 3.0)
     assert samples.shape == (1, 3)
@@ -95,10 +75,10 @@ def test_evaluate_test_forced_full_sample():
 
 
 def test_evaluate_test_extremes():
-    params = EvoParams(pop_size=2, sample_size=3)
+    config = ExperimentConfig(pop_size=2, sample_size=3)
     pop = _pop([0.9, 0.0])
     opponent = _pop([0.0, 0.0, 0.0], label="P2")
-    evaluated, _ = evaluate_test(pop, opponent, params, CRISP,
+    evaluated, _ = evaluate_test(pop, opponent, config, CRISP,
                                  np.random.default_rng(1))
     # beats every opponent at the global minimum
     assert evaluated.fitnesses[0] == 1.0
@@ -107,40 +87,50 @@ def test_evaluate_test_extremes():
 
 
 def test_evaluate_test_rejects_oversized_sample():
-    params = EvoParams(pop_size=2, sample_size=4)
+    config = ExperimentConfig(pop_size=2, sample_size=4)
     pop = _pop([0.1, 0.2])
     opponent = _pop([0.3, 0.4, 0.5], label="P2")
     with pytest.raises(ValueError):
-        evaluate_test(pop, opponent, params, CRISP, np.random.default_rng(0))
+        evaluate_test(pop, opponent, config, CRISP, np.random.default_rng(0))
+
+
+def _compositional_step(genotype, opponent, kind):
+    """Fitness and partner of a one-member P1 holding `genotype` after one
+    generation step against the evaluated P2 `opponent`. With one member and
+    no mutation, selection leaves the genotype as it is."""
+    own = _pop([genotype], fitnesses=[0.0])
+    state = CoevoState(pop1=own, pop2=opponent, generation=1,
+                       best1=genotype, best2=opponent.best())
+    nxt = step_generation(state, ExperimentConfig(mutation_prob=0.0), kind,
+                          np.random.default_rng(0))
+    assert nxt.pop1.genotypes[0] == genotype
+    return nxt.pop1.fitnesses[0], nxt.partner1
 
 
 def test_evaluate_compositional_examples():
     opponent = _pop([8.0, 1.0], Task.MAXIMIZE, fitnesses=[16.0, 2.0], label="P2")
-    evaluated, partner = evaluate_compositional(_pop([8.0]), opponent, RIDGE8)
-    assert partner == 8.0
-    assert evaluated.fitnesses[0] == 16.0
+    assert _compositional_step(8.0, opponent, RIDGE8) == (16.0, 8.0)
 
     opponent = _pop([2.0, 7.0], Task.MINIMIZE, fitnesses=[1.0, 9.0], label="P2")
-    evaluated, partner = evaluate_compositional(_pop([4.0]), opponent, RIDGE8)
-    assert partner == 2.0
-    assert evaluated.fitnesses[0] == 8.0
+    assert _compositional_step(4.0, opponent, RIDGE8) == (8.0, 2.0)
 
 
 def test_evaluate_compositional_sinusoid_zero():
     opponent = _pop([1.3], fitnesses=[0.5], label="P2")
-    evaluated, _ = evaluate_compositional(_pop([-1.3]), opponent, SIN)
-    assert evaluated.fitnesses[0] == 0.0
+    fitness, _ = _compositional_step(-1.3, opponent, SIN)
+    assert fitness == 0.0
 
 
 def test_evaluate_compositional_requires_evaluated_opponent():
+    # the opponent's best member, which compositional scoring uses, needs fitnesses
     with pytest.raises(ValueError):
-        evaluate_compositional(_pop([1.0]), _pop([2.0], label="P2"), RIDGE8)
+        _pop([2.0], label="P2").best()
 
 
 def test_tournament_uniform_when_fitness_flat():
-    params = EvoParams(pop_size=6)
+    config = ExperimentConfig(pop_size=6)
     pop = _pop(np.arange(6.0), fitnesses=np.ones(6))
-    out = tournament_select(pop, params, np.random.default_rng(2))
+    out = tournament_select(pop, config, np.random.default_rng(2))
     assert out.shape == (6,)
     assert set(out.tolist()) <= set(pop.genotypes.tolist())
 
@@ -148,37 +138,37 @@ def test_tournament_uniform_when_fitness_flat():
 def test_tournament_win_rate_size_two():
     """With two individuals the better one fills 3/4 of the slots: it wins
     unless never drawn, and P(drawn at least once in two draws) = 3/4."""
-    params = EvoParams(pop_size=2, tournament_size=2)
+    config = ExperimentConfig(pop_size=2, tournament_size=2)
     rng = np.random.default_rng(17)
     wins = 0
     slots = 0
     pop_max = _pop([10.0, 20.0], Task.MAXIMIZE, fitnesses=[0.0, 1.0])
     for _ in range(5000):
-        out = tournament_select(pop_max, params, rng)
+        out = tournament_select(pop_max, config, rng)
         wins += int(np.sum(out == 20.0))
         slots += 2
     assert abs(wins / slots - 0.75) < 0.02
 
 
 def test_tournament_minimize_mirrors_maximize():
-    params = EvoParams(pop_size=2, tournament_size=2)
+    config = ExperimentConfig(pop_size=2, tournament_size=2)
     pop_min = _pop([10.0, 20.0], Task.MINIMIZE, fitnesses=[0.0, 1.0])
     pop_max = _pop([10.0, 20.0], Task.MAXIMIZE, fitnesses=[1.0, 0.0])
-    a = tournament_select(pop_min, params, np.random.default_rng(3))
-    b = tournament_select(pop_max, params, np.random.default_rng(3))
+    a = tournament_select(pop_min, config, np.random.default_rng(3))
+    b = tournament_select(pop_max, config, np.random.default_rng(3))
     assert np.array_equal(a, b)
 
 
 def test_selection_raises_mean_fitness():
     """Post-selection mean fitness should not fall below the pre-selection
     mean (one-sided check at 3 standard errors over 1000 repetitions)."""
-    params = EvoParams(pop_size=24)
+    config = ExperimentConfig(pop_size=24)
     rng = np.random.default_rng(29)
     fitnesses = rng.uniform(size=24)
     pop = _pop(np.arange(24.0), fitnesses=fitnesses)
     diffs = np.empty(1000)
     for i in range(1000):
-        selected = tournament_select(pop, params, rng)
+        selected = tournament_select(pop, config, rng)
         diffs[i] = fitnesses[selected.astype(int)].mean() - fitnesses.mean()
     stderr = diffs.std(ddof=1) / np.sqrt(diffs.size)
     assert diffs.mean() >= -3.0 * stderr
@@ -186,33 +176,33 @@ def test_selection_raises_mean_fitness():
 
 
 def test_mutate_prob_zero_is_identity():
-    params = EvoParams(mutation_prob=0.0)
+    config = ExperimentConfig(mutation_prob=0.0)
     g = np.random.default_rng(4).normal(size=50)
-    out = mutate(g, params, np.random.default_rng(5))
+    out = mutate(g, config, np.random.default_rng(5))
     assert np.array_equal(out, g)
 
 
 def test_mutate_tiny_sigma_close_to_identity():
-    params = EvoParams(mutation_prob=1.0, mutation_sigma=1e-12)
+    config = ExperimentConfig(mutation_prob=1.0, mutation_sigma=1e-12)
     g = np.random.default_rng(4).normal(size=50)
-    out = mutate(g, params, np.random.default_rng(5))
+    out = mutate(g, config, np.random.default_rng(5))
     assert np.allclose(out, g, atol=1e-10)
 
 
 def test_mutate_untouched_genes_pass_through_bit_exact():
-    params = EvoParams(mutation_prob=0.5)
+    config = ExperimentConfig(mutation_prob=0.5)
     g = np.random.default_rng(6).normal(size=1000)
-    out = mutate(g, params, np.random.default_rng(7))
+    out = mutate(g, config, np.random.default_rng(7))
     changed = out != g
     assert 350 < changed.sum() < 650
     assert np.array_equal(out[~changed], g[~changed])
 
 
 def test_mutate_gaussian_moments():
-    params = EvoParams(mutation_prob=1.0, mutation_sigma=0.1)
+    config = ExperimentConfig(mutation_prob=1.0, mutation_sigma=0.1)
     n = 100_000
     g = np.zeros(n)
-    out = mutate(g, params, np.random.default_rng(8))
+    out = mutate(g, config, np.random.default_rng(8))
     assert abs(out.mean()) <= 3.0 * 0.1 / np.sqrt(n)
     assert abs(out.std(ddof=1) - 0.1) < 0.005
 
@@ -224,9 +214,8 @@ def _competitive_config(**kw):
 def test_step_generation_increments_and_keeps_size():
     cfg = _competitive_config()
     rng = np.random.default_rng(9)
-    params = cfg.evo_params()
-    state = bootstrap_state(params, SMOOTH, Task.MINIMIZE, Task.MAXIMIZE, rng)
-    nxt = step_generation(state, params, SMOOTH, rng)
+    state = bootstrap_state(cfg, SMOOTH, rng)
+    nxt = step_generation(state, cfg, SMOOTH, rng)
     assert nxt.generation == state.generation + 1
     assert len(nxt.pop1) == len(state.pop1) == 24
     assert len(nxt.pop2) == len(state.pop2) == 24
@@ -256,9 +245,9 @@ def test_compositional_fitness_is_slice_at_opponent_best():
 
 
 def test_bootstrap_compositional_partner_comes_from_opponent():
-    params = EvoParams()
+    cfg = _competitive_config(function="sinusoid")
     rng = np.random.default_rng(12)
-    state = bootstrap_state(params, SIN, Task.MINIMIZE, Task.MAXIMIZE, rng)
+    state = bootstrap_state(cfg, SIN, rng)
     assert state.partner1 in state.pop2.genotypes
     assert state.partner2 in state.pop1.genotypes
     expect = eval_objective_shared(SIN, state.pop1.genotypes, state.partner1)

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+import math
+import multiprocessing
+import re
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from coevoscape import experiment
 from coevoscape.evolution import run_trajectory
 from coevoscape.experiment import (
     MEASURES,
@@ -21,8 +25,9 @@ from coevoscape.experiment import (
 )
 from coevoscape.landscape import measure_generation
 
-# hand-evaluated: t(0.975, df=1) * std({0,1}, ddof=1) / sqrt(2)
-CI_HALF_WIDTH_TWO_SAMPLES = 6.353102368216047
+# t(0.975, df=1) * std({0,1}, ddof=1) / sqrt(2): the df=1 t quantile is
+# tan(pi*(0.975 - 0.5)) and std({0,1}) = 1/sqrt(2), so the half width is tan(0.475*pi)/2
+CI_HALF_WIDTH_TWO_SAMPLES = math.tan(0.475 * math.pi) / 2
 
 
 def test_ci95_degenerate_cases():
@@ -54,25 +59,25 @@ def test_config_defaults_match_standard_setup():
     assert (cfg.mutation_prob, cfg.mutation_sigma) == (0.5, 0.1)
     assert (cfg.runs, cfg.generations) == (100, 10)
     assert cfg.task_p1 == "minimize" and cfg.task_p2 == "maximize"
-    assert cfg.interaction_mode().competitive
+    assert not cfg.interaction_mode().cooperative
 
 
 def test_config_grid_and_interval_defaults():
     smooth = ExperimentConfig()
     g = smooth.grid()
     assert g[0] == -3.0 and g[-1] == 3.0 and g.size == 301
-    assert smooth.evo_params().init_interval_p1 == (-3.0, 3.0)
+    assert smooth.init_interval("P1") == (-3.0, 3.0)
 
     ridge = ExperimentConfig(function="ridge", ridge_n=8.0)
     g = ridge.grid()
     assert g[0] == -2.0 and g[-1] == 10.0
-    assert ridge.evo_params().init_interval_p1 == (0.0, 8.0)
-    assert ridge.evo_params().init_interval_p2 == (0.0, 8.0)
+    assert ridge.init_interval("P1") == (0.0, 8.0)
+    assert ridge.init_interval("P2") == (0.0, 8.0)
 
     explicit = ExperimentConfig(function="ridge", grid_lo=0.0, grid_hi=8.0,
                                 init_interval_p1=(1.0, 2.0))
     assert explicit.grid()[0] == 0.0 and explicit.grid()[-1] == 8.0
-    assert explicit.evo_params().init_interval_p1 == (1.0, 2.0)
+    assert explicit.init_interval("P1") == (1.0, 2.0)
 
 
 def test_config_from_dict_sections():
@@ -114,9 +119,22 @@ def test_config_validation_errors():
         dict(grid_lo=2.0, grid_hi=-2.0),
         dict(bhatt_mode="both"),
         dict(sample_size=99),
+        dict(mutation_prob=1.5),
+        dict(mutation_sigma=0.0),
+        dict(generations=-1),
+        dict(init_interval_p1=(1.0, 1.0)),
+        dict(master_seed=-1),
+        # mistyped values, as they arrive from a JSON config file
+        dict(runs="100"),
+        dict(generations=2.5),
+        dict(pop_size=True),
+        dict(init_interval_p1=(1.0,)),
+        dict(mutation_sigma=float("inf")),
+        dict(function=["smooth"]),
     ):
         with pytest.raises(ConfigError):
             ExperimentConfig(**bad).validate()
+    ExperimentConfig().validate()
 
 
 def test_config_from_file(tmp_path):
@@ -193,6 +211,34 @@ def test_run_batch_per_run_hook_sees_runs_in_order():
     seen = []
     run_batch(cfg, per_run=lambda r, states: seen.append((r, len(states))))
     assert seen == [(0, 2), (1, 2), (2, 2), (3, 2), (4, 2)]
+
+
+def _fail_run_2(config, seed):
+    if seed.spawn_key == (2,):
+        raise ValueError("boom")
+    return run_trajectory(config, seed)
+
+
+FORK_ONLY = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                               reason="pool workers see the patched module only when forked")
+
+
+@pytest.mark.parametrize("workers", [1, pytest.param(2, marks=FORK_ONLY)])
+def test_run_batch_names_failing_run_and_seed(monkeypatch, workers):
+    monkeypatch.setattr(experiment, "run_trajectory", _fail_run_2)
+    expected = "run 2 failed (seed = SeedSequence(1, spawn_key=(2,))): boom"
+    with pytest.raises(RuntimeError, match=re.escape(expected)):
+        run_batch(ExperimentConfig(runs=4, generations=1), workers=workers)
+
+
+def test_run_batch_names_run_whose_hook_fails():
+    def hook(r, states):
+        if r == 1:
+            raise OSError("disk full")
+
+    expected = "run 1 failed (seed = SeedSequence(1, spawn_key=(1,))): disk full"
+    with pytest.raises(RuntimeError, match=re.escape(expected)):
+        run_batch(ExperimentConfig(runs=3, generations=1), per_run=hook)
 
 
 def test_run_batch_validates_config_first():

@@ -42,11 +42,11 @@ BHATT_HALF_QUARTER = 0.18459191128251476
 BHATT_VERBATIM_HALF_QUARTER = 0.7071067811865476
 
 
-def _profile(values, grid=None, kind="objective"):
+def _profile(values, grid=None):
     values = np.asarray(values, dtype=float)
     if grid is None:
         grid = np.arange(values.size, dtype=float)
-    return LandscapeProfile(grid=np.asarray(grid, dtype=float), values=values, kind=kind)
+    return LandscapeProfile(grid=np.asarray(grid, dtype=float), values=values)
 
 
 def test_make_grid():

@@ -21,7 +21,6 @@ from coevoscape.substrate import (
     kind_from_name,
     objective_min,
     reference_partner,
-    score,
     subjective_compositional,
     subjective_test,
 )
@@ -99,10 +98,11 @@ def test_kind_from_name():
 
 
 def test_score_strict_inequality():
-    assert score(0.9, 0.1, CRISP) == 1
-    assert score(0.5, 0.5, CRISP) == 0
+    # one evaluator: subjective fitness is 1 for a strict win, else 0
+    assert subjective_test(0.9, [0.1], CRISP) == 1.0
+    assert subjective_test(0.5, [0.5], CRISP) == 0.0
     # both outside [0, 1] map to 0.5, a tie
-    assert score(2.0, 3.0, CRISP) == 0
+    assert subjective_test(2.0, [3.0], CRISP) == 0.0
 
 
 def test_subjective_test_enumeration():
@@ -217,10 +217,8 @@ def test_draw_sample_with_replacement_allows_oversampling():
 def test_interaction_mode_flags():
     coop = InteractionMode(Task.MAXIMIZE, Task.MAXIMIZE)
     comp = InteractionMode(Task.MINIMIZE, Task.MAXIMIZE)
-    assert coop.cooperative and not coop.competitive
-    assert comp.competitive and not comp.cooperative
-    assert InteractionMode.competitive_mode() == comp
-    assert InteractionMode.cooperative_mode() == coop
+    assert coop.cooperative
+    assert not comp.cooperative
 
 
 def test_reference_partner():
