@@ -36,15 +36,13 @@ from .evolution import (
     tournament_select,
 )
 from .landscape import (
-    LandscapeProfile,
-    MeasureTriple,
     bhatt,
     dist,
     kld,
     make_grid,
     measure_generation,
     objective_profile,
-    snapshot_profiles,
+    state_profiles,
     subjective_profile_comp,
     subjective_profile_test,
     to_distribution,
@@ -86,13 +84,11 @@ __all__ = [
     "step_generation",
     "bootstrap_state",
     "run_trajectory",
-    "LandscapeProfile",
-    "MeasureTriple",
     "make_grid",
     "objective_profile",
     "subjective_profile_test",
     "subjective_profile_comp",
-    "snapshot_profiles",
+    "state_profiles",
     "dist",
     "kld",
     "bhatt",

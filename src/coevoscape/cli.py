@@ -29,7 +29,7 @@ import numpy as np
 
 from .evolution import CoevoState, run_trajectory
 from .experiment import ConfigError, ExperimentConfig, run_batch, trajectory_seed
-from .landscape import snapshot_profiles
+from .landscape import Profiles, state_profiles
 from .substrate import Task
 
 TRAJECTORY_HEADER = ("generation", "best_p1", "fitness_p1", "best_p2", "fitness_p2")
@@ -93,9 +93,11 @@ def trajectory_rows(states: list[CoevoState]) -> list[tuple]:
     return rows
 
 
-def snapshot_rows(state: CoevoState, grid: np.ndarray, kind) -> list[tuple]:
-    obj, sub1, sub2 = snapshot_profiles(state, grid, kind)
-    return list(zip(grid, obj.values, sub1.values, sub2.values))
+def snapshot_rows(grid: np.ndarray, profiles: Profiles) -> list[tuple]:
+    """One landscape snapshot: the objective profile for P1's task next to
+    both subjective profiles."""
+    obj1, _, sub1, sub2 = profiles
+    return list(zip(grid, obj1, sub1, sub2))
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -134,7 +136,7 @@ def cmd_simulate(args) -> int:
     kind = config.objective_kind()
     for k in wanted:
         write_table(args.out / "snapshots" / f"landscape_k{k}.csv", SNAPSHOT_HEADER,
-                    snapshot_rows(states[k], grid, kind), json_mirror)
+                    snapshot_rows(grid, state_profiles(states[k], grid, kind)), json_mirror)
     return 0
 
 
@@ -146,7 +148,8 @@ def cmd_landscape(args) -> int:
     kind = config.objective_kind()
     for k in wanted:
         write_table(args.out / f"landscape_k{k}.csv", SNAPSHOT_HEADER,
-                    snapshot_rows(states[k], grid, kind), args.fmt == "json")
+                    snapshot_rows(grid, state_profiles(states[k], grid, kind)),
+                    args.fmt == "json")
     return 0
 
 
@@ -156,14 +159,12 @@ def cmd_measures(args) -> int:
     per_run = None
     if config.snapshots:
         grid = config.grid()
-        kind = config.objective_kind()
 
-        def per_run(r: int, states: list[CoevoState]) -> None:
+        def per_run(r: int, run_profiles: list[Profiles]) -> None:
             run_dir = args.out / "snapshots" / f"run_{r:03d}"
-            for state in states:
-                write_table(run_dir / f"landscape_k{state.generation}.csv",
-                            SNAPSHOT_HEADER, snapshot_rows(state, grid, kind),
-                            json_mirror)
+            for k, profiles in enumerate(run_profiles):
+                write_table(run_dir / f"landscape_k{k}.csv", SNAPSHOT_HEADER,
+                            snapshot_rows(grid, profiles), json_mirror)
 
     series = run_batch(config, workers=args.workers, per_run=per_run)
     write_table(args.out / "measures.csv", MEASURES_HEADER, list(series.rows()),
@@ -213,7 +214,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, OSError, RuntimeError) as e:
+    except (ConfigError, ValueError, OSError, RuntimeError, FloatingPointError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

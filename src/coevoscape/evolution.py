@@ -205,12 +205,15 @@ def run_trajectory(config: ExperimentConfig, seed) -> list[CoevoState]:
     """Run one full coevolutionary trajectory, deterministically from seed.
 
     Returns generations+1 evaluated states (k = 0 included). `seed` is
-    anything numpy's default_rng accepts (int or SeedSequence).
+    anything numpy's default_rng accepts (int or SeedSequence). A numeric
+    overflow or invalid operation (e.g. from an enormous mutation_sigma)
+    raises FloatingPointError instead of producing inf or nan values.
     """
     config.validate()
     kind = config.objective_kind()
     rng = np.random.default_rng(seed)
-    states = [bootstrap_state(config, kind, rng)]
-    for _ in range(config.generations):
-        states.append(step_generation(states[-1], config, kind, rng))
+    with np.errstate(over="raise", invalid="raise"):
+        states = [bootstrap_state(config, kind, rng)]
+        for _ in range(config.generations):
+            states.append(step_generation(states[-1], config, kind, rng))
     return states

@@ -19,10 +19,10 @@ from functools import partial
 from typing import Callable, Iterator
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtrit
 
-from .evolution import CoevoState, run_trajectory
-from .landscape import BHATT_MODES, make_grid, measure_generation
+from .evolution import run_trajectory
+from .landscape import BHATT_MODES, Profiles, make_grid, measure_generation, state_profiles
 from .substrate import InteractionMode, ObjectiveKind, Task, kind_from_name
 
 POPULATIONS = ("P1", "P2")
@@ -249,7 +249,7 @@ def ci95(samples) -> tuple[float, float, float]:
     mean = float(a.mean())
     if a.size == 1:
         return mean, mean, mean
-    half = float(stats.t.ppf(0.975, a.size - 1) * a.std(ddof=1) / np.sqrt(a.size))
+    half = float(stdtrit(a.size - 1, 0.975) * a.std(ddof=1) / np.sqrt(a.size))
     return mean, mean - half, mean + half
 
 
@@ -257,12 +257,14 @@ def ci95(samples) -> tuple[float, float, float]:
 class MeasureSeries:
     """Per-generation measure statistics for both populations of a batch.
 
-    mean/ci_lo/ci_hi are keyed by (population, measure) and hold one value
-    per generation.
+    values, mean, ci_lo and ci_hi are keyed by (population, measure). values
+    holds the raw per-run measures, shape (runs, generations+1); the others
+    hold one value per generation.
     """
 
     generations: np.ndarray
     runs: int
+    values: dict[tuple[str, str], np.ndarray] = field(default_factory=dict)
     mean: dict[tuple[str, str], np.ndarray] = field(default_factory=dict)
     ci_lo: dict[tuple[str, str], np.ndarray] = field(default_factory=dict)
     ci_hi: dict[tuple[str, str], np.ndarray] = field(default_factory=dict)
@@ -272,7 +274,7 @@ class MeasureSeries:
         """Aggregate raw per-run values, shape (runs, generations+1) per key."""
         some = next(iter(per_run.values()))
         runs, n_gen = some.shape
-        series = cls(generations=np.arange(n_gen), runs=runs)
+        series = cls(generations=np.arange(n_gen), runs=runs, values=per_run)
         for key, values in per_run.items():
             mean = np.empty(n_gen)
             lo = np.empty(n_gen)
@@ -299,46 +301,47 @@ class MeasureSeries:
         return self.ci_hi[key] - self.ci_lo[key]
 
 
-def _measure_states(states: list[CoevoState], config: ExperimentConfig
-                    ) -> dict[tuple[str, str], np.ndarray]:
+def _run_one(config: ExperimentConfig, run_index: int,
+             per_run: Callable[[int, list[Profiles]], None] | None = None
+             ) -> np.ndarray:
+    """Measures of run r, shape (generations+1, populations, measures).
+
+    Each state's profiles are built once and serve both the measures and
+    the `per_run` hook.
+    """
     kind = config.objective_kind()
     grid = config.grid()
-    out = {(pop, m): np.empty(len(states)) for pop in POPULATIONS for m in MEASURES}
-    for k, state in enumerate(states):
-        t1, t2 = measure_generation(state, grid, kind,
-                                    grid_factor=config.dist_grid_factor,
-                                    bhatt_mode=config.bhatt_mode)
-        for pop, triple in (("P1", t1), ("P2", t2)):
-            out[(pop, "dist")][k] = triple.dist
-            out[(pop, "kld")][k] = triple.kld
-            out[(pop, "bhatt")][k] = triple.bhatt
-    return out
-
-
-def _run_one(config: ExperimentConfig, run_index: int,
-             per_run: Callable[[int, list[CoevoState]], None] | None = None
-             ) -> dict[tuple[str, str], np.ndarray]:
     states = run_trajectory(config, trajectory_seed(config.master_seed, run_index))
-    measures = _measure_states(states, config)
+    profiles = [state_profiles(state, grid, kind) for state in states]
+    measures = np.array([
+        measure_generation(p, kind, grid_factor=config.dist_grid_factor,
+                           bhatt_mode=config.bhatt_mode)
+        for p in profiles
+    ])
     if per_run is not None:
-        per_run(run_index, states)
+        per_run(run_index, profiles)
     return measures
 
 
 def run_batch(config: ExperimentConfig, workers: int = 1,
-              per_run: Callable[[int, list[CoevoState]], None] | None = None
+              per_run: Callable[[int, list[Profiles]], None] | None = None
               ) -> MeasureSeries:
     """Run `config.runs` independent trajectories and aggregate their measures.
 
     Results are collected and aggregated in run-index order, so the series
-    is identical for any worker count. `per_run(r, states)` is an optional
-    hook (e.g. snapshot writing) and forces serial execution. Any failing
-    run aborts the batch with its run index and seed derivation reported.
+    is identical for any worker count; at most one worker per run is
+    started. `per_run(r, profiles)` is an optional hook (e.g. snapshot
+    writing) that receives run r's `state_profiles` tuple for every
+    generation, and forces serial execution. Any failing run aborts the
+    batch with its run index and seed derivation reported.
     """
     config.validate()
+    if not _is_int(workers) or workers < 1:
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     run = partial(_run_one, config, per_run=per_run)
     parallel = workers > 1 and per_run is None
-    with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
+    with (ProcessPoolExecutor(max_workers=min(workers, config.runs)) if parallel
+          else nullcontext()) as pool:
         outcomes = (pool.map if parallel else map)(run, range(config.runs))
         results = []
         for r in range(config.runs):
@@ -347,11 +350,11 @@ def run_batch(config: ExperimentConfig, workers: int = 1,
             except Exception as e:
                 raise RuntimeError(_run_failure(config, r, e)) from e
 
-    per_run_values = {
-        key: np.stack([res[key] for res in results])
-        for key in results[0]
-    }
-    return MeasureSeries.from_runs(per_run_values)
+    values = np.stack(results)
+    return MeasureSeries.from_runs({
+        (pop, measure): np.ascontiguousarray(values[:, :, i, j])
+        for i, pop in enumerate(POPULATIONS) for j, measure in enumerate(MEASURES)
+    })
 
 
 def _run_failure(config: ExperimentConfig, run_index: int, error: Exception) -> str:

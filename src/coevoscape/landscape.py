@@ -1,13 +1,16 @@
 """Landscape reconstruction and similarity measures.
 
-A landscape profile is the vector of fitness values over a fixed grid of
-search-space points. Per generation, the objective profile is static while
-the subjective profile is rebuilt from what the run actually used: the
-retained evaluator samples (test-based, averaged into an ensemble mean) or
-the opposing representative (compositional, an exact slice of the shared
-landscape).
+A landscape profile is a plain array of fitness values over a fixed grid of
+search-space points (one grid per batch, `ExperimentConfig.grid()`). Per
+generation, the objective profile is static while the subjective profile is
+rebuilt from what the run actually used: the retained evaluator samples
+(test-based, averaged into an ensemble mean) or the opposing representative
+(compositional, an exact slice of the shared landscape). `state_profiles`
+builds all four profiles of one state once; the measures and the landscape
+snapshots both read them.
 
-Three measures compare an objective profile against a subjective one:
+Three measures compare an objective profile against a subjective one of the
+same shape:
 
     dist   normalized Euclidean distance, 0 for identical profiles, and
            within [0, 1] whenever the subjective values stay inside the
@@ -22,8 +25,6 @@ Three measures compare an objective profile against a subjective one:
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,22 +44,8 @@ DISTRIBUTION_EPS = 1e-12
 
 BHATT_MODES = ("hellinger", "verbatim")
 
-
-@dataclass
-class LandscapeProfile:
-    """Fitness values over a fixed grid."""
-
-    grid: np.ndarray
-    values: np.ndarray
-
-
-@dataclass(frozen=True)
-class MeasureTriple:
-    """The three profile-similarity values for one population at one generation."""
-
-    dist: float
-    kld: float
-    bhatt: float
+# one state's profiles on the batch grid: (obj_p1, obj_p2, sub_p1, sub_p2)
+Profiles = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 def make_grid(lo: float, hi: float, count: int) -> np.ndarray:
@@ -71,7 +58,7 @@ def make_grid(lo: float, hi: float, count: int) -> np.ndarray:
 
 
 def objective_profile(kind: ObjectiveKind, grid: np.ndarray,
-                      task: Task = Task.MAXIMIZE) -> LandscapeProfile:
+                      task: Task = Task.MAXIMIZE) -> np.ndarray:
     """Objective reference profile over the grid.
 
     Test-based kinds evaluate directly (task is irrelevant). Compositional
@@ -80,14 +67,12 @@ def objective_profile(kind: ObjectiveKind, grid: np.ndarray,
     """
     grid = np.asarray(grid, dtype=float)
     if kind.test_based:
-        values = eval_objective_test(kind, grid)
-    else:
-        values = eval_objective_shared(kind, grid, reference_partner(kind, task))
-    return LandscapeProfile(grid=grid, values=values)
+        return eval_objective_test(kind, grid)
+    return eval_objective_shared(kind, grid, reference_partner(kind, task))
 
 
 def subjective_profile_test(grid: np.ndarray, samples: np.ndarray,
-                            kind: ObjectiveKind) -> LandscapeProfile:
+                            kind: ObjectiveKind) -> np.ndarray:
     """Mean subjective landscape over one generation's evaluator samples.
 
     `samples` is the (pop_size, sample_size) array retained by the
@@ -98,29 +83,24 @@ def subjective_profile_test(grid: np.ndarray, samples: np.ndarray,
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         raise ValueError("no evaluator samples to average over")
-    grid = np.asarray(grid, dtype=float)
-    f_grid = eval_objective_test(kind, grid)
+    f_grid = eval_objective_test(kind, np.asarray(grid, dtype=float))
     f_samples = np.atleast_2d(eval_objective_test(kind, samples))
-    values = (f_grid[:, None, None] > f_samples[None, :, :]).mean(axis=(1, 2))
-    return LandscapeProfile(grid=grid, values=values)
+    return (f_grid[:, None, None] > f_samples[None, :, :]).mean(axis=(1, 2))
 
 
 def subjective_profile_comp(grid: np.ndarray, partner_best: float,
-                            kind: ObjectiveKind) -> LandscapeProfile:
+                            kind: ObjectiveKind) -> np.ndarray:
     """Subjective landscape of a compositional generation: the exact slice of
     the shared objective at the opposing representative."""
-    grid = np.asarray(grid, dtype=float)
-    values = eval_objective_shared(kind, grid, partner_best)
-    return LandscapeProfile(grid=grid, values=values)
+    return eval_objective_shared(kind, np.asarray(grid, dtype=float), partner_best)
 
 
-def _check_same_grid(obj: LandscapeProfile, sub: LandscapeProfile) -> None:
-    if not np.array_equal(obj.grid, sub.grid):
-        raise ValueError("profiles must share the same grid")
+def _check_same_shape(obj: np.ndarray, sub: np.ndarray) -> None:
+    if obj.shape != sub.shape:
+        raise ValueError(f"profiles must have the same shape, got {obj.shape} and {sub.shape}")
 
 
-def dist(obj: LandscapeProfile, sub: LandscapeProfile, *,
-         grid_factor: bool = True) -> float:
+def dist(obj: np.ndarray, sub: np.ndarray, *, grid_factor: bool = True) -> float:
     """Normalized Euclidean distance between two profiles on one grid.
 
     The norm of the pointwise difference is divided by the objective
@@ -129,14 +109,15 @@ def dist(obj: LandscapeProfile, sub: LandscapeProfile, *,
     for the plain range normalization.
 
     Raises:
-        ValueError: the objective profile is flat (zero range).
+        ValueError: the profiles differ in shape, or the objective profile
+            is flat (zero range).
     """
-    _check_same_grid(obj, sub)
-    value_range = float(np.max(obj.values) - np.min(obj.values))
+    _check_same_shape(obj, sub)
+    value_range = float(np.max(obj) - np.min(obj))
     if value_range == 0.0:
         raise ValueError("objective profile is flat; distance normalization undefined")
-    dist_max = value_range * (np.sqrt(obj.grid.size) if grid_factor else 1.0)
-    return float(np.linalg.norm(obj.values - sub.values) / dist_max)
+    dist_max = value_range * (np.sqrt(obj.size) if grid_factor else 1.0)
+    return float(np.linalg.norm(obj - sub) / dist_max)
 
 
 def to_distribution(values: np.ndarray, fitness_min: float = 0.0) -> np.ndarray:
@@ -146,17 +127,18 @@ def to_distribution(values: np.ndarray, fitness_min: float = 0.0) -> np.ndarray:
     return w / w.sum()
 
 
-def kld(obj: LandscapeProfile, sub: LandscapeProfile, *,
-        fitness_min: float = 0.0) -> float:
+def kld(obj: np.ndarray, sub: np.ndarray, *, fitness_min: float = 0.0) -> float:
     """Kullback-Leibler divergence (bits) from the objective profile to the
-    subjective one, both normalized via to_distribution."""
-    _check_same_grid(obj, sub)
-    p = to_distribution(obj.values, fitness_min)
-    q = to_distribution(sub.values, fitness_min)
-    return float(np.sum(p * np.log2(p / q)))
+    subjective one, both normalized via to_distribution. Clamped at 0: two
+    profiles that normalize to the same distribution up to rounding would
+    otherwise give a tiny negative sum."""
+    _check_same_shape(obj, sub)
+    p = to_distribution(obj, fitness_min)
+    q = to_distribution(sub, fitness_min)
+    return max(0.0, float(np.sum(p * np.log2(p / q))))
 
 
-def bhatt(obj: LandscapeProfile, sub: LandscapeProfile, *,
+def bhatt(obj: np.ndarray, sub: np.ndarray, *,
           fitness_min: float = 0.0, mode: str = "hellinger") -> float:
     """Overlap distance between the two normalized profiles.
 
@@ -167,47 +149,42 @@ def bhatt(obj: LandscapeProfile, sub: LandscapeProfile, *,
     """
     if mode not in BHATT_MODES:
         raise ValueError(f"bhatt mode must be one of {BHATT_MODES}, got {mode!r}")
-    _check_same_grid(obj, sub)
-    p = to_distribution(obj.values, fitness_min)
-    q = to_distribution(sub.values, fitness_min)
+    _check_same_shape(obj, sub)
+    p = to_distribution(obj, fitness_min)
+    q = to_distribution(sub, fitness_min)
     if mode == "verbatim":
         return float(np.sqrt(max(0.0, 1.0 - np.sum(p * q))))
     h = np.sqrt(0.5 * np.sum((np.sqrt(p) - np.sqrt(q)) ** 2))
     return float(min(1.0, h))
 
 
-def _subjective_of(state: CoevoState, which: int, grid: np.ndarray,
-                   kind: ObjectiveKind) -> LandscapeProfile:
-    if kind.test_based:
-        return subjective_profile_test(grid, (state.samples1, state.samples2)[which], kind)
-    return subjective_profile_comp(grid, (state.partner1, state.partner2)[which], kind)
+def state_profiles(state: CoevoState, grid: np.ndarray, kind: ObjectiveKind) -> Profiles:
+    """The four profiles of one evaluated state: (obj_p1, obj_p2, sub_p1, sub_p2).
 
-
-def snapshot_profiles(state: CoevoState, grid: np.ndarray, kind: ObjectiveKind
-                      ) -> tuple[LandscapeProfile, LandscapeProfile, LandscapeProfile]:
-    """Row material for one landscape snapshot: the objective profile (sliced
-    for P1's task when the kinds disagree) and both subjective profiles."""
-    obj = objective_profile(kind, grid, state.pop1.task)
-    return obj, _subjective_of(state, 0, grid, kind), _subjective_of(state, 1, grid, kind)
-
-
-def measure_generation(state: CoevoState, grid: np.ndarray, kind: ObjectiveKind, *,
-                       grid_factor: bool = True, bhatt_mode: str = "hellinger"
-                       ) -> tuple[MeasureTriple, MeasureTriple]:
-    """All three measures for both populations of one evaluated state.
-
-    Each population's subjective profile is rebuilt from what its current
-    fitnesses were computed with (retained samples or partner value), and
-    compared against the objective reference profile for its own task.
+    Each population's objective profile is the reference for its own task;
+    its subjective profile is rebuilt from what its current fitnesses were
+    computed with (retained samples or partner value).
     """
+    obj1 = objective_profile(kind, grid, state.pop1.task)
+    obj2 = objective_profile(kind, grid, state.pop2.task)
+    if kind.test_based:
+        sub1 = subjective_profile_test(grid, state.samples1, kind)
+        sub2 = subjective_profile_test(grid, state.samples2, kind)
+    else:
+        sub1 = subjective_profile_comp(grid, state.partner1, kind)
+        sub2 = subjective_profile_comp(grid, state.partner2, kind)
+    return obj1, obj2, sub1, sub2
+
+
+def measure_generation(profiles: Profiles, kind: ObjectiveKind, *, grid_factor: bool = True,
+                       bhatt_mode: str = "hellinger"
+                       ) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
+    """(dist, kld, bhatt) of P1 and of P2 from one state's `state_profiles`."""
+    obj1, obj2, sub1, sub2 = profiles
     fitness_min = objective_min(kind)
-    triples = []
-    for which, pop in enumerate((state.pop1, state.pop2)):
-        obj = objective_profile(kind, grid, pop.task)
-        sub = _subjective_of(state, which, grid, kind)
-        triples.append(MeasureTriple(
-            dist=dist(obj, sub, grid_factor=grid_factor),
-            kld=kld(obj, sub, fitness_min=fitness_min),
-            bhatt=bhatt(obj, sub, fitness_min=fitness_min, mode=bhatt_mode),
-        ))
-    return triples[0], triples[1]
+    return tuple(
+        (dist(obj, sub, grid_factor=grid_factor),
+         kld(obj, sub, fitness_min=fitness_min),
+         bhatt(obj, sub, fitness_min=fitness_min, mode=bhatt_mode))
+        for obj, sub in ((obj1, sub1), (obj2, sub2))
+    )

@@ -3,7 +3,8 @@ PASS/FAIL line with the measured numbers.
 
 The batch criteria (6-8) run the standard setup (24 individuals, sample
 size 12, 100 runs, 10 generations, master seed 1) once per needed variant
-and share the results across tests via module-scoped fixtures.
+through the shipped `run_batch`, and share the resulting series (with its
+per-run values) across tests via module-scoped fixtures.
 """
 
 from __future__ import annotations
@@ -15,10 +16,9 @@ import pytest
 
 from coevoscape import cli
 from coevoscape.evolution import run_trajectory
-from coevoscape.experiment import (MEASURES, POPULATIONS, ExperimentConfig,
-                                   MeasureSeries, trajectory_seed)
-from coevoscape.landscape import (LandscapeProfile, bhatt, dist, kld,
-                                  measure_generation, snapshot_profiles,
+from coevoscape.experiment import (POPULATIONS, ExperimentConfig, run_batch,
+                                   trajectory_seed)
+from coevoscape.landscape import (bhatt, dist, kld, state_profiles,
                                   subjective_profile_test)
 from coevoscape.substrate import (eval_objective_shared, eval_objective_test,
                                   kind_from_name, subjective_test)
@@ -33,46 +33,23 @@ def report(num: int, label: str, ok: bool, detail: str) -> None:
     print(f"[criterion {num}] {label}: {'PASS' if ok else 'FAIL'} ({detail})")
 
 
-def profile(values, grid=None):
-    values = np.asarray(values, dtype=float)
-    if grid is None:
-        grid = np.arange(values.size, dtype=float)
-    return LandscapeProfile(grid=np.asarray(grid, dtype=float), values=values)
-
-
-def collect_batch(config):
-    """Per-run measure arrays plus the aggregated series for one batch."""
-    config.validate()
-    kind = config.objective_kind()
-    grid = config.grid()
-    shape = (config.runs, config.generations + 1)
-    per_run = {(pop, m): np.empty(shape) for pop in POPULATIONS for m in MEASURES}
-    for r in range(config.runs):
-        states = run_trajectory(config, trajectory_seed(config.master_seed, r))
-        for k, state in enumerate(states):
-            t1, t2 = measure_generation(state, grid, kind,
-                                        grid_factor=config.dist_grid_factor,
-                                        bhatt_mode=config.bhatt_mode)
-            for pop, triple in (("P1", t1), ("P2", t2)):
-                per_run[(pop, "dist")][r, k] = triple.dist
-                per_run[(pop, "kld")][r, k] = triple.kld
-                per_run[(pop, "bhatt")][r, k] = triple.bhatt
-    return per_run, MeasureSeries.from_runs(per_run)
+def profile(values):
+    return np.asarray(values, dtype=float)
 
 
 @pytest.fixture(scope="module")
 def smooth_competitive():
-    return collect_batch(ExperimentConfig())
+    return run_batch(ExperimentConfig())
 
 
 @pytest.fixture(scope="module")
 def smooth_cooperative():
-    return collect_batch(ExperimentConfig(task_p1="maximize"))
+    return run_batch(ExperimentConfig(task_p1="maximize"))
 
 
 @pytest.fixture(scope="module")
 def sinusoid_competitive():
-    return collect_batch(ExperimentConfig(function="sinusoid"))
+    return run_batch(ExperimentConfig(function="sinusoid"))
 
 
 def test_objective_anchor_values():
@@ -120,7 +97,7 @@ def test_subjective_converges_to_objective():
     grid = np.linspace(0.0, 1.0, 101)
     samples = rng.uniform(0.0, 1.0, size=(1, 10_000))
     sub = subjective_profile_test(grid, samples, kind)
-    gap = float(np.max(np.abs(sub.values - eval_objective_test(kind, grid))))
+    gap = float(np.max(np.abs(sub - eval_objective_test(kind, grid))))
     report(3, "large-sample subjective matches objective", gap <= 0.03,
            f"sup gap {gap:.4f} <= 0.03")
     assert gap <= 0.03
@@ -137,14 +114,14 @@ def test_compositional_profiles_are_exact_slices():
             if k > 0:
                 assert state.partner1 == states[k - 1].best2
                 assert state.partner2 == states[k - 1].best1
-            _, sub1, sub2 = snapshot_profiles(state, grid, kind)
+            _, _, sub1, sub2 = state_profiles(state, grid, kind)
             # the population's own coordinate is always the first argument
             want1 = np.array([eval_objective_shared(kind, float(x), state.partner1)
                               for x in grid])
             want2 = np.array([eval_objective_shared(kind, float(x), state.partner2)
                               for x in grid])
-            mismatches += int(not np.array_equal(sub1.values, want1))
-            mismatches += int(not np.array_equal(sub2.values, want2))
+            mismatches += int(not np.array_equal(sub1, want1))
+            mismatches += int(not np.array_equal(sub2, want2))
     report(4, "compositional subjective profiles are shared-function slices",
            mismatches == 0,
            f"{mismatches} profile mismatches over 2 substrates x 11 generations")
@@ -186,8 +163,8 @@ def test_measure_axioms():
 
 
 def test_cooperative_gap_and_ordering(smooth_competitive, smooth_cooperative):
-    _, comp = smooth_competitive
-    _, coop = smooth_cooperative
+    comp = smooth_competitive
+    coop = smooth_cooperative
 
     def pop_gap(series):
         return float(np.mean(np.abs(series.mean[("P1", "dist")]
@@ -210,11 +187,11 @@ def test_cooperative_gap_and_ordering(smooth_competitive, smooth_cooperative):
 
 
 def test_distance_stops_changing(smooth_competitive):
-    per_run, _ = smooth_competitive
+    series = smooth_competitive
     details = []
     ok = True
     for pop in POPULATIONS:
-        values = per_run[(pop, "dist")]
+        values = series.values[(pop, "dist")]
         early = float(np.mean(np.abs(values[:, 2] - values[:, 0])))
         late = float(np.mean(np.abs(values[:, 10] - values[:, 8])))
         ok = ok and late < early
@@ -224,8 +201,8 @@ def test_distance_stops_changing(smooth_competitive):
 
 
 def test_compositional_intervals_wider(smooth_competitive, sinusoid_competitive):
-    _, smooth = smooth_competitive
-    _, sinusoid = sinusoid_competitive
+    smooth = smooth_competitive
+    sinusoid = sinusoid_competitive
 
     def width_at_5(series):
         return float(np.mean([series.ci_width(pop, "dist")[5]
@@ -261,7 +238,7 @@ def test_output_determinism_and_schema(tmp_path, smooth_competitive):
                  and snap_header == "x,f_obj,f_sub_p1,f_sub_p2")
 
     # the standard-setup series written through the same emitter as the CLI
-    _, series = smooth_competitive
+    series = smooth_competitive
     path = cli.write_table(tmp_path / "measures.csv", cli.MEASURES_HEADER,
                            series.rows(), json_mirror=False)
     default_rows = len(path.read_text().splitlines()) - 1

@@ -10,7 +10,7 @@ import pytest
 from coevoscape import cli
 from coevoscape.evolution import run_trajectory
 from coevoscape.experiment import ExperimentConfig, trajectory_seed
-from coevoscape.landscape import snapshot_profiles
+from coevoscape.landscape import state_profiles
 from coevoscape.substrate import kind_from_name
 
 SMOOTH_SMALL = {
@@ -111,14 +111,14 @@ def test_landscape_matches_library_values(tmp_path):
     config = ExperimentConfig.from_dict(data)
     states = run_trajectory(config, trajectory_seed(7, 0))
     grid = config.grid()
-    obj, sub1, sub2 = snapshot_profiles(states[3], grid, kind_from_name("sinusoid"))
+    obj1, _, sub1, sub2 = state_profiles(states[3], grid, kind_from_name("sinusoid"))
     _, rows = read_rows(out / "landscape_k3.csv")
     parsed = np.array([[float(v) for v in row] for row in rows])
     # repr round-trips floats, so the file reproduces the values bit-exactly
     assert np.array_equal(parsed[:, 0], grid)
-    assert np.array_equal(parsed[:, 1], obj.values)
-    assert np.array_equal(parsed[:, 2], sub1.values)
-    assert np.array_equal(parsed[:, 3], sub2.values)
+    assert np.array_equal(parsed[:, 1], obj1)
+    assert np.array_equal(parsed[:, 2], sub1)
+    assert np.array_equal(parsed[:, 3], sub2)
 
 
 def test_measures_row_shape(tmp_path):
@@ -206,3 +206,30 @@ def test_measures_per_run_snapshots(tmp_path):
         run_dir = out / "snapshots" / f"run_{r:03d}"
         names = sorted(p.name for p in run_dir.iterdir())
         assert names == ["landscape_k0.csv", "landscape_k1.csv"]
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_measures_rejects_worker_count_below_one(tmp_path, capsys, workers):
+    cfg = write_config(tmp_path, SMOOTH_SMALL)
+    out = tmp_path / "meas"
+    rc = cli.main(["measures", "--config", str(cfg), "--out", str(out),
+                   "--workers", workers])
+    assert rc == 1
+    assert f"workers must be an integer >= 1, got {workers}" in capsys.readouterr().err
+    assert not (out / "measures.csv").exists()
+
+
+def test_measures_overflow_fails_the_run(tmp_path, capsys):
+    data = {"evolution": {"generations": 3, "mutation_sigma": 1e300},
+            "experiment": {"runs": 2, "master_seed": 5}}
+    cfg = write_config(tmp_path, data)
+    out = tmp_path / "meas"
+    rc = cli.main(["measures", "--config", str(cfg), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "run 0 failed (seed = SeedSequence(5, spawn_key=(0,))): overflow" in err
+    assert not (out / "measures.csv").exists()
+
+    rc = cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim")])
+    assert rc == 1
+    assert "overflow" in capsys.readouterr().err

@@ -276,6 +276,13 @@ def test_run_trajectory_rejects_bad_config_before_running():
         run_trajectory(cfg, 1)
 
 
+@pytest.mark.parametrize("function", ["smooth", "sinusoid"])
+def test_run_trajectory_raises_on_overflow(function):
+    cfg = _competitive_config(function=function, mutation_sigma=1e300, generations=3)
+    with pytest.raises(FloatingPointError, match="overflow"):
+        run_trajectory(cfg, 1)
+
+
 def test_genotypes_are_never_clipped():
     # a large mutation step must be able to carry genotypes far outside the
     # initialization interval

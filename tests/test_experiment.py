@@ -23,7 +23,7 @@ from coevoscape.experiment import (
     run_batch,
     trajectory_seed,
 )
-from coevoscape.landscape import measure_generation
+from coevoscape.landscape import measure_generation, state_profiles
 
 # t(0.975, df=1) * std({0,1}, ddof=1) / sqrt(2): the df=1 t quantile is
 # tan(pi*(0.975 - 0.5)) and std({0,1}) = 1/sqrt(2), so the half width is tan(0.475*pi)/2
@@ -183,9 +183,13 @@ def test_run_batch_single_run_has_zero_width_ci():
 
     # the batch mean of one run is that run's measures
     states = run_trajectory(cfg, trajectory_seed(cfg.master_seed, 0))
-    t1, _ = measure_generation(states[2], cfg.grid(), cfg.objective_kind())
-    assert series.mean[("P1", "dist")][2] == t1.dist
-    assert series.mean[("P1", "bhatt")][2] == t1.bhatt
+    kind = cfg.objective_kind()
+    t1, _ = measure_generation(state_profiles(states[2], cfg.grid(), kind), kind)
+    assert series.mean[("P1", "dist")][2] == t1[0]
+    assert series.mean[("P1", "bhatt")][2] == t1[2]
+    assert series.values[("P1", "kld")].tolist() == [
+        [measure_generation(state_profiles(state, cfg.grid(), kind), kind)[0][1]
+         for state in states]]
 
 
 def test_run_batch_deterministic():
@@ -209,8 +213,57 @@ def test_run_batch_workers_do_not_change_results():
 def test_run_batch_per_run_hook_sees_runs_in_order():
     cfg = ExperimentConfig(runs=5, generations=1)
     seen = []
-    run_batch(cfg, per_run=lambda r, states: seen.append((r, len(states))))
+    run_batch(cfg, per_run=lambda r, profiles: seen.append((r, len(profiles))))
     assert seen == [(0, 2), (1, 2), (2, 2), (3, 2), (4, 2)]
+
+
+def test_run_batch_hook_gets_the_measured_profiles():
+    cfg = ExperimentConfig(function="ridge", runs=2, generations=2)
+    seen = {}
+    series = run_batch(cfg, per_run=lambda r, profiles: seen.setdefault(r, profiles))
+    kind = cfg.objective_kind()
+    for r, run_profiles in seen.items():
+        states = run_trajectory(cfg, trajectory_seed(cfg.master_seed, r))
+        assert len(run_profiles) == len(states)
+        for k, (profiles, state) in enumerate(zip(run_profiles, states)):
+            for got, want in zip(profiles, state_profiles(state, cfg.grid(), kind)):
+                assert np.array_equal(got, want)
+            t1, t2 = measure_generation(profiles, kind)
+            assert series.values[("P1", "dist")][r, k] == t1[0]
+            assert series.values[("P2", "bhatt")][r, k] == t2[2]
+
+
+@pytest.mark.parametrize("workers", [0, -2, 1.5])
+def test_run_batch_rejects_bad_worker_counts(workers):
+    with pytest.raises(ValueError, match="workers must be an integer >= 1"):
+        run_batch(ExperimentConfig(runs=2, generations=1), workers=workers)
+
+
+def test_run_batch_starts_at_most_one_worker_per_run(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records max_workers, runs in process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+    cfg = ExperimentConfig(runs=3, generations=1)
+    serial = run_batch(cfg)
+    run_batch(cfg, workers=64)
+    capped = run_batch(cfg, workers=2)
+    assert sizes == [3, 2]
+    for key in serial.mean:
+        assert np.array_equal(serial.values[key], capped.values[key])
 
 
 def _fail_run_2(config, seed):

@@ -3,7 +3,9 @@
 Each case is a shipped config (or the crisp variant of the standard setup)
 cut to RUNS runs at master seed SEED. For every case the files under
 tests/golden/<case>/ are the `measures` batch output, and the `simulate`
-trajectory plus one landscape snapshot of run 0.
+trajectory plus one landscape snapshot of run 0. A `measures` batch with
+per-run snapshots must reproduce the same measures and, for run 0, the same
+snapshot.
 
 The files pin the RNG stream. Re-record them only for a declared stream
 change, with `PYTHONPATH=src python tests/golden/regenerate.py`.
@@ -36,13 +38,15 @@ CASES = {
 }
 
 
-def case_config(case: str, directory: Path) -> Path:
+def case_config(case: str, directory: Path, snapshots: bool = False) -> Path:
     """Write the case's config, cut to RUNS runs, into `directory`."""
     name, overrides = CASES[case]
     data = json.loads((ROOT / "configs" / name).read_text())
     for section, values in overrides.items():
         data.setdefault(section, {}).update(values)
     data.setdefault("experiment", {})["runs"] = RUNS
+    if snapshots:
+        data["experiment"]["snapshots"] = True
     path = directory / f"{case}.json"
     path.write_text(json.dumps(data))
     return path
@@ -73,3 +77,15 @@ def test_parallel_measures_match_golden_file(tmp_path):
     produce("smooth_competitive", tmp_path, workers=2)
     golden = GOLDEN_DIR / "smooth_competitive" / "measures.csv"
     assert (tmp_path / "measures.csv").read_bytes() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_per_run_snapshots_match_golden_files(tmp_path, case):
+    config = case_config(case, tmp_path, snapshots=True)
+    out = tmp_path / "out"
+    assert cli.main(["measures", "--config", str(config), "--seed", str(SEED),
+                     "--out", str(out)]) == 0
+    golden = GOLDEN_DIR / case
+    assert (out / "measures.csv").read_bytes() == (golden / "measures.csv").read_bytes()
+    snapshot = out / "snapshots" / "run_000" / SNAPSHOT_FILE
+    assert snapshot.read_bytes() == (golden / SNAPSHOT_FILE).read_bytes()

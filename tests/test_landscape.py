@@ -4,18 +4,20 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from coevoscape.evolution import run_trajectory
 from coevoscape.experiment import ExperimentConfig
 from coevoscape.landscape import (
-    LandscapeProfile,
     bhatt,
     dist,
     kld,
     make_grid,
     measure_generation,
     objective_profile,
-    snapshot_profiles,
+    state_profiles,
     subjective_profile_comp,
     subjective_profile_test,
     to_distribution,
@@ -42,11 +44,8 @@ BHATT_HALF_QUARTER = 0.18459191128251476
 BHATT_VERBATIM_HALF_QUARTER = 0.7071067811865476
 
 
-def _profile(values, grid=None):
-    values = np.asarray(values, dtype=float)
-    if grid is None:
-        grid = np.arange(values.size, dtype=float)
-    return LandscapeProfile(grid=np.asarray(grid, dtype=float), values=values)
+def _profile(values):
+    return np.asarray(values, dtype=float)
 
 
 def test_make_grid():
@@ -64,20 +63,20 @@ def test_make_grid():
 def test_objective_profile_test_based():
     grid = make_grid(-3.0, 3.0, 301)
     prof = objective_profile(SMOOTH, grid)
-    assert prof.values[np.argwhere(grid == 1.0)[0, 0]] == 1.0
-    assert np.array_equal(prof.values, eval_objective_test(SMOOTH, grid))
+    assert prof[np.argwhere(grid == 1.0)[0, 0]] == 1.0
+    assert np.array_equal(prof, eval_objective_test(SMOOTH, grid))
 
 
 def test_objective_profile_compositional_slices():
     grid = make_grid(-2.0, 10.0, 301)
     prof = objective_profile(RIDGE8, grid, Task.MAXIMIZE)
-    assert prof.values.max() == 16.0
-    assert grid[np.argmax(prof.values)] == 8.0
+    assert prof.max() == 16.0
+    assert grid[np.argmax(prof)] == 8.0
 
     grid = np.array([-0.4925, 0.0, 1.0])
     prof = objective_profile(SIN, grid, Task.MINIMIZE)
-    assert abs(prof.values[0] + 0.5611) < 1e-3
-    assert np.argmin(prof.values) == 0
+    assert abs(prof[0] + 0.5611) < 1e-3
+    assert np.argmin(prof) == 0
 
 
 def test_subjective_profile_single_sample_matches_pointwise():
@@ -85,7 +84,7 @@ def test_subjective_profile_single_sample_matches_pointwise():
     sample = np.array([[0.1, 0.5, 0.9]])
     prof = subjective_profile_test(grid, sample, CRISP)
     expect = [subjective_test(float(x), sample[0], CRISP) for x in grid]
-    assert prof.values.tolist() == expect
+    assert prof.tolist() == expect
 
 
 def test_subjective_profile_identical_samples_average_is_noop():
@@ -94,7 +93,7 @@ def test_subjective_profile_identical_samples_average_is_noop():
     many = np.repeat(one, 5, axis=0)
     a = subjective_profile_test(grid, one, CRISP)
     b = subjective_profile_test(grid, many, CRISP)
-    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a, b)
 
 
 def test_subjective_profile_matches_bruteforce_enumeration():
@@ -107,7 +106,7 @@ def test_subjective_profile_matches_bruteforce_enumeration():
         for row in samples:
             for s in row:
                 scores.append(1 if fx > eval_objective_test(CRISP, float(s)) else 0)
-        assert prof.values[j] == pytest.approx(np.mean(scores))
+        assert prof[j] == pytest.approx(np.mean(scores))
 
 
 def test_subjective_profile_values_on_lattice():
@@ -118,7 +117,7 @@ def test_subjective_profile_values_on_lattice():
     grid = make_grid(-3.0, 3.0, 301)
     prof = subjective_profile_test(grid, samples, SMOOTH)
     allowed = {k / 288.0 for k in range(289)}
-    assert all(v in allowed for v in prof.values.tolist())
+    assert all(v in allowed for v in prof.tolist())
 
 
 def test_subjective_profile_rejects_empty():
@@ -129,12 +128,12 @@ def test_subjective_profile_rejects_empty():
 def test_subjective_profile_comp_is_bit_exact_slice():
     grid = make_grid(-2.0, 10.0, 301)
     prof = subjective_profile_comp(grid, 8.0, RIDGE8)
-    assert np.array_equal(prof.values, eval_objective_shared(RIDGE8, grid, 8.0))
-    assert prof.values.max() == 16.0
+    assert np.array_equal(prof, eval_objective_shared(RIDGE8, grid, 8.0))
+    assert prof.max() == 16.0
 
     grid = make_grid(-3.0, 3.0, 301)
     prof = subjective_profile_comp(grid, 0.0, SIN)
-    assert np.array_equal(prof.values, np.sin(grid) / (1.0 + grid * grid))
+    assert np.array_equal(prof, np.sin(grid) / (1.0 + grid * grid))
 
 
 def test_dist_identity_and_hand_value():
@@ -158,9 +157,9 @@ def test_dist_rejects_flat_objective():
 
 
 def test_dist_rejects_mismatched_grids():
-    a = _profile([0.0, 1.0], grid=[0.0, 1.0])
-    b = _profile([0.0, 1.0], grid=[0.0, 2.0])
-    with pytest.raises(ValueError):
+    a = _profile([0.0, 1.0])
+    b = _profile([0.0, 0.5, 1.0])
+    with pytest.raises(ValueError, match="same shape"):
         dist(a, b)
 
 
@@ -245,15 +244,20 @@ def test_bhatt_verbatim_mode():
         bhatt(a, b, mode="euclid")
 
 
+def _measures(state, cfg):
+    kind = cfg.objective_kind()
+    return measure_generation(state_profiles(state, cfg.grid(), kind), kind)
+
+
 def test_measure_generation_zero_dist_at_reference_partner():
     cfg = ExperimentConfig(function="ridge", generations=0)
     states = run_trajectory(cfg, 55)
     state = states[0]
     # force the recorded representative onto the task-matched optimum slice
     state.partner2 = 8.0  # P2 maximizes; its reference slice is y* = n
-    t1, t2 = measure_generation(state, cfg.grid(), cfg.objective_kind())
-    assert t2.dist == 0.0 and t2.kld == 0.0 and t2.bhatt == 0.0
-    assert t1.dist > 0.0
+    t1, t2 = _measures(state, cfg)
+    assert t2 == (0.0, 0.0, 0.0)
+    assert t1[0] > 0.0
 
 
 def test_measure_generation_symmetric_state():
@@ -265,7 +269,7 @@ def test_measure_generation_symmetric_state():
         best1=state.best1, best2=state.best1,
         samples1=state.samples1, samples2=state.samples1,
     )
-    t1, t2 = measure_generation(mirrored, cfg.grid(), cfg.objective_kind())
+    t1, t2 = _measures(mirrored, cfg)
     assert t1 == t2
 
 
@@ -274,17 +278,73 @@ def test_measure_generation_all_finite_in_range():
         cfg = ExperimentConfig(function=fn, generations=3)
         states = run_trajectory(cfg, 77)
         for state in states:
-            for triple in measure_generation(state, cfg.grid(), cfg.objective_kind()):
-                assert 0.0 <= triple.dist <= 1.0
-                assert triple.kld >= 0.0 and np.isfinite(triple.kld)
-                assert 0.0 <= triple.bhatt <= 1.0
+            for d, k, b in _measures(state, cfg):
+                assert 0.0 <= d <= 1.0
+                assert k >= 0.0 and np.isfinite(k)
+                assert 0.0 <= b <= 1.0
 
 
-def test_snapshot_profiles_shapes_and_slice():
+def test_state_profiles_shapes_and_slice():
     cfg = ExperimentConfig(function="sinusoid", generations=2)
     states = run_trajectory(cfg, 88)
     grid = cfg.grid()
-    obj, sub1, sub2 = snapshot_profiles(states[-1], grid, SIN)
-    assert obj.values.shape == sub1.values.shape == sub2.values.shape == grid.shape
-    assert np.array_equal(sub1.values,
-                          eval_objective_shared(SIN, grid, states[-1].partner1))
+    profiles = state_profiles(states[-1], grid, SIN)
+    assert len(profiles) == 4
+    assert all(p.shape == grid.shape for p in profiles)
+    obj1, obj2, sub1, sub2 = profiles
+    assert np.array_equal(obj1, objective_profile(SIN, grid, states[-1].pop1.task))
+    assert np.array_equal(obj2, objective_profile(SIN, grid, states[-1].pop2.task))
+    assert np.array_equal(sub1, eval_objective_shared(SIN, grid, states[-1].partner1))
+    assert np.array_equal(sub2, eval_objective_shared(SIN, grid, states[-1].partner2))
+
+
+def test_state_profiles_test_based_uses_retained_samples():
+    cfg = ExperimentConfig(function="smooth", generations=1)
+    state = run_trajectory(cfg, 89)[-1]
+    grid = cfg.grid()
+    obj1, obj2, sub1, sub2 = state_profiles(state, grid, SMOOTH)
+    assert np.array_equal(obj1, eval_objective_test(SMOOTH, grid))
+    assert np.array_equal(obj2, obj1)
+    assert np.array_equal(sub1, subjective_profile_test(grid, state.samples1, SMOOTH))
+    assert np.array_equal(sub2, subjective_profile_test(grid, state.samples2, SMOOTH))
+
+
+# -- properties of the measures on arbitrary profiles ------------------------
+
+# fitness values of the shipped substrates stay within a few units of 0
+VALUES = st.floats(-20.0, 20.0, allow_nan=False)
+
+
+def _profiles(shape):
+    return arrays(float, shape, elements=VALUES)
+
+
+LENGTHS = st.integers(2, 40)
+PROFILE_PAIRS = LENGTHS.flatmap(lambda n: st.tuples(_profiles(n), _profiles(n)))
+
+
+@given(_profiles(LENGTHS))
+def test_dist_of_profile_with_itself_is_zero(x):
+    assume(np.ptp(x) > 0.0)
+    assert dist(x, x) == 0.0
+
+
+@given(PROFILE_PAIRS, st.floats(-20.0, 0.0))
+def test_kld_nonnegative_and_zero_on_identity(pair, fitness_min):
+    x, y = pair
+    assert kld(x, y, fitness_min=fitness_min) >= 0.0
+    assert kld(x, x, fitness_min=fitness_min) == 0.0
+
+
+@given(PROFILE_PAIRS, st.floats(-20.0, 0.0))
+def test_bhatt_in_unit_interval_and_zero_on_identity(pair, fitness_min):
+    x, y = pair
+    assert 0.0 <= bhatt(x, y, fitness_min=fitness_min) <= 1.0
+    assert bhatt(x, x, fitness_min=fitness_min) == 0.0
+
+
+@given(_profiles(LENGTHS), _profiles(LENGTHS), st.sampled_from((dist, kld, bhatt)))
+def test_measures_reject_shape_mismatch(x, y, measure):
+    assume(x.shape != y.shape)
+    with pytest.raises(ValueError, match="same shape"):
+        measure(x, y)
