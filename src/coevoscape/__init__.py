@@ -42,7 +42,7 @@ from .landscape import (
     make_grid,
     measure_generation,
     objective_profile,
-    state_profiles,
+    run_profiles,
     subjective_profile_comp,
     subjective_profile_test,
     to_distribution,
@@ -88,7 +88,7 @@ __all__ = [
     "objective_profile",
     "subjective_profile_test",
     "subjective_profile_comp",
-    "state_profiles",
+    "run_profiles",
     "dist",
     "kld",
     "bhatt",

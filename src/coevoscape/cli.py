@@ -29,21 +29,12 @@ import numpy as np
 
 from .evolution import CoevoState, run_trajectory
 from .experiment import ConfigError, ExperimentConfig, run_batch, trajectory_seed
-from .landscape import Profiles, state_profiles
+from .landscape import run_profiles
 from .substrate import Task
 
 TRAJECTORY_HEADER = ("generation", "best_p1", "fitness_p1", "best_p2", "fitness_p2")
 SNAPSHOT_HEADER = ("x", "f_obj", "f_sub_p1", "f_sub_p2")
 MEASURES_HEADER = ("generation", "population", "measure", "mean", "ci_lo", "ci_hi")
-
-
-def _cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    # repr of a Python float is the shortest round-trip form
-    return repr(float(value))
 
 
 def _json_value(value):
@@ -52,6 +43,11 @@ def _json_value(value):
     if isinstance(value, (int, np.integer)):
         return int(value)
     return float(value)
+
+
+def _cell(value) -> str:
+    # repr of a Python float is the shortest round-trip form
+    return value if isinstance(value, str) else repr(_json_value(value))
 
 
 def write_table(path: Path, header: tuple[str, ...], rows, json_mirror: bool) -> Path:
@@ -93,14 +89,19 @@ def trajectory_rows(states: list[CoevoState]) -> list[tuple]:
     return rows
 
 
-def snapshot_rows(grid: np.ndarray, profiles: Profiles) -> list[tuple]:
-    """One landscape snapshot: the objective profile for P1's task next to
-    both subjective profiles."""
-    obj1, _, sub1, sub2 = profiles
-    return list(zip(grid, obj1, sub1, sub2))
+def write_snapshots(directory: Path, grid: np.ndarray, profiles: np.ndarray,
+                    generations, json_mirror: bool) -> None:
+    """landscape_k<k>.csv for each generation k of one run's `run_profiles`:
+    the objective profile for P1's task next to both subjective profiles."""
+    for k in generations:
+        obj1, _, sub1, sub2 = profiles[k]
+        write_table(directory / f"landscape_k{k}.csv", SNAPSHOT_HEADER,
+                    list(zip(grid, obj1, sub1, sub2)), json_mirror)
 
 
 def _load_config(args) -> ExperimentConfig:
+    if args.workers < 1:
+        raise ConfigError(f"workers must be an integer >= 1, got {args.workers}")
     config = ExperimentConfig.from_file(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, master_seed=args.seed)
@@ -129,14 +130,12 @@ def cmd_simulate(args) -> int:
     if args.generations is not None:
         wanted = _parse_generations(args.generations, config.generations)
     elif config.snapshots:
-        wanted = list(range(config.generations + 1))
+        wanted = range(config.generations + 1)
     else:
-        wanted = []
+        return 0
     grid = config.grid()
-    kind = config.objective_kind()
-    for k in wanted:
-        write_table(args.out / "snapshots" / f"landscape_k{k}.csv", SNAPSHOT_HEADER,
-                    snapshot_rows(grid, state_profiles(states[k], grid, kind)), json_mirror)
+    write_snapshots(args.out / "snapshots", grid,
+                    run_profiles(states, grid, config.objective_kind()), wanted, json_mirror)
     return 0
 
 
@@ -145,11 +144,8 @@ def cmd_landscape(args) -> int:
     wanted = _parse_generations(args.generations, config.generations)
     states = run_trajectory(config, trajectory_seed(config.master_seed, 0))
     grid = config.grid()
-    kind = config.objective_kind()
-    for k in wanted:
-        write_table(args.out / f"landscape_k{k}.csv", SNAPSHOT_HEADER,
-                    snapshot_rows(grid, state_profiles(states[k], grid, kind)),
-                    args.fmt == "json")
+    write_snapshots(args.out, grid, run_profiles(states, grid, config.objective_kind()),
+                    wanted, args.fmt == "json")
     return 0
 
 
@@ -160,11 +156,9 @@ def cmd_measures(args) -> int:
     if config.snapshots:
         grid = config.grid()
 
-        def per_run(r: int, run_profiles: list[Profiles]) -> None:
-            run_dir = args.out / "snapshots" / f"run_{r:03d}"
-            for k, profiles in enumerate(run_profiles):
-                write_table(run_dir / f"landscape_k{k}.csv", SNAPSHOT_HEADER,
-                            snapshot_rows(grid, profiles), json_mirror)
+        def per_run(r: int, profiles: np.ndarray) -> None:
+            write_snapshots(args.out / "snapshots" / f"run_{r:03d}", grid, profiles,
+                            range(len(profiles)), json_mirror)
 
     series = run_batch(config, workers=args.workers, per_run=per_run)
     write_table(args.out / "measures.csv", MEASURES_HEADER, list(series.rows()),

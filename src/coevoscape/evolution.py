@@ -96,17 +96,16 @@ def evaluate_test(pop: Population, opponent_prev: Population, config: Experiment
     """Assign test-based subjective fitness to every individual.
 
     Each individual gets a fresh, independent evaluator sample of
-    sample_size members drawn from the opposing population's genotypes.
+    sample_size members drawn from the opposing population's genotypes, in
+    individual order; the whole population is then scored in one call.
     Returns the evaluated population and the (pop_size, sample_size) array
     of samples so the per-generation landscape can be rebuilt from them.
     """
     samples = np.empty((len(pop), config.sample_size))
-    fitnesses = np.empty(len(pop))
-    for i, x in enumerate(pop.genotypes):
+    for i in range(len(pop)):
         samples[i] = draw_sample(opponent_prev.genotypes, config.sample_size, rng,
                                  config.sample_with_replacement)
-        fitnesses[i] = subjective_test(x, samples[i], kind)
-    return replace(pop, fitnesses=fitnesses), samples
+    return replace(pop, fitnesses=subjective_test(pop.genotypes, samples, kind)), samples
 
 
 def tournament_select(pop: Population, config: ExperimentConfig,

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import stdtrit
 
 from .evolution import run_trajectory
-from .landscape import BHATT_MODES, Profiles, make_grid, measure_generation, state_profiles
+from .landscape import BHATT_MODES, make_grid, measure_generation, run_profiles
 from .substrate import InteractionMode, ObjectiveKind, Task, kind_from_name
 
 POPULATIONS = ("P1", "P2")
@@ -302,17 +302,16 @@ class MeasureSeries:
 
 
 def _run_one(config: ExperimentConfig, run_index: int,
-             per_run: Callable[[int, list[Profiles]], None] | None = None
+             per_run: Callable[[int, np.ndarray], None] | None = None
              ) -> np.ndarray:
     """Measures of run r, shape (generations+1, populations, measures).
 
-    Each state's profiles are built once and serve both the measures and
-    the `per_run` hook.
+    The run's profiles are built once and serve both the measures and the
+    `per_run` hook.
     """
     kind = config.objective_kind()
-    grid = config.grid()
     states = run_trajectory(config, trajectory_seed(config.master_seed, run_index))
-    profiles = [state_profiles(state, grid, kind) for state in states]
+    profiles = run_profiles(states, config.grid(), kind)
     measures = np.array([
         measure_generation(p, kind, grid_factor=config.dist_grid_factor,
                            bhatt_mode=config.bhatt_mode)
@@ -324,16 +323,16 @@ def _run_one(config: ExperimentConfig, run_index: int,
 
 
 def run_batch(config: ExperimentConfig, workers: int = 1,
-              per_run: Callable[[int, list[Profiles]], None] | None = None
+              per_run: Callable[[int, np.ndarray], None] | None = None
               ) -> MeasureSeries:
     """Run `config.runs` independent trajectories and aggregate their measures.
 
     Results are collected and aggregated in run-index order, so the series
     is identical for any worker count; at most one worker per run is
     started. `per_run(r, profiles)` is an optional hook (e.g. snapshot
-    writing) that receives run r's `state_profiles` tuple for every
-    generation, and forces serial execution. Any failing run aborts the
-    batch with its run index and seed derivation reported.
+    writing) that receives run r's `run_profiles` array, and forces serial
+    execution. Any failing run aborts the batch with its run index and seed
+    derivation reported.
     """
     config.validate()
     if not _is_int(workers) or workers < 1:

@@ -5,9 +5,9 @@ search-space points (one grid per batch, `ExperimentConfig.grid()`). Per
 generation, the objective profile is static while the subjective profile is
 rebuilt from what the run actually used: the retained evaluator samples
 (test-based, averaged into an ensemble mean) or the opposing representative
-(compositional, an exact slice of the shared landscape). `state_profiles`
-builds all four profiles of one state once; the measures and the landscape
-snapshots both read them.
+(compositional, an exact slice of the shared landscape). `run_profiles`
+builds a whole run's profiles in one array, each objective profile once; the
+measures and the landscape snapshots both read it.
 
 Three measures compare an objective profile against a subjective one of the
 same shape:
@@ -36,6 +36,7 @@ from .substrate import (
     eval_objective_test,
     objective_min,
     reference_partner,
+    subjective_test,
 )
 
 # Floor applied after shifting profiles non-negative, before normalizing;
@@ -43,9 +44,6 @@ from .substrate import (
 DISTRIBUTION_EPS = 1e-12
 
 BHATT_MODES = ("hellinger", "verbatim")
-
-# one state's profiles on the batch grid: (obj_p1, obj_p2, sub_p1, sub_p2)
-Profiles = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 def make_grid(lo: float, hi: float, count: int) -> np.ndarray:
@@ -77,15 +75,10 @@ def subjective_profile_test(grid: np.ndarray, samples: np.ndarray,
 
     `samples` is the (pop_size, sample_size) array retained by the
     generation's evaluation; the profile at each grid point is the mean over
-    all per-individual landscapes, i.e. the fraction of all drawn evaluators
-    the point strictly beats.
+    all per-individual landscapes, i.e. the subjective fitness of the point
+    against all drawn evaluators pooled.
     """
-    samples = np.asarray(samples, dtype=float)
-    if samples.size == 0:
-        raise ValueError("no evaluator samples to average over")
-    f_grid = eval_objective_test(kind, np.asarray(grid, dtype=float))
-    f_samples = np.atleast_2d(eval_objective_test(kind, samples))
-    return (f_grid[:, None, None] > f_samples[None, :, :]).mean(axis=(1, 2))
+    return subjective_test(grid, np.ravel(samples), kind)
 
 
 def subjective_profile_comp(grid: np.ndarray, partner_best: float,
@@ -158,28 +151,33 @@ def bhatt(obj: np.ndarray, sub: np.ndarray, *,
     return float(min(1.0, h))
 
 
-def state_profiles(state: CoevoState, grid: np.ndarray, kind: ObjectiveKind) -> Profiles:
-    """The four profiles of one evaluated state: (obj_p1, obj_p2, sub_p1, sub_p2).
+def run_profiles(states: list[CoevoState], grid: np.ndarray,
+                 kind: ObjectiveKind) -> np.ndarray:
+    """All profiles of one run, shape (len(states), 4, grid points): per
+    state the rows (obj_p1, obj_p2, sub_p1, sub_p2).
 
-    Each population's objective profile is the reference for its own task;
-    its subjective profile is rebuilt from what its current fitnesses were
-    computed with (retained samples or partner value).
+    Each population's objective profile is the static reference for its own
+    task, built once per run; its subjective profile is rebuilt per state
+    from what its fitnesses were computed with (retained samples or partner
+    value).
     """
-    obj1 = objective_profile(kind, grid, state.pop1.task)
-    obj2 = objective_profile(kind, grid, state.pop2.task)
-    if kind.test_based:
-        sub1 = subjective_profile_test(grid, state.samples1, kind)
-        sub2 = subjective_profile_test(grid, state.samples2, kind)
-    else:
-        sub1 = subjective_profile_comp(grid, state.partner1, kind)
-        sub2 = subjective_profile_comp(grid, state.partner2, kind)
-    return obj1, obj2, sub1, sub2
+    profiles = np.empty((len(states), 4, len(grid)))
+    profiles[:, 0] = objective_profile(kind, grid, states[0].pop1.task)
+    profiles[:, 1] = objective_profile(kind, grid, states[0].pop2.task)
+    for k, state in enumerate(states):
+        if kind.test_based:
+            profiles[k, 2] = subjective_profile_test(grid, state.samples1, kind)
+            profiles[k, 3] = subjective_profile_test(grid, state.samples2, kind)
+        else:
+            profiles[k, 2] = subjective_profile_comp(grid, state.partner1, kind)
+            profiles[k, 3] = subjective_profile_comp(grid, state.partner2, kind)
+    return profiles
 
 
-def measure_generation(profiles: Profiles, kind: ObjectiveKind, *, grid_factor: bool = True,
+def measure_generation(profiles: np.ndarray, kind: ObjectiveKind, *, grid_factor: bool = True,
                        bhatt_mode: str = "hellinger"
                        ) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
-    """(dist, kld, bhatt) of P1 and of P2 from one state's `state_profiles`."""
+    """(dist, kld, bhatt) of P1 and of P2 from one state's rows of `run_profiles`."""
     obj1, obj2, sub1, sub2 = profiles
     fitness_min = objective_min(kind)
     return tuple(

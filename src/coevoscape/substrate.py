@@ -194,21 +194,24 @@ def reference_partner(kind: ObjectiveKind, task: Task) -> float:
     return SINUSOID_OPT_COORD if task is Task.MAXIMIZE else -SINUSOID_OPT_COORD
 
 
-def subjective_test(x: float, sample, kind: ObjectiveKind) -> float:
-    """Subjective fitness of x against one evaluator sample.
+def subjective_test(x, samples, kind: ObjectiveKind):
+    """Subjective fitness of x: the fraction of evaluators it strictly beats.
 
-    The fraction of sample members whose objective fitness is strictly
-    below f(x); always a multiple of 1/len(sample) in [0, 1].
+    The mean of f(x)[..., None] > f(samples) over the last axis, so every
+    value is a multiple of 1/samples.shape[-1] in [0, 1]. A scalar against a
+    1-D sample gives a float; a population (pop,) against its per-individual
+    rows (pop, sample) gives one fitness each; a grid against the pooled
+    samples of a generation gives its subjective profile.
 
     Raises:
         ValueError: empty sample (nothing to evaluate against).
     """
-    sample = np.asarray(sample, dtype=float)
-    if sample.size == 0:
+    samples = np.asarray(samples, dtype=float)
+    if samples.size == 0:
         raise ValueError("empty evaluator sample: evaluation is disengaged")
-    fx = eval_objective_test(kind, x)
-    fs = eval_objective_test(kind, sample)
-    return float(np.mean(fx > fs))
+    fx = np.asarray(eval_objective_test(kind, x))
+    out = (fx[..., None] > eval_objective_test(kind, samples)).mean(axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
 def subjective_compositional(x, partner_best: float, kind: ObjectiveKind):

@@ -18,7 +18,7 @@ from coevoscape import cli
 from coevoscape.evolution import run_trajectory
 from coevoscape.experiment import (POPULATIONS, ExperimentConfig, run_batch,
                                    trajectory_seed)
-from coevoscape.landscape import (bhatt, dist, kld, state_profiles,
+from coevoscape.landscape import (bhatt, dist, kld, run_profiles,
                                   subjective_profile_test)
 from coevoscape.substrate import (eval_objective_shared, eval_objective_test,
                                   kind_from_name, subjective_test)
@@ -110,11 +110,12 @@ def test_compositional_profiles_are_exact_slices():
         kind = config.objective_kind()
         grid = config.grid()
         states = run_trajectory(config, trajectory_seed(1, 0))
+        profiles = run_profiles(states, grid, kind)
         for k, state in enumerate(states):
             if k > 0:
                 assert state.partner1 == states[k - 1].best2
                 assert state.partner2 == states[k - 1].best1
-            _, _, sub1, sub2 = state_profiles(state, grid, kind)
+            _, _, sub1, sub2 = profiles[k]
             # the population's own coordinate is always the first argument
             want1 = np.array([eval_objective_shared(kind, float(x), state.partner1)
                               for x in grid])

@@ -10,7 +10,7 @@ import pytest
 from coevoscape import cli
 from coevoscape.evolution import run_trajectory
 from coevoscape.experiment import ExperimentConfig, trajectory_seed
-from coevoscape.landscape import state_profiles
+from coevoscape.landscape import run_profiles
 from coevoscape.substrate import kind_from_name
 
 SMOOTH_SMALL = {
@@ -111,7 +111,7 @@ def test_landscape_matches_library_values(tmp_path):
     config = ExperimentConfig.from_dict(data)
     states = run_trajectory(config, trajectory_seed(7, 0))
     grid = config.grid()
-    obj1, _, sub1, sub2 = state_profiles(states[3], grid, kind_from_name("sinusoid"))
+    obj1, _, sub1, sub2 = run_profiles(states, grid, kind_from_name("sinusoid"))[3]
     _, rows = read_rows(out / "landscape_k3.csv")
     parsed = np.array([[float(v) for v in row] for row in rows])
     # repr round-trips floats, so the file reproduces the values bit-exactly
@@ -208,15 +208,23 @@ def test_measures_per_run_snapshots(tmp_path):
         assert names == ["landscape_k0.csv", "landscape_k1.csv"]
 
 
-@pytest.mark.parametrize("workers", ["0", "-2"])
-def test_measures_rejects_worker_count_below_one(tmp_path, capsys, workers):
+@pytest.mark.parametrize("command, workers", [
+    pytest.param("measures", "0", id="0"),
+    pytest.param("measures", "-2", id="-2"),
+    pytest.param("simulate", "0", id="simulate-0"),
+    pytest.param("simulate", "-2", id="simulate--2"),
+    pytest.param("landscape", "0", id="landscape-0"),
+    pytest.param("landscape", "-3", id="landscape--3"),
+])
+def test_measures_rejects_worker_count_below_one(tmp_path, capsys, command, workers):
+    """Every subcommand rejects the worker count at config load, before any run."""
     cfg = write_config(tmp_path, SMOOTH_SMALL)
-    out = tmp_path / "meas"
-    rc = cli.main(["measures", "--config", str(cfg), "--out", str(out),
+    out = tmp_path / "out"
+    rc = cli.main([command, "--config", str(cfg), "--out", str(out),
                    "--workers", workers])
     assert rc == 1
-    assert f"workers must be an integer >= 1, got {workers}" in capsys.readouterr().err
-    assert not (out / "measures.csv").exists()
+    assert f"error: workers must be an integer >= 1, got {workers}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_measures_overflow_fails_the_run(tmp_path, capsys):

@@ -6,9 +6,12 @@ import json
 import math
 import multiprocessing
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
 
 from coevoscape import experiment
@@ -23,7 +26,7 @@ from coevoscape.experiment import (
     run_batch,
     trajectory_seed,
 )
-from coevoscape.landscape import measure_generation, state_profiles
+from coevoscape.landscape import measure_generation, run_profiles
 
 # t(0.975, df=1) * std({0,1}, ddof=1) / sqrt(2): the df=1 t quantile is
 # tan(pi*(0.975 - 0.5)) and std({0,1}) = 1/sqrt(2), so the half width is tan(0.475*pi)/2
@@ -99,6 +102,70 @@ def test_config_round_trip():
     cfg = ExperimentConfig(function="sinusoid", runs=7, grid_points=51)
     again = ExperimentConfig.from_dict(cfg.to_dict())
     assert again == cfg
+
+
+def _interval(lo=st.floats(-100.0, 100.0)):
+    return st.tuples(lo, st.floats(0.01, 100.0)).map(lambda t: (t[0], t[0] + t[1]))
+
+
+@st.composite
+def valid_configs(draw):
+    pop_size = draw(st.integers(1, 50))
+    grid = draw(st.one_of(st.just((None, None)), _interval()))
+    return ExperimentConfig(
+        function=draw(st.sampled_from(["crisp", "smooth", "ridge", "sinusoid"])),
+        ridge_n=draw(st.floats(0.5, 20.0)),
+        pop_size=pop_size,
+        sample_size=draw(st.integers(1, pop_size)),
+        tournament_size=draw(st.integers(1, 5)),
+        mutation_prob=draw(st.floats(0.0, 1.0)),
+        mutation_sigma=draw(st.floats(1e-6, 10.0)),
+        generations=draw(st.integers(0, 30)),
+        init_interval_p1=draw(st.none() | _interval()),
+        init_interval_p2=draw(st.none() | _interval()),
+        sample_with_replacement=draw(st.booleans()),
+        task_p1=draw(st.sampled_from(["maximize", "minimize"])),
+        task_p2=draw(st.sampled_from(["maximize", "minimize"])),
+        grid_lo=grid[0],
+        grid_hi=grid[1],
+        grid_points=draw(st.integers(2, 500)),
+        dist_grid_factor=draw(st.booleans()),
+        bhatt_mode=draw(st.sampled_from(["hellinger", "verbatim"])),
+        runs=draw(st.integers(1, 1000)),
+        master_seed=draw(st.integers(0, 2**63)),
+        snapshots=draw(st.booleans()),
+    )
+
+
+# field annotation -> values of the wrong type, as a JSON file could hold them
+MISTYPED = {
+    "str": st.one_of(st.integers(), st.booleans(), st.none(), st.lists(st.text(max_size=3))),
+    "bool": st.one_of(st.integers(), st.text(max_size=3), st.none()),
+    "int": st.one_of(st.booleans(), st.floats(), st.text(max_size=3), st.none()),
+    "float": st.one_of(st.booleans(), st.text(max_size=3), st.none(),
+                       st.sampled_from([math.inf, -math.inf, math.nan])),
+    "float | None": st.one_of(st.booleans(), st.text(max_size=3),
+                              st.sampled_from([math.inf, -math.inf, math.nan])),
+    "tuple[float, float] | None": st.one_of(
+        st.lists(st.floats(-1.0, 1.0), max_size=1),
+        st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=4),
+        st.text(max_size=3), st.just([0.0, math.inf])),
+}
+
+
+@given(valid_configs())
+def test_config_round_trips_through_dict_and_json(cfg):
+    assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+    assert ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+
+@given(valid_configs(), st.sampled_from(fields(ExperimentConfig)), st.data())
+def test_config_rejects_mistyped_values(cfg, field, data):
+    sections = cfg.to_dict()
+    section = next(name for name, keys in sections.items() if field.name in keys)
+    sections[section][field.name] = data.draw(MISTYPED[field.type])
+    with pytest.raises(ConfigError, match=field.name):
+        ExperimentConfig.from_dict(sections)
 
 
 def test_config_rejects_unknown_names():
@@ -184,12 +251,12 @@ def test_run_batch_single_run_has_zero_width_ci():
     # the batch mean of one run is that run's measures
     states = run_trajectory(cfg, trajectory_seed(cfg.master_seed, 0))
     kind = cfg.objective_kind()
-    t1, _ = measure_generation(state_profiles(states[2], cfg.grid(), kind), kind)
+    profiles = run_profiles(states, cfg.grid(), kind)
+    t1, _ = measure_generation(profiles[2], kind)
     assert series.mean[("P1", "dist")][2] == t1[0]
     assert series.mean[("P1", "bhatt")][2] == t1[2]
     assert series.values[("P1", "kld")].tolist() == [
-        [measure_generation(state_profiles(state, cfg.grid(), kind), kind)[0][1]
-         for state in states]]
+        [measure_generation(p, kind)[0][1] for p in profiles]]
 
 
 def test_run_batch_deterministic():
@@ -222,13 +289,12 @@ def test_run_batch_hook_gets_the_measured_profiles():
     seen = {}
     series = run_batch(cfg, per_run=lambda r, profiles: seen.setdefault(r, profiles))
     kind = cfg.objective_kind()
-    for r, run_profiles in seen.items():
+    for r, profiles in seen.items():
         states = run_trajectory(cfg, trajectory_seed(cfg.master_seed, r))
-        assert len(run_profiles) == len(states)
-        for k, (profiles, state) in enumerate(zip(run_profiles, states)):
-            for got, want in zip(profiles, state_profiles(state, cfg.grid(), kind)):
-                assert np.array_equal(got, want)
-            t1, t2 = measure_generation(profiles, kind)
+        assert profiles.shape == (len(states), 4, cfg.grid_points)
+        assert np.array_equal(profiles, run_profiles(states, cfg.grid(), kind))
+        for k in range(len(states)):
+            t1, t2 = measure_generation(profiles[k], kind)
             assert series.values[("P1", "dist")][r, k] == t1[0]
             assert series.values[("P2", "bhatt")][r, k] == t2[2]
 

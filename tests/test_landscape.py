@@ -17,7 +17,7 @@ from coevoscape.landscape import (
     make_grid,
     measure_generation,
     objective_profile,
-    state_profiles,
+    run_profiles,
     subjective_profile_comp,
     subjective_profile_test,
     to_distribution,
@@ -123,6 +123,24 @@ def test_subjective_profile_values_on_lattice():
 def test_subjective_profile_rejects_empty():
     with pytest.raises(ValueError):
         subjective_profile_test(make_grid(0, 1, 3), np.empty((0, 0)), CRISP)
+
+
+# crisp genotypes with many exact objective ties: everything outside [0, 1]
+# and the point 0.5 all score 0.5
+TIED_GENOTYPES = st.one_of(st.sampled_from([-1.0, 0.0, 0.25, 0.5, 1.0, 2.0]),
+                           st.floats(-3.0, 3.0))
+
+
+@given(arrays(float, st.integers(1, 30), elements=TIED_GENOTYPES),
+       arrays(float, st.tuples(st.integers(1, 6), st.integers(1, 6)),
+              elements=TIED_GENOTYPES))
+def test_subjective_profile_equals_grid_pop_sample_tensor(grid, samples):
+    """The pooled-sample rule reproduces, bit for bit, the mean over a
+    (grid, pop, sample) tensor of strict wins."""
+    f_grid = eval_objective_test(CRISP, grid)
+    f_samples = eval_objective_test(CRISP, samples)
+    reference = (f_grid[:, None, None] > f_samples[None, :, :]).mean(axis=(1, 2))
+    assert np.array_equal(subjective_profile_test(grid, samples, CRISP), reference)
 
 
 def test_subjective_profile_comp_is_bit_exact_slice():
@@ -246,7 +264,7 @@ def test_bhatt_verbatim_mode():
 
 def _measures(state, cfg):
     kind = cfg.objective_kind()
-    return measure_generation(state_profiles(state, cfg.grid(), kind), kind)
+    return measure_generation(run_profiles([state], cfg.grid(), kind)[0], kind)
 
 
 def test_measure_generation_zero_dist_at_reference_partner():
@@ -284,29 +302,29 @@ def test_measure_generation_all_finite_in_range():
                 assert 0.0 <= b <= 1.0
 
 
-def test_state_profiles_shapes_and_slice():
+def test_run_profiles_shapes_and_slice():
     cfg = ExperimentConfig(function="sinusoid", generations=2)
     states = run_trajectory(cfg, 88)
     grid = cfg.grid()
-    profiles = state_profiles(states[-1], grid, SIN)
-    assert len(profiles) == 4
-    assert all(p.shape == grid.shape for p in profiles)
-    obj1, obj2, sub1, sub2 = profiles
-    assert np.array_equal(obj1, objective_profile(SIN, grid, states[-1].pop1.task))
-    assert np.array_equal(obj2, objective_profile(SIN, grid, states[-1].pop2.task))
-    assert np.array_equal(sub1, eval_objective_shared(SIN, grid, states[-1].partner1))
-    assert np.array_equal(sub2, eval_objective_shared(SIN, grid, states[-1].partner2))
+    profiles = run_profiles(states, grid, SIN)
+    assert profiles.shape == (3, 4, grid.size)
+    for state, (obj1, obj2, sub1, sub2) in zip(states, profiles):
+        assert np.array_equal(obj1, objective_profile(SIN, grid, state.pop1.task))
+        assert np.array_equal(obj2, objective_profile(SIN, grid, state.pop2.task))
+        assert np.array_equal(sub1, eval_objective_shared(SIN, grid, state.partner1))
+        assert np.array_equal(sub2, eval_objective_shared(SIN, grid, state.partner2))
 
 
-def test_state_profiles_test_based_uses_retained_samples():
+def test_run_profiles_test_based_uses_retained_samples():
     cfg = ExperimentConfig(function="smooth", generations=1)
-    state = run_trajectory(cfg, 89)[-1]
+    states = run_trajectory(cfg, 89)
     grid = cfg.grid()
-    obj1, obj2, sub1, sub2 = state_profiles(state, grid, SMOOTH)
-    assert np.array_equal(obj1, eval_objective_test(SMOOTH, grid))
-    assert np.array_equal(obj2, obj1)
-    assert np.array_equal(sub1, subjective_profile_test(grid, state.samples1, SMOOTH))
-    assert np.array_equal(sub2, subjective_profile_test(grid, state.samples2, SMOOTH))
+    profiles = run_profiles(states, grid, SMOOTH)
+    for state, (obj1, obj2, sub1, sub2) in zip(states, profiles):
+        assert np.array_equal(obj1, eval_objective_test(SMOOTH, grid))
+        assert np.array_equal(obj2, obj1)
+        assert np.array_equal(sub1, subjective_profile_test(grid, state.samples1, SMOOTH))
+        assert np.array_equal(sub2, subjective_profile_test(grid, state.samples2, SMOOTH))
 
 
 # -- properties of the measures on arbitrary profiles ------------------------

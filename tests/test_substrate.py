@@ -6,6 +6,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from coevoscape.substrate import (
     CrispLinear,
@@ -115,6 +118,27 @@ def test_subjective_test_enumeration():
 def test_subjective_test_rejects_empty_sample():
     with pytest.raises(ValueError):
         subjective_test(0.5, [], CRISP)
+    with pytest.raises(ValueError):
+        subjective_test(np.zeros(3), np.empty((3, 0)), CRISP)
+
+
+# crisp genotypes with many exact objective ties: everything outside [0, 1]
+# and the point 0.5 all score 0.5
+TIED_GENOTYPES = st.one_of(st.sampled_from([-1.0, 0.0, 0.25, 0.5, 1.0, 2.0]),
+                           st.floats(-3.0, 3.0))
+
+
+@given(st.tuples(st.integers(1, 30), st.integers(1, 12)).flatmap(
+    lambda shape: st.tuples(arrays(float, shape[0], elements=TIED_GENOTYPES),
+                            arrays(float, shape, elements=TIED_GENOTYPES))))
+def test_subjective_test_population_equals_per_row_calls(pop_and_samples):
+    """Scoring a population (pop,) against its rows (pop, sample) in one call
+    gives exactly the per-individual scalar results."""
+    genotypes, samples = pop_and_samples
+    fitnesses = subjective_test(genotypes, samples, CRISP)
+    assert fitnesses.shape == genotypes.shape
+    assert fitnesses.tolist() == [subjective_test(float(x), row, CRISP)
+                                  for x, row in zip(genotypes, samples)]
 
 
 def test_subjective_test_discretization():
