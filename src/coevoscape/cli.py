@@ -123,15 +123,16 @@ def _parse_generations(text: str, last: int) -> list[int]:
 
 def cmd_simulate(args) -> int:
     config = _load_config(args)
-    states = run_trajectory(config, trajectory_seed(config.master_seed, 0))
-    json_mirror = args.fmt == "json"
-    write_table(args.out / "trajectory.csv", TRAJECTORY_HEADER,
-                trajectory_rows(states), json_mirror)
+    wanted = None
     if args.generations is not None:
         wanted = _parse_generations(args.generations, config.generations)
     elif config.snapshots:
         wanted = range(config.generations + 1)
-    else:
+    states = run_trajectory(config, trajectory_seed(config.master_seed, 0))
+    json_mirror = args.fmt == "json"
+    write_table(args.out / "trajectory.csv", TRAJECTORY_HEADER,
+                trajectory_rows(states), json_mirror)
+    if wanted is None:
         return 0
     grid = config.grid()
     write_snapshots(args.out / "snapshots", grid,

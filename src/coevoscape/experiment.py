@@ -312,11 +312,8 @@ def _run_one(config: ExperimentConfig, run_index: int,
     kind = config.objective_kind()
     states = run_trajectory(config, trajectory_seed(config.master_seed, run_index))
     profiles = run_profiles(states, config.grid(), kind)
-    measures = np.array([
-        measure_generation(p, kind, grid_factor=config.dist_grid_factor,
-                           bhatt_mode=config.bhatt_mode)
-        for p in profiles
-    ])
+    measures = measure_generation(profiles, kind, grid_factor=config.dist_grid_factor,
+                                  bhatt_mode=config.bhatt_mode)
     if per_run is not None:
         per_run(run_index, profiles)
     return measures

@@ -93,62 +93,74 @@ def _check_same_shape(obj: np.ndarray, sub: np.ndarray) -> None:
         raise ValueError(f"profiles must have the same shape, got {obj.shape} and {sub.shape}")
 
 
-def dist(obj: np.ndarray, sub: np.ndarray, *, grid_factor: bool = True) -> float:
+def dist(obj: np.ndarray, sub: np.ndarray, *, grid_factor: bool = True):
     """Normalized Euclidean distance between two profiles on one grid.
 
     The norm of the pointwise difference is divided by the objective
     profile's value range times sqrt(grid size), making the result a
     unitary quantity independent of grid resolution. Set grid_factor=False
-    for the plain range normalization.
+    for the plain range normalization. Profiles of shape (..., grid points)
+    give one distance per row; a single pair gives a float.
 
     Raises:
-        ValueError: the profiles differ in shape, or the objective profile
+        ValueError: the profiles differ in shape, or an objective profile
             is flat (zero range).
     """
     _check_same_shape(obj, sub)
-    value_range = float(np.max(obj) - np.min(obj))
-    if value_range == 0.0:
+    value_range = np.max(obj, axis=-1) - np.min(obj, axis=-1)
+    if np.any(value_range == 0.0):
         raise ValueError("objective profile is flat; distance normalization undefined")
-    dist_max = value_range * (np.sqrt(obj.size) if grid_factor else 1.0)
-    return float(np.linalg.norm(obj - sub) / dist_max)
+    dist_max = value_range * (np.sqrt(obj.shape[-1]) if grid_factor else 1.0)
+    d = obj - sub
+    # each row's sum of squares as a dot product, as np.linalg.norm takes it
+    # for one row, so a run's distances equal the per-row norms bit for bit
+    out = np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0]) / dist_max
+    return float(out) if out.ndim == 0 else out
 
 
 def to_distribution(values: np.ndarray, fitness_min: float = 0.0) -> np.ndarray:
     """Turn a profile into a distribution over grid points: shift by the
-    objective function's global minimum, floor at a tiny epsilon, normalize."""
+    objective function's global minimum, floor at a tiny epsilon, normalize.
+    Each row of a (..., grid points) array is normalized on its own."""
     w = np.maximum(np.asarray(values, dtype=float) - fitness_min, DISTRIBUTION_EPS)
-    return w / w.sum()
+    return w / w.sum(axis=-1, keepdims=True)
 
 
-def kld(obj: np.ndarray, sub: np.ndarray, *, fitness_min: float = 0.0) -> float:
+def _kld(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    return np.maximum(0.0, np.sum(p * np.log2(p / q), axis=-1))
+
+
+def _bhatt(p: np.ndarray, q: np.ndarray, mode: str) -> np.ndarray:
+    if mode not in BHATT_MODES:
+        raise ValueError(f"bhatt mode must be one of {BHATT_MODES}, got {mode!r}")
+    if mode == "verbatim":
+        return np.sqrt(np.maximum(0.0, 1.0 - np.sum(p * q, axis=-1)))
+    h = np.sqrt(0.5 * np.sum((np.sqrt(p) - np.sqrt(q)) ** 2, axis=-1))
+    return np.minimum(1.0, h)
+
+
+def kld(obj: np.ndarray, sub: np.ndarray, *, fitness_min: float = 0.0):
     """Kullback-Leibler divergence (bits) from the objective profile to the
-    subjective one, both normalized via to_distribution. Clamped at 0: two
-    profiles that normalize to the same distribution up to rounding would
-    otherwise give a tiny negative sum."""
+    subjective one, both normalized via to_distribution, row-wise like dist.
+    Clamped at 0: two profiles that normalize to the same distribution up to
+    rounding would otherwise give a tiny negative sum."""
     _check_same_shape(obj, sub)
-    p = to_distribution(obj, fitness_min)
-    q = to_distribution(sub, fitness_min)
-    return max(0.0, float(np.sum(p * np.log2(p / q))))
+    out = _kld(to_distribution(obj, fitness_min), to_distribution(sub, fitness_min))
+    return float(out) if out.ndim == 0 else out
 
 
 def bhatt(obj: np.ndarray, sub: np.ndarray, *,
-          fitness_min: float = 0.0, mode: str = "hellinger") -> float:
-    """Overlap distance between the two normalized profiles.
+          fitness_min: float = 0.0, mode: str = "hellinger"):
+    """Overlap distance between the two normalized profiles, row-wise like dist.
 
     "hellinger" (default): sqrt(1 - sum(sqrt(p*q))), computed in the
     algebraically equivalent form sqrt(0.5 * sum((sqrt(p)-sqrt(q))^2)) so
     identical distributions give exactly 0. "verbatim": sqrt(1 - sum(p*q)),
     with the radicand clamped at 0 against floating-point overshoot.
     """
-    if mode not in BHATT_MODES:
-        raise ValueError(f"bhatt mode must be one of {BHATT_MODES}, got {mode!r}")
     _check_same_shape(obj, sub)
-    p = to_distribution(obj, fitness_min)
-    q = to_distribution(sub, fitness_min)
-    if mode == "verbatim":
-        return float(np.sqrt(max(0.0, 1.0 - np.sum(p * q))))
-    h = np.sqrt(0.5 * np.sum((np.sqrt(p) - np.sqrt(q)) ** 2))
-    return float(min(1.0, h))
+    out = _bhatt(to_distribution(obj, fitness_min), to_distribution(sub, fitness_min), mode)
+    return float(out) if out.ndim == 0 else out
 
 
 def run_profiles(states: list[CoevoState], grid: np.ndarray,
@@ -175,14 +187,17 @@ def run_profiles(states: list[CoevoState], grid: np.ndarray,
 
 
 def measure_generation(profiles: np.ndarray, kind: ObjectiveKind, *, grid_factor: bool = True,
-                       bhatt_mode: str = "hellinger"
-                       ) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
-    """(dist, kld, bhatt) of P1 and of P2 from one state's rows of `run_profiles`."""
-    obj1, obj2, sub1, sub2 = profiles
+                       bhatt_mode: str = "hellinger") -> np.ndarray:
+    """(dist, kld, bhatt) of P1 and of P2 for every state of a `run_profiles`
+    array: shape (..., 4, grid points) in, (..., 2, 3) out, so a whole run
+    (generations+1, 4, grid points) gives (generations+1, 2, 3).
+
+    The objective and the subjective rows are each normalized once and
+    shared by kld and bhatt.
+    """
+    obj, sub = profiles[..., :2, :], profiles[..., 2:, :]
     fitness_min = objective_min(kind)
-    return tuple(
-        (dist(obj, sub, grid_factor=grid_factor),
-         kld(obj, sub, fitness_min=fitness_min),
-         bhatt(obj, sub, fitness_min=fitness_min, mode=bhatt_mode))
-        for obj, sub in ((obj1, sub1), (obj2, sub2))
-    )
+    p = to_distribution(obj, fitness_min)
+    q = to_distribution(sub, fitness_min)
+    return np.stack([dist(obj, sub, grid_factor=grid_factor), _kld(p, q),
+                     _bhatt(p, q, bhatt_mode)], axis=-1)

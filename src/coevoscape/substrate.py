@@ -203,6 +203,11 @@ def subjective_test(x, samples, kind: ObjectiveKind):
     rows (pop, sample) gives one fitness each; a grid against the pooled
     samples of a generation gives its subjective profile.
 
+    Against a 1-D sample the wins are counted in one sorted pass: the number
+    of evaluators strictly below f(x) is its left insertion point among the
+    sorted f(samples). The count over the sample size is the same float the
+    mean gives.
+
     Raises:
         ValueError: empty sample (nothing to evaluate against).
     """
@@ -210,7 +215,11 @@ def subjective_test(x, samples, kind: ObjectiveKind):
     if samples.size == 0:
         raise ValueError("empty evaluator sample: evaluation is disengaged")
     fx = np.asarray(eval_objective_test(kind, x))
-    out = (fx[..., None] > eval_objective_test(kind, samples)).mean(axis=-1)
+    fs = eval_objective_test(kind, samples)
+    if samples.ndim == 1:
+        out = np.searchsorted(np.sort(fs), fx, side="left") / samples.size
+    else:
+        out = (fx[..., None] > fs).mean(axis=-1)
     return float(out) if out.ndim == 0 else out
 
 

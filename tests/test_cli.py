@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coevoscape import cli
 from coevoscape.evolution import run_trajectory
@@ -61,6 +65,18 @@ def test_simulate_config_snapshots_flag(tmp_path):
     assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
     snaps = sorted(p.name for p in (out / "snapshots").iterdir())
     assert snaps == ["landscape_k0.csv", "landscape_k1.csv", "landscape_k2.csv"]
+
+
+@pytest.mark.parametrize("generations", ["zero", "11", ","])
+def test_simulate_bad_generations_writes_nothing(tmp_path, capsys, generations):
+    """--generations is parsed before the run, so a bad list leaves no file."""
+    cfg = write_config(tmp_path, SMOOTH_SMALL)
+    out = tmp_path / "out"
+    rc = cli.main(["simulate", "--config", str(cfg), "--out", str(out),
+                   "--generations", generations])
+    assert rc == 1
+    assert "error: --generations" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_missing_config(tmp_path, capsys):
@@ -156,6 +172,25 @@ def test_measures_byte_identical_reruns(tmp_path):
     blob = (a / "measures.csv").read_bytes()
     assert blob == (b / "measures.csv").read_bytes()
     assert blob == (c / "measures.csv").read_bytes()
+
+
+@settings(max_examples=8, deadline=None)
+@given(function=st.sampled_from(["crisp", "smooth", "ridge", "sinusoid"]),
+       runs=st.integers(1, 4), generations=st.integers(0, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_measures_bytes_do_not_depend_on_workers(function, runs, generations, seed):
+    """`measures --workers 1` and `--workers 2` write identical bytes."""
+    data = {"substrate": {"function": function},
+            "evolution": {"generations": generations},
+            "experiment": {"runs": runs, "master_seed": seed}}
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        cfg = write_config(root, data)
+        for workers in ("1", "2"):
+            assert cli.main(["measures", "--config", str(cfg), "--out", str(root / workers),
+                             "--workers", workers, "--format", "json"]) == 0
+        for name in ("measures.csv", "measures.json"):
+            assert (root / "1" / name).read_bytes() == (root / "2" / name).read_bytes()
 
 
 def test_measures_seed_flag_overrides_config(tmp_path):

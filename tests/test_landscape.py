@@ -11,6 +11,8 @@ from hypothesis.extra.numpy import arrays
 from coevoscape.evolution import run_trajectory
 from coevoscape.experiment import ExperimentConfig
 from coevoscape.landscape import (
+    BHATT_MODES,
+    DISTRIBUTION_EPS,
     bhatt,
     dist,
     kld,
@@ -30,6 +32,7 @@ from coevoscape.substrate import (
     Task,
     eval_objective_shared,
     eval_objective_test,
+    objective_min,
     subjective_test,
 )
 
@@ -274,7 +277,7 @@ def test_measure_generation_zero_dist_at_reference_partner():
     # force the recorded representative onto the task-matched optimum slice
     state.partner2 = 8.0  # P2 maximizes; its reference slice is y* = n
     t1, t2 = _measures(state, cfg)
-    assert t2 == (0.0, 0.0, 0.0)
+    assert t2.tolist() == [0.0, 0.0, 0.0]
     assert t1[0] > 0.0
 
 
@@ -288,7 +291,7 @@ def test_measure_generation_symmetric_state():
         samples1=state.samples1, samples2=state.samples1,
     )
     t1, t2 = _measures(mirrored, cfg)
-    assert t1 == t2
+    assert np.array_equal(t1, t2)
 
 
 def test_measure_generation_all_finite_in_range():
@@ -366,3 +369,55 @@ def test_measures_reject_shape_mismatch(x, y, measure):
     assume(x.shape != y.shape)
     with pytest.raises(ValueError, match="same shape"):
         measure(x, y)
+
+
+# -- row-wise measures against the one-pair expressions ----------------------
+
+def _reference_measures(obj, sub, fitness_min, grid_factor, mode):
+    """(dist, kld, bhatt) of one objective/subjective pair, written as the
+    one-pair expressions the row-wise measures replaced."""
+    def distribution(values):
+        w = np.maximum(values - fitness_min, DISTRIBUTION_EPS)
+        return w / w.sum()
+
+    value_range = float(np.max(obj) - np.min(obj))
+    dist_max = value_range * (np.sqrt(obj.size) if grid_factor else 1.0)
+    p, q = distribution(obj), distribution(sub)
+    if mode == "verbatim":
+        b = float(np.sqrt(max(0.0, 1.0 - np.sum(p * q))))
+    else:
+        b = float(min(1.0, np.sqrt(0.5 * np.sum((np.sqrt(p) - np.sqrt(q)) ** 2))))
+    return (float(np.linalg.norm(obj - sub) / dist_max),
+            max(0.0, float(np.sum(p * np.log2(p / q)))), b)
+
+
+RUN_SHAPES = st.tuples(st.integers(1, 12), st.just(4), LENGTHS)
+
+
+@given(_profiles(RUN_SHAPES), st.sampled_from([CRISP, SMOOTH, RIDGE8, SIN]),
+       st.booleans(), st.sampled_from(BHATT_MODES))
+def test_measures_of_a_run_equal_per_state_expressions(profiles, kind, grid_factor, mode):
+    """measure_generation on a whole run array and dist/kld/bhatt on stacked
+    rows equal, bit for bit, the one-pair expressions applied per state."""
+    # a ramp keeps every objective row from being flat
+    profiles[:, :2] += np.linspace(0.0, 1.0, profiles.shape[-1])
+    assume(np.all(np.ptp(profiles[:, :2], axis=-1) > 0.0))
+    fitness_min = objective_min(kind)
+    reference = np.array([
+        [_reference_measures(state[i], state[i + 2], fitness_min, grid_factor, mode)
+         for i in (0, 1)]
+        for state in profiles
+    ])
+    measured = measure_generation(profiles, kind, grid_factor=grid_factor, bhatt_mode=mode)
+    assert measured.shape == (len(profiles), 2, 3)
+    assert np.array_equal(measured, reference)
+    obj, sub = profiles[:, :2], profiles[:, 2:]
+    assert np.array_equal(dist(obj, sub, grid_factor=grid_factor), reference[..., 0])
+    assert np.array_equal(kld(obj, sub, fitness_min=fitness_min), reference[..., 1])
+    assert np.array_equal(bhatt(obj, sub, fitness_min=fitness_min, mode=mode),
+                          reference[..., 2])
+    first = profiles[0]
+    assert (dist(first[0], first[2], grid_factor=grid_factor),
+            kld(first[0], first[2], fitness_min=fitness_min),
+            bhatt(first[0], first[2], fitness_min=fitness_min, mode=mode)
+            ) == tuple(reference[0, 0])

@@ -141,6 +141,18 @@ def test_subjective_test_population_equals_per_row_calls(pop_and_samples):
                                   for x, row in zip(genotypes, samples)]
 
 
+@given(arrays(float, st.integers(0, 30), elements=TIED_GENOTYPES),
+       arrays(float, st.integers(1, 40), elements=TIED_GENOTYPES))
+def test_subjective_test_sorted_count_equals_broadcast_mean(x, sample):
+    """Against a 1-D sample, the sorted count gives bit for bit the mean of
+    the strict-win matrix, ties included, for points and for a scalar."""
+    fx = eval_objective_test(CRISP, x)
+    reference = (fx[:, None] > eval_objective_test(CRISP, sample)).mean(axis=-1)
+    assert np.array_equal(subjective_test(x, sample, CRISP), reference)
+    for point, expected in zip(x, reference):
+        assert subjective_test(float(point), sample, CRISP) == expected
+
+
 def test_subjective_test_discretization():
     """Values land exactly on the k/mu lattice (mu = 12)."""
     rng = np.random.default_rng(42)
