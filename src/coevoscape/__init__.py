@@ -56,7 +56,7 @@ from .experiment import (
     trajectory_seed,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "CrispLinear",

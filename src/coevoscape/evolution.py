@@ -96,15 +96,14 @@ def evaluate_test(pop: Population, opponent_prev: Population, config: Experiment
     """Assign test-based subjective fitness to every individual.
 
     Each individual gets a fresh, independent evaluator sample of
-    sample_size members drawn from the opposing population's genotypes, in
-    individual order; the whole population is then scored in one call.
-    Returns the evaluated population and the (pop_size, sample_size) array
-    of samples so the per-generation landscape can be rebuilt from them.
+    sample_size members drawn from the opposing population's genotypes; the
+    whole population's samples are drawn in one call, row i for individual
+    i, and scored in one call. Returns the evaluated population and the
+    (pop_size, sample_size) array of samples so the per-generation landscape
+    can be rebuilt from them.
     """
-    samples = np.empty((len(pop), config.sample_size))
-    for i in range(len(pop)):
-        samples[i] = draw_sample(opponent_prev.genotypes, config.sample_size, rng,
-                                 config.sample_with_replacement)
+    samples = draw_sample(opponent_prev.genotypes, len(pop), config.sample_size, rng,
+                          config.sample_with_replacement)
     return replace(pop, fitnesses=subjective_test(pop.genotypes, samples, kind)), samples
 
 

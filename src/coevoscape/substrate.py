@@ -246,18 +246,26 @@ def best_of(genotypes, fitnesses, task: Task) -> float:
     return float(genotypes[idx])
 
 
-def draw_sample(genotypes, size: int, rng: np.random.Generator,
+def draw_sample(genotypes, rows: int, size: int, rng: np.random.Generator,
                 with_replacement: bool = False) -> np.ndarray:
-    """Draw one evaluator sample from an opposing population's genotypes.
+    """Draw `rows` independent evaluator samples of `size` members each from
+    an opposing population's genotypes, as one (rows, size) block.
 
-    Without replacement by default, so members are distinct; requires
-    size <= len(genotypes) in that case.
+    Without replacement by default: each row is the first `size` entries of
+    its own random permutation of the population, so its members are
+    distinct; requires size <= len(genotypes). With replacement, every
+    entry is an independent uniform index.
     """
     genotypes = np.asarray(genotypes, dtype=float)
     if size < 1:
         raise ValueError(f"sample size must be >= 1, got {size}")
-    if not with_replacement and size > genotypes.size:
+    n = genotypes.size
+    if with_replacement:
+        idx = rng.integers(0, n, (rows, size))
+    elif size > n:
         raise ValueError(
-            f"cannot draw {size} distinct evaluators from a population of {genotypes.size}"
+            f"cannot draw {size} distinct evaluators from a population of {n}"
         )
-    return rng.choice(genotypes, size=size, replace=with_replacement)
+    else:
+        idx = rng.permuted(np.broadcast_to(np.arange(n), (rows, n)), axis=1)[:, :size]
+    return genotypes[idx]

@@ -232,22 +232,52 @@ def test_best_of_invariant_under_monotone_transform():
 def test_draw_sample_without_replacement():
     rng = np.random.default_rng(5)
     pool = np.arange(24, dtype=float)
-    sample = draw_sample(pool, 12, rng)
-    assert sample.shape == (12,)
-    assert len(set(sample.tolist())) == 12
-    assert set(sample.tolist()) <= set(pool.tolist())
+    sample = draw_sample(pool, 24, 12, rng)
+    assert sample.shape == (24, 12)
+    for row in sample.tolist():
+        assert len(set(row)) == 12
+        assert set(row) <= set(pool.tolist())
     with pytest.raises(ValueError):
-        draw_sample(pool, 25, rng)
+        draw_sample(pool, 24, 25, rng)
     with pytest.raises(ValueError):
-        draw_sample(pool, 0, rng)
+        draw_sample(pool, 24, 0, rng)
+
+
+@given(st.integers(1, 30), st.integers(1, 30).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(1, n))), st.integers(0, 2**32 - 1))
+def test_draw_sample_rows_hold_distinct_members(rows, pop_and_size, seed):
+    """Without replacement, every row of a (rows, size) block holds distinct
+    members of the opponent."""
+    n, size = pop_and_size
+    pool = np.arange(n, dtype=float) - 0.5
+    sample = draw_sample(pool, rows, size, np.random.default_rng(seed))
+    assert sample.shape == (rows, size)
+    assert all(len(set(row)) == size for row in sample.tolist())
+    assert np.isin(sample, pool).all()
 
 
 def test_draw_sample_with_replacement_allows_oversampling():
     rng = np.random.default_rng(5)
     pool = np.array([1.0, 2.0])
-    sample = draw_sample(pool, 10, rng, with_replacement=True)
-    assert sample.shape == (10,)
-    assert set(sample.tolist()) <= {1.0, 2.0}
+    sample = draw_sample(pool, 3, 10, rng, with_replacement=True)
+    assert sample.shape == (3, 10)
+    assert set(sample.ravel().tolist()) <= {1.0, 2.0}
+    with pytest.raises(ValueError):
+        draw_sample(pool, 3, 0, rng, with_replacement=True)
+
+
+@pytest.mark.parametrize("with_replacement", [False, True])
+def test_draw_sample_members_are_drawn_uniformly(with_replacement):
+    """Each opponent member appears in a row sample_size/pop times on average."""
+    rng = np.random.default_rng(31)
+    pop, size, draws = 24, 12, 400
+    counts = np.zeros(pop)
+    for _ in range(draws):
+        block = draw_sample(np.arange(pop, dtype=float), pop, size, rng, with_replacement)
+        counts += np.bincount(block.astype(int).ravel(), minlength=pop)
+    frequency = counts / (draws * pop)
+    # five standard deviations of a member's mean count per row
+    assert np.abs(frequency - size / pop).max() < 0.04
 
 
 def test_interaction_mode_flags():
