@@ -50,16 +50,25 @@ def _cell(value) -> str:
     return value if isinstance(value, str) else repr(_json_value(value))
 
 
-def write_table(path: Path, header: tuple[str, ...], rows, json_mirror: bool) -> Path:
-    """Write one CSV table (plus optional JSON mirror) and verify it back."""
-    rows = [tuple(row) for row in rows]
+def write_table(path: Path, header: tuple[str, ...], rows, json_mirror: bool,
+                text: list[list[str]] | None = None) -> Path:
+    """Write one CSV table (plus optional JSON mirror) and verify it back.
+
+    `rows` holds one sequence of str, int or float cells per row. `text`, if
+    given, holds the same rows already rendered to CSV cells (as `_repr_text`
+    does for a whole run's snapshots); otherwise each cell is rendered here.
+    The JSON mirror is always built from `rows`.
+    """
+    if text is None:
+        rows = list(rows)
+        text = [[_cell(v) for v in row] for row in rows]
     lines = [",".join(header)]
-    lines.extend(",".join(_cell(v) for v in row) for row in rows)
+    lines.extend(map(",".join, text))
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fp:
         fp.write("\n".join(lines) + "\n")
     if json_mirror:
-        records = [dict(zip(header, (_json_value(v) for v in row))) for row in rows]
+        records = [dict(zip(header, map(_json_value, row))) for row in rows]
         with open(path.with_suffix(".json"), "w", encoding="utf-8", newline="") as fp:
             json.dump(records, fp, indent=2)
             fp.write("\n")
@@ -89,14 +98,32 @@ def trajectory_rows(states: list[CoevoState]) -> list[tuple]:
     return rows
 
 
+def _repr_text(values: np.ndarray) -> np.ndarray:
+    """`repr(float(v))` of every float64 in `values`, as an object array of the
+    same shape. Each distinct bit pattern is formatted once (so 0.0 and -0.0
+    stay apart); the text is shared by every cell that holds it."""
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    text = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    # the inverse's shape differs across numpy versions
+    return text[inverse.ravel()].reshape(values.shape)
+
+
 def write_snapshots(directory: Path, grid: np.ndarray, profiles: np.ndarray,
                     generations, json_mirror: bool) -> None:
     """landscape_k<k>.csv for each generation k of one run's `run_profiles`:
-    the objective profile for P1's task next to both subjective profiles."""
-    for k in generations:
-        obj1, _, sub1, sub2 = profiles[k]
-        write_table(directory / f"landscape_k{k}.csv", SNAPSHOT_HEADER,
-                    list(zip(grid, obj1, sub1, sub2)), json_mirror)
+    the objective profile for P1's task next to both subjective profiles.
+
+    The run's snapshot values repeat heavily across cells and generations, so
+    they are rendered to text in one block and each file takes its slice.
+    """
+    generations = list(generations)
+    obj1, sub1, sub2 = (profiles[generations, i] for i in (0, 2, 3))
+    block = np.stack((np.broadcast_to(grid, obj1.shape), obj1, sub1, sub2), axis=-1)
+    text = _repr_text(block)
+    for i, k in enumerate(generations):
+        write_table(directory / f"landscape_k{k}.csv", SNAPSHOT_HEADER, block[i],
+                    json_mirror, text[i].tolist())
 
 
 def _load_config(args) -> ExperimentConfig:

@@ -13,7 +13,6 @@ import json
 import math
 import numbers
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import Callable, Iterator
@@ -307,15 +306,21 @@ def _run_one(config: ExperimentConfig, run_index: int,
     """Measures of run r, shape (generations+1, populations, measures).
 
     The run's profiles are built once and serve both the measures and the
-    `per_run` hook.
+    `per_run` hook. Any failure is re-raised as a RuntimeError naming run r
+    and its seed derivation, here in the run itself, so the name is right
+    however runs are grouped into pool tasks.
     """
-    kind = config.objective_kind()
-    states = run_trajectory(config, trajectory_seed(config.master_seed, run_index))
-    profiles = run_profiles(states, config.grid(), kind)
-    measures = measure_generation(profiles, kind, grid_factor=config.dist_grid_factor,
-                                  bhatt_mode=config.bhatt_mode)
-    if per_run is not None:
-        per_run(run_index, profiles)
+    try:
+        kind = config.objective_kind()
+        states = run_trajectory(config, trajectory_seed(config.master_seed, run_index))
+        profiles = run_profiles(states, config.grid(), kind)
+        measures = measure_generation(profiles, kind, grid_factor=config.dist_grid_factor,
+                                      bhatt_mode=config.bhatt_mode)
+        if per_run is not None:
+            per_run(run_index, profiles)
+    except Exception as e:
+        raise RuntimeError(f"run {run_index} failed (seed = SeedSequence("
+                           f"{config.master_seed}, spawn_key=({run_index},))): {e}") from e
     return measures
 
 
@@ -335,24 +340,17 @@ def run_batch(config: ExperimentConfig, workers: int = 1,
     if not _is_int(workers) or workers < 1:
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     run = partial(_run_one, config, per_run=per_run)
-    parallel = workers > 1 and per_run is None
-    with (ProcessPoolExecutor(max_workers=min(workers, config.runs)) if parallel
-          else nullcontext()) as pool:
-        outcomes = (pool.map if parallel else map)(run, range(config.runs))
-        results = []
-        for r in range(config.runs):
-            try:
-                results.append(next(outcomes))
-            except Exception as e:
-                raise RuntimeError(_run_failure(config, r, e)) from e
+    if workers > 1 and per_run is None:
+        # one task per worker: a run is too short to pay a pool round trip
+        workers = min(workers, config.runs)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(run, range(config.runs),
+                                    chunksize=math.ceil(config.runs / workers)))
+    else:
+        results = list(map(run, range(config.runs)))
 
     values = np.stack(results)
     return MeasureSeries.from_runs({
         (pop, measure): np.ascontiguousarray(values[:, :, i, j])
         for i, pop in enumerate(POPULATIONS) for j, measure in enumerate(MEASURES)
     })
-
-
-def _run_failure(config: ExperimentConfig, run_index: int, error: Exception) -> str:
-    return (f"run {run_index} failed (seed = SeedSequence({config.master_seed}, "
-            f"spawn_key=({run_index},))): {error}")

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coevoscape import cli
@@ -276,3 +276,118 @@ def test_measures_overflow_fails_the_run(tmp_path, capsys):
     rc = cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim")])
     assert rc == 1
     assert "overflow" in capsys.readouterr().err
+
+
+# float64 values around repr's notation switches (1e-4, 1e16), signed zeros,
+# subnormals, the extremes and the non-finite values
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+               9.999999999999999e-05, 1e-04, 0.00010000000000000002,
+               9999999999999998.0, 1e16, 1.0000000000000002e16,
+               1e-300, 1e300, -1.7976931348623157e308, 1.7976931348623157e308,
+               0.1, 1.0, float("inf"), float("-inf"), float("nan")]
+FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(width=64),
+                   st.floats(1e-6, 1e-2), st.floats(1e14, 1e18))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pool=st.lists(FLOATS, min_size=1, max_size=8),
+       picks=st.lists(st.integers(0, 7), min_size=1, max_size=48))
+@example(pool=[0.0, -0.0, 5e-324, 1e-4, 1e16], picks=[0, 1, 2, 1, 0, 3, 4, 3])
+def test_repr_text_matches_per_value_repr(pool, picks):
+    """The snapshot renderer gives `repr(float(v))` cell by cell, repeats included."""
+    a = np.array([pool[i % len(pool)] for i in picks], dtype=np.float64)
+    for values in (a, a.reshape(1, -1, 1), a[::-1]):
+        text = cli._repr_text(values)
+        assert text.shape == values.shape
+        assert text.ravel().tolist() == [repr(float(v)) for v in values.ravel()]
+
+
+SUBSTRATES = ["crisp", "smooth", "ridge", "sinusoid"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("function", SUBSTRATES)
+def test_measures_snapshot_files_match_per_value_text(tmp_path, function, fmt):
+    """Every per-run snapshot file, and its JSON mirror, equals the text built
+    cell by cell from `run_profiles` with the plain per-value expressions."""
+    data = {"substrate": {"function": function},
+            "evolution": {"generations": 4},
+            "landscape": {"grid_points": 61},
+            "experiment": {"runs": 3, "master_seed": 8, "snapshots": True}}
+    cfg = write_config(tmp_path, data)
+    out = tmp_path / "meas"
+    assert cli.main(["measures", "--config", str(cfg), "--out", str(out),
+                     "--format", fmt]) == 0
+
+    config = ExperimentConfig.from_dict(data)
+    grid = config.grid()
+    header = cli.SNAPSHOT_HEADER
+    expected = {}
+    for r in range(3):
+        states = run_trajectory(config, trajectory_seed(8, r))
+        profiles = run_profiles(states, grid, config.objective_kind())
+        for k in range(config.generations + 1):
+            obj1, _, sub1, sub2 = profiles[k]
+            rows = list(zip(grid, obj1, sub1, sub2))
+            name = f"run_{r:03d}/landscape_k{k}"
+            expected[f"{name}.csv"] = "\n".join(
+                [",".join(header)] + [",".join(repr(float(v)) for v in row) for row in rows]
+            ) + "\n"
+            if fmt == "json":
+                records = [dict(zip(header, (float(v) for v in row))) for row in rows]
+                expected[f"{name}.json"] = json.dumps(records, indent=2) + "\n"
+    snapshots = out / "snapshots"
+    written = {p.relative_to(snapshots).as_posix(): p.read_text(encoding="utf-8")
+               for p in snapshots.rglob("landscape_k*")}
+    assert sorted(written) == sorted(expected)
+    for name, text in expected.items():
+        assert written[name] == text, name
+
+
+@pytest.fixture
+def write_table_calls(monkeypatch):
+    """Record every cli.write_table call as the benchmark tracer reads it:
+    header and rows positionally, rows sized."""
+    calls = []
+    original = cli.write_table
+
+    def counting(*args, **kwargs):
+        path, header, rows = args[0], args[1], args[2]
+        calls.append((Path(path), header, len(rows)))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "write_table", counting)
+    return calls
+
+
+def test_snapshot_batch_writes_each_csv_through_one_write_table_call(tmp_path,
+                                                                    write_table_calls):
+    data = {"substrate": {"function": "smooth"},
+            "evolution": {"generations": 3},
+            "landscape": {"grid_points": 41},
+            "experiment": {"runs": 2, "master_seed": 4, "snapshots": True}}
+    cfg = write_config(tmp_path, data)
+    out = tmp_path / "meas"
+    assert cli.main(["measures", "--config", str(cfg), "--out", str(out)]) == 0
+    written = sorted(out.rglob("*.csv"))
+    assert sorted(path for path, _, _ in write_table_calls) == written
+    assert len(written) == 1 + 2 * 4
+    for path, header, n_rows in write_table_calls:
+        if path.name.startswith("landscape_k"):
+            assert (header, n_rows) == (cli.SNAPSHOT_HEADER, 41)
+
+
+def test_simulate_writes_each_csv_through_one_write_table_call(tmp_path, write_table_calls):
+    data = dict(SMOOTH_SMALL, landscape={"grid_points": 31})
+    cfg = write_config(tmp_path, data)
+    out = tmp_path / "sim"
+    generations = ",".join(str(k) for k in range(11))
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out),
+                     "--generations", generations]) == 0
+    written = sorted(out.rglob("*.csv"))
+    assert sorted(path for path, _, _ in write_table_calls) == written
+    assert len(written) == 1 + 11
+    assert (out / "trajectory.csv", cli.TRAJECTORY_HEADER, 11) in write_table_calls
+    for path, header, n_rows in write_table_calls:
+        if path.name.startswith("landscape_k"):
+            assert (header, n_rows) == (cli.SNAPSHOT_HEADER, 31)

@@ -307,9 +307,11 @@ def test_run_batch_rejects_bad_worker_counts(workers):
 
 def test_run_batch_starts_at_most_one_worker_per_run(monkeypatch):
     sizes = []
+    chunks = []
 
     class RecordingPool:
-        """Stands in for ProcessPoolExecutor: records max_workers, runs in process."""
+        """Stands in for ProcessPoolExecutor: records max_workers and the
+        chunk size, runs in process."""
 
         def __init__(self, max_workers):
             sizes.append(max_workers)
@@ -320,7 +322,9 @@ def test_run_batch_starts_at_most_one_worker_per_run(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        map = staticmethod(map)
+        def map(self, fn, iterable, chunksize=1):
+            chunks.append(chunksize)
+            return map(fn, iterable)
 
     monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
     cfg = ExperimentConfig(runs=3, generations=1)
@@ -328,24 +332,30 @@ def test_run_batch_starts_at_most_one_worker_per_run(monkeypatch):
     run_batch(cfg, workers=64)
     capped = run_batch(cfg, workers=2)
     assert sizes == [3, 2]
+    # one chunk of runs per worker: ceil(runs / workers)
+    assert chunks == [1, 2]
     for key in serial.mean:
         assert np.array_equal(serial.values[key], capped.values[key])
-
-
-def _fail_run_2(config, seed):
-    if seed.spawn_key == (2,):
-        raise ValueError("boom")
-    return run_trajectory(config, seed)
 
 
 FORK_ONLY = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                                reason="pool workers see the patched module only when forked")
 
 
-@pytest.mark.parametrize("workers", [1, pytest.param(2, marks=FORK_ONLY)])
-def test_run_batch_names_failing_run_and_seed(monkeypatch, workers):
-    monkeypatch.setattr(experiment, "run_trajectory", _fail_run_2)
-    expected = "run 2 failed (seed = SeedSequence(1, spawn_key=(2,))): boom"
+@pytest.mark.parametrize("workers, failing", [
+    pytest.param(1, 2, id="1"),
+    pytest.param(2, 2, id="2", marks=FORK_ONLY),
+    # runs 2 and 3 share the second pool task; the failure must name run 3
+    pytest.param(2, 3, id="2-second-of-chunk", marks=FORK_ONLY),
+])
+def test_run_batch_names_failing_run_and_seed(monkeypatch, workers, failing):
+    def fail_one_run(config, seed):
+        if seed.spawn_key == (failing,):
+            raise ValueError("boom")
+        return run_trajectory(config, seed)
+
+    monkeypatch.setattr(experiment, "run_trajectory", fail_one_run)
+    expected = f"run {failing} failed (seed = SeedSequence(1, spawn_key=({failing},))): boom"
     with pytest.raises(RuntimeError, match=re.escape(expected)):
         run_batch(ExperimentConfig(runs=4, generations=1), workers=workers)
 
