@@ -52,7 +52,8 @@ def _cell(value) -> str:
 
 def write_table(path: Path, header: tuple[str, ...], rows, json_mirror: bool,
                 text: list[list[str]] | None = None) -> Path:
-    """Write one CSV table (plus optional JSON mirror) and verify it back.
+    """Write one CSV table (plus optional JSON mirror) into an existing
+    directory and verify both back.
 
     `rows` holds one sequence of str, int or float cells per row. `text`, if
     given, holds the same rows already rendered to CSV cells (as `_repr_text`
@@ -64,7 +65,6 @@ def write_table(path: Path, header: tuple[str, ...], rows, json_mirror: bool,
         text = [[_cell(v) for v in row] for row in rows]
     lines = [",".join(header)]
     lines.extend(map(",".join, text))
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fp:
         fp.write("\n".join(lines) + "\n")
     if json_mirror:
@@ -72,11 +72,12 @@ def write_table(path: Path, header: tuple[str, ...], rows, json_mirror: bool,
         with open(path.with_suffix(".json"), "w", encoding="utf-8", newline="") as fp:
             json.dump(records, fp, indent=2)
             fp.write("\n")
-    _verify_table(path, header, len(rows))
+    _verify_table(path, header, len(rows), json_mirror)
     return path
 
 
-def _verify_table(path: Path, header: tuple[str, ...], n_rows: int) -> None:
+def _verify_table(path: Path, header: tuple[str, ...], n_rows: int,
+                  json_mirror: bool) -> None:
     lines = path.read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != ",".join(header):
         raise RuntimeError(f"{path}: header mismatch after write")
@@ -85,6 +86,16 @@ def _verify_table(path: Path, header: tuple[str, ...], n_rows: int) -> None:
     for line in lines[1:]:
         if line.count(",") != len(header) - 1:
             raise RuntimeError(f"{path}: malformed row {line!r}")
+    if not json_mirror:
+        return
+    mirror = path.with_suffix(".json")
+    try:
+        records = json.loads(mirror.read_text(encoding="utf-8"))
+    except ValueError as e:
+        raise RuntimeError(f"{mirror}: unreadable after write: {e}") from e
+    if not (isinstance(records, list) and len(records) == n_rows
+            and all(isinstance(r, dict) and tuple(r) == header for r in records)):
+        raise RuntimeError(f"{mirror}: expected {n_rows} records keyed by {header}")
 
 
 def trajectory_rows(states: list[CoevoState]) -> list[tuple]:
@@ -121,6 +132,7 @@ def write_snapshots(directory: Path, grid: np.ndarray, profiles: np.ndarray,
     obj1, sub1, sub2 = (profiles[generations, i] for i in (0, 2, 3))
     block = np.stack((np.broadcast_to(grid, obj1.shape), obj1, sub1, sub2), axis=-1)
     text = _repr_text(block)
+    directory.mkdir(parents=True, exist_ok=True)
     for i, k in enumerate(generations):
         write_table(directory / f"landscape_k{k}.csv", SNAPSHOT_HEADER, block[i],
                     json_mirror, text[i].tolist())
@@ -157,6 +169,7 @@ def cmd_simulate(args) -> int:
         wanted = range(config.generations + 1)
     states = run_trajectory(config, trajectory_seed(config.master_seed, 0))
     json_mirror = args.fmt == "json"
+    args.out.mkdir(parents=True, exist_ok=True)
     write_table(args.out / "trajectory.csv", TRAJECTORY_HEADER,
                 trajectory_rows(states), json_mirror)
     if wanted is None:
@@ -189,6 +202,7 @@ def cmd_measures(args) -> int:
                             range(len(profiles)), json_mirror)
 
     series = run_batch(config, workers=args.workers, per_run=per_run)
+    args.out.mkdir(parents=True, exist_ok=True)
     write_table(args.out / "measures.csv", MEASURES_HEADER, list(series.rows()),
                 json_mirror)
     return 0

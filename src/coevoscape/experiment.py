@@ -13,7 +13,7 @@ import json
 import math
 import numbers
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import partial
 from typing import Callable, Iterator
 
@@ -189,14 +189,12 @@ class ExperimentConfig:
             problems.append(f"mutation_prob must be in [0, 1], got {self.mutation_prob}")
         if not (self.mutation_sigma > 0):
             problems.append(f"mutation_sigma must be positive, got {self.mutation_sigma}")
-        for label in ("P1", "P2"):
-            lo, hi = self.init_interval(label)
-            if not (lo < hi):
-                problems.append(f"init interval for {label} must satisfy lo < hi, "
-                                f"got ({lo}, {hi})")
-        lo, hi = self._grid_bounds()
-        if not (lo < hi):
-            problems.append(f"grid bounds must satisfy lo < hi, got ({lo}, {hi})")
+        for name, (lo, hi) in (("init interval for P1", self.init_interval("P1")),
+                               ("init interval for P2", self.init_interval("P2")),
+                               ("grid bounds", self._grid_bounds())):
+            if not (lo < hi and math.isfinite(hi - lo)):
+                problems.append(f"{name} must satisfy lo < hi with a finite span "
+                                f"hi - lo, got ({lo}, {hi})")
         if self.bhatt_mode not in BHATT_MODES:
             problems.append(f"bhatt_mode must be one of {BHATT_MODES}, got {self.bhatt_mode!r}")
         if problems:
@@ -237,18 +235,22 @@ def trajectory_seed(master_seed: int, run_index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(master_seed, spawn_key=(run_index,))
 
 
-def ci95(samples) -> tuple[float, float, float]:
-    """Mean and 95% confidence interval of the mean (Student-t).
+def ci95(samples):
+    """Mean and 95% confidence interval of the mean (Student-t) over the first
+    axis: three floats for a 1-D sample, three arrays for a `(runs, ...)` array.
 
-    A single sample gives a zero-width interval by convention.
+    The runs axis is moved last and made contiguous first, so every column is
+    summed in the same order as its own 1-D sample. A single sample gives a
+    zero-width interval by convention.
     """
-    a = np.asarray(samples, dtype=float)
-    if a.size == 0:
+    a = np.ascontiguousarray(np.moveaxis(np.asarray(samples, dtype=float), 0, -1))
+    n = a.shape[-1]
+    if n == 0:
         raise ValueError("ci95 needs at least one sample")
-    mean = float(a.mean())
-    if a.size == 1:
-        return mean, mean, mean
-    half = float(stdtrit(a.size - 1, 0.975) * a.std(ddof=1) / np.sqrt(a.size))
+    mean = a.mean(axis=-1)
+    if n == 1:
+        return mean, mean.copy(), mean.copy()
+    half = stdtrit(n - 1, 0.975) * a.std(axis=-1, ddof=1) / np.sqrt(n)
     return mean, mean - half, mean + half
 
 
@@ -256,48 +258,27 @@ def ci95(samples) -> tuple[float, float, float]:
 class MeasureSeries:
     """Per-generation measure statistics for both populations of a batch.
 
-    values, mean, ci_lo and ci_hi are keyed by (population, measure). values
-    holds the raw per-run measures, shape (runs, generations+1); the others
-    hold one value per generation.
+    `values` holds the raw per-run measures, shape (runs, generations+1, 2, 3);
+    `mean`, `ci_lo` and `ci_hi` hold their mean and 95% interval over the runs,
+    shape (generations+1, 2, 3). The last two axes follow POPULATIONS and
+    MEASURES, as in `measure_generation`.
     """
 
-    generations: np.ndarray
-    runs: int
-    values: dict[tuple[str, str], np.ndarray] = field(default_factory=dict)
-    mean: dict[tuple[str, str], np.ndarray] = field(default_factory=dict)
-    ci_lo: dict[tuple[str, str], np.ndarray] = field(default_factory=dict)
-    ci_hi: dict[tuple[str, str], np.ndarray] = field(default_factory=dict)
+    values: np.ndarray
+    mean: np.ndarray
+    ci_lo: np.ndarray
+    ci_hi: np.ndarray
 
     @classmethod
-    def from_runs(cls, per_run: dict[tuple[str, str], np.ndarray]) -> "MeasureSeries":
-        """Aggregate raw per-run values, shape (runs, generations+1) per key."""
-        some = next(iter(per_run.values()))
-        runs, n_gen = some.shape
-        series = cls(generations=np.arange(n_gen), runs=runs, values=per_run)
-        for key, values in per_run.items():
-            mean = np.empty(n_gen)
-            lo = np.empty(n_gen)
-            hi = np.empty(n_gen)
-            for k in range(n_gen):
-                mean[k], lo[k], hi[k] = ci95(values[:, k])
-            series.mean[key] = mean
-            series.ci_lo[key] = lo
-            series.ci_hi[key] = hi
-        return series
+    def from_runs(cls, values: np.ndarray) -> "MeasureSeries":
+        """Aggregate per-run measures, shape (runs, generations+1, 2, 3)."""
+        return cls(values, *ci95(values))
 
     def rows(self) -> Iterator[tuple[int, str, str, float, float, float]]:
         """Deterministic row order: generation, then population, then measure."""
-        for k in range(self.generations.size):
-            for pop in POPULATIONS:
-                for measure in MEASURES:
-                    key = (pop, measure)
-                    yield (int(self.generations[k]), pop, measure,
-                           float(self.mean[key][k]), float(self.ci_lo[key][k]),
-                           float(self.ci_hi[key][k]))
-
-    def ci_width(self, population: str, measure: str) -> np.ndarray:
-        key = (population, measure)
-        return self.ci_hi[key] - self.ci_lo[key]
+        for k, i, j in np.ndindex(self.mean.shape):
+            yield (k, POPULATIONS[i], MEASURES[j], float(self.mean[k, i, j]),
+                   float(self.ci_lo[k, i, j]), float(self.ci_hi[k, i, j]))
 
 
 def _run_one(config: ExperimentConfig, run_index: int,
@@ -349,8 +330,4 @@ def run_batch(config: ExperimentConfig, workers: int = 1,
     else:
         results = list(map(run, range(config.runs)))
 
-    values = np.stack(results)
-    return MeasureSeries.from_runs({
-        (pop, measure): np.ascontiguousarray(values[:, :, i, j])
-        for i, pop in enumerate(POPULATIONS) for j, measure in enumerate(MEASURES)
-    })
+    return MeasureSeries.from_runs(np.stack(results))

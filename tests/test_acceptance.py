@@ -168,14 +168,11 @@ def test_cooperative_gap_and_ordering(smooth_competitive, smooth_cooperative):
     coop = smooth_cooperative
 
     def pop_gap(series):
-        return float(np.mean(np.abs(series.mean[("P1", "dist")]
-                                    - series.mean[("P2", "dist")])))
+        return float(np.mean(np.abs(series.mean[:, 0, 0] - series.mean[:, 1, 0])))
 
     ratio = pop_gap(coop) / pop_gap(comp)
     late = slice(5, 11)
-    coop_above = all(
-        np.all(coop.mean[(pop, "dist")][late] > comp.mean[(pop, "dist")][late])
-        for pop in POPULATIONS)
+    coop_above = bool(np.all(coop.mean[late, :, 0] > comp.mean[late, :, 0]))
     ok = ratio < 0.5 and coop_above
     report(6, "cooperation: coinciding curves, larger distance", ok,
            f"population gap ratio {ratio:.3f} vs < 0.5; "
@@ -191,8 +188,8 @@ def test_distance_stops_changing(smooth_competitive):
     series = smooth_competitive
     details = []
     ok = True
-    for pop in POPULATIONS:
-        values = series.values[(pop, "dist")]
+    for i, pop in enumerate(POPULATIONS):
+        values = series.values[:, :, i, 0]
         early = float(np.mean(np.abs(values[:, 2] - values[:, 0])))
         late = float(np.mean(np.abs(values[:, 10] - values[:, 8])))
         ok = ok and late < early
@@ -206,8 +203,7 @@ def test_compositional_intervals_wider(smooth_competitive, sinusoid_competitive)
     sinusoid = sinusoid_competitive
 
     def width_at_5(series):
-        return float(np.mean([series.ci_width(pop, "dist")[5]
-                              for pop in POPULATIONS]))
+        return float(np.mean(series.ci_hi[5, :, 0] - series.ci_lo[5, :, 0]))
 
     w_sin = width_at_5(sinusoid)
     w_smooth = width_at_5(smooth)

@@ -220,6 +220,46 @@ def test_json_mirror(tmp_path):
     assert (out / "snapshots" / "landscape_k1.json").exists()
 
 
+@pytest.mark.parametrize("truncate", [
+    pytest.param(lambda records: records[:-1], id="record-dropped"),
+    pytest.param(lambda records: records[:1] + [{"generation": 1}], id="keys-dropped"),
+    pytest.param(None, id="text-cut"),
+])
+def test_truncated_json_mirror_fails_the_command(tmp_path, capsys, monkeypatch, truncate):
+    """The JSON mirror is re-read like the CSV: a short mirror means exit 1."""
+    real_dump = json.dump
+
+    def short_dump(records, fp, **kwargs):
+        if truncate is not None:
+            return real_dump(truncate(records), fp, **kwargs)
+        fp.write(json.dumps(records, **kwargs)[:-10])
+
+    monkeypatch.setattr(cli.json, "dump", short_dump)
+    data = dict(SMOOTH_SMALL, evolution={"generations": 1})
+    cfg = write_config(tmp_path, data)
+    rc = cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                   "--format", "json"])
+    assert rc == 1
+    assert "trajectory.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "measures"])
+@pytest.mark.parametrize("section, bad", [
+    pytest.param("evolution", {"init_interval_p1": [-1e308, 1e308]}, id="init-p1"),
+    pytest.param("evolution", {"init_interval_p2": [-1e308, 1e308]}, id="init-p2"),
+    pytest.param("landscape", {"grid_lo": -1e308, "grid_hi": 1e308}, id="grid"),
+])
+def test_non_finite_span_rejected_at_load(tmp_path, capsys, command, section, bad):
+    data = dict(SMOOTH_SMALL, **{section: dict(SMOOTH_SMALL.get(section, {}), **bad)})
+    cfg = write_config(tmp_path, data)
+    out = tmp_path / "out"
+    rc = cli.main([command, "--config", str(cfg), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "finite span" in err
+    assert not out.exists()
+
+
 def test_invalid_config_key_reports_error(tmp_path, capsys):
     cfg = write_config(tmp_path, {"substrate": {"flavor": "smooth"}})
     rc = cli.main(["measures", "--config", str(cfg), "--out", str(tmp_path / "x")])

@@ -10,7 +10,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -228,23 +228,51 @@ def test_trajectory_seed_derivation():
 
 
 def test_measure_series_rows_order_and_count():
-    per_run = {(p, m): np.arange(22, dtype=float).reshape(2, 11)
-               for p in POPULATIONS for m in MEASURES}
-    series = MeasureSeries.from_runs(per_run)
+    # every (run, generation, population, measure) cell holds its own value
+    values = np.arange(2 * 11 * 2 * 3, dtype=float).reshape(2, 11, 2, 3) ** 1.5
+    series = MeasureSeries.from_runs(values)
+    assert series.values is values
+    assert series.mean.shape == series.ci_lo.shape == series.ci_hi.shape == (11, 2, 3)
     rows = list(series.rows())
     assert len(rows) == 66
     assert [r[0] for r in rows[:6]] == [0] * 6
     assert [r[1] for r in rows[:6]] == ["P1", "P1", "P1", "P2", "P2", "P2"]
     assert [r[2] for r in rows[:6]] == ["dist", "kld", "bhatt"] * 2
     assert rows[-1][0] == 10
+    expected = []
+    for k in range(11):
+        for i, pop in enumerate(POPULATIONS):
+            for j, measure in enumerate(MEASURES):
+                expected.append((k, pop, measure, *ci95(values[:, k, i, j])))
+    assert rows == expected
     for _, _, _, mean, lo, hi in rows:
-        assert lo <= mean <= hi
+        assert lo < mean < hi
+
+
+@settings(max_examples=200, deadline=None)
+@given(runs=st.integers(1, 300), columns=st.integers(1, 4),
+       offset=st.sampled_from([0.0, 1.0, -1e3, 1e6]),
+       scale=st.sampled_from([1e-150, 1e-8, 1.0, 3.0, 1e8, 1e150]),
+       seed=st.integers(0, 2**32 - 1))
+def test_ci95_of_array_matches_each_column(runs, columns, offset, scale, seed):
+    """ci95 over the runs axis equals the 1-D ci95 of every column, bit for bit.
+
+    Run counts cross numpy's 8-way unrolled and 128-element pairwise blocks,
+    where a sum over a strided axis would take a different order.
+    """
+    rng = np.random.default_rng(seed)
+    noise = rng.standard_normal((runs, columns)) * rng.uniform(0.1, 1.0, columns)
+    samples = (offset + noise) * scale
+    mean, lo, hi = ci95(samples)
+    assert mean.shape == lo.shape == hi.shape == (columns,)
+    for c in range(columns):
+        assert (mean[c], lo[c], hi[c]) == ci95(samples[:, c])
 
 
 def test_run_batch_single_run_has_zero_width_ci():
     cfg = ExperimentConfig(runs=1, generations=2)
     series = run_batch(cfg)
-    assert series.runs == 1
+    assert series.values.shape == (1, 3, 2, 3)
     for _, _, _, mean, lo, hi in series.rows():
         assert lo == mean == hi
 
@@ -253,9 +281,9 @@ def test_run_batch_single_run_has_zero_width_ci():
     kind = cfg.objective_kind()
     profiles = run_profiles(states, cfg.grid(), kind)
     t1, _ = measure_generation(profiles[2], kind)
-    assert series.mean[("P1", "dist")][2] == t1[0]
-    assert series.mean[("P1", "bhatt")][2] == t1[2]
-    assert series.values[("P1", "kld")].tolist() == [
+    assert series.mean[2, 0, 0] == t1[0]
+    assert series.mean[2, 0, 2] == t1[2]
+    assert series.values[..., 0, 1].tolist() == [
         [measure_generation(p, kind)[0][1] for p in profiles]]
 
 
@@ -263,18 +291,16 @@ def test_run_batch_deterministic():
     cfg = ExperimentConfig(runs=4, generations=2)
     a = run_batch(cfg)
     b = run_batch(cfg)
-    for key in a.mean:
-        assert np.array_equal(a.mean[key], b.mean[key])
-        assert np.array_equal(a.ci_lo[key], b.ci_lo[key])
+    assert np.array_equal(a.mean, b.mean)
+    assert np.array_equal(a.ci_lo, b.ci_lo)
 
 
 def test_run_batch_workers_do_not_change_results():
     cfg = ExperimentConfig(runs=6, generations=2)
     serial = run_batch(cfg, workers=1)
     parallel = run_batch(cfg, workers=3)
-    for key in serial.mean:
-        assert np.array_equal(serial.mean[key], parallel.mean[key])
-        assert np.array_equal(serial.ci_hi[key], parallel.ci_hi[key])
+    assert np.array_equal(serial.mean, parallel.mean)
+    assert np.array_equal(serial.ci_hi, parallel.ci_hi)
 
 
 def test_run_batch_per_run_hook_sees_runs_in_order():
@@ -295,8 +321,8 @@ def test_run_batch_hook_gets_the_measured_profiles():
         assert np.array_equal(profiles, run_profiles(states, cfg.grid(), kind))
         for k in range(len(states)):
             t1, t2 = measure_generation(profiles[k], kind)
-            assert series.values[("P1", "dist")][r, k] == t1[0]
-            assert series.values[("P2", "bhatt")][r, k] == t2[2]
+            assert series.values[r, k, 0, 0] == t1[0]
+            assert series.values[r, k, 1, 2] == t2[2]
 
 
 @pytest.mark.parametrize("workers", [0, -2, 1.5])
@@ -334,8 +360,7 @@ def test_run_batch_starts_at_most_one_worker_per_run(monkeypatch):
     assert sizes == [3, 2]
     # one chunk of runs per worker: ceil(runs / workers)
     assert chunks == [1, 2]
-    for key in serial.mean:
-        assert np.array_equal(serial.values[key], capped.values[key])
+    assert np.array_equal(serial.values, capped.values)
 
 
 FORK_ONLY = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
@@ -374,10 +399,3 @@ def test_run_batch_validates_config_first():
     with pytest.raises(ConfigError):
         run_batch(ExperimentConfig(runs=0))
 
-
-def test_ci_width_helper():
-    cfg = ExperimentConfig(runs=3, generations=1)
-    series = run_batch(cfg)
-    width = series.ci_width("P1", "dist")
-    assert np.array_equal(width, series.ci_hi[("P1", "dist")] - series.ci_lo[("P1", "dist")])
-    assert np.all(width >= 0.0)
