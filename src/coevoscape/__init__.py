@@ -14,27 +14,13 @@ from .substrate import (
     Sinusoid,
     SmoothUnimodalPair,
     Task,
-    best_of,
-    draw_sample,
     eval_objective_shared,
     eval_objective_test,
     kind_from_name,
-    objective_min,
-    reference_partner,
     subjective_compositional,
     subjective_test,
 )
-from .evolution import (
-    CoevoState,
-    Population,
-    bootstrap_state,
-    evaluate_test,
-    init_population,
-    mutate,
-    run_trajectory,
-    step_generation,
-    tournament_select,
-)
+from .evolution import Trajectories, run_trajectory
 from .landscape import (
     bhatt,
     dist,
@@ -43,9 +29,6 @@ from .landscape import (
     measure_generation,
     objective_profile,
     run_profiles,
-    subjective_profile_comp,
-    subjective_profile_test,
-    to_distribution,
 )
 from .experiment import (
     ConfigError,
@@ -69,30 +52,16 @@ __all__ = [
     "kind_from_name",
     "eval_objective_test",
     "eval_objective_shared",
-    "objective_min",
-    "reference_partner",
     "subjective_test",
     "subjective_compositional",
-    "best_of",
-    "draw_sample",
-    "Population",
-    "CoevoState",
-    "init_population",
-    "evaluate_test",
-    "tournament_select",
-    "mutate",
-    "step_generation",
-    "bootstrap_state",
+    "Trajectories",
     "run_trajectory",
     "make_grid",
     "objective_profile",
-    "subjective_profile_test",
-    "subjective_profile_comp",
     "run_profiles",
     "dist",
     "kld",
     "bhatt",
-    "to_distribution",
     "measure_generation",
     "ConfigError",
     "ExperimentConfig",

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .evolution import CoevoState, run_trajectory
+from .evolution import Trajectories, run_trajectory
 from .experiment import ConfigError, ExperimentConfig, run_batch, trajectory_seed
 from .landscape import run_profiles
 from .substrate import Task
@@ -98,15 +98,15 @@ def _verify_table(path: Path, header: tuple[str, ...], n_rows: int,
         raise RuntimeError(f"{mirror}: expected {n_rows} records keyed by {header}")
 
 
-def trajectory_rows(states: list[CoevoState]) -> list[tuple]:
-    rows = []
-    for state in states:
-        row = [state.generation]
-        for pop in (state.pop1, state.pop2):
-            agg = np.max if pop.task is Task.MAXIMIZE else np.min
-            row.extend([pop.best(), float(agg(pop.fitnesses))])
-        rows.append(tuple(row))
-    return rows
+def trajectory_rows(traj: Trajectories) -> list[tuple]:
+    """Per generation of the block's first run: each population's best member
+    and its best fitness under its task."""
+    columns = []
+    for i, task in enumerate(traj.tasks):
+        fitnesses = traj.fitnesses[0, :, i]
+        best_fitness = fitnesses.max(axis=-1) if task is Task.MAXIMIZE else fitnesses.min(axis=-1)
+        columns += [traj.best[0, :, i].tolist(), best_fitness.tolist()]
+    return [(k, *row) for k, row in enumerate(zip(*columns))]
 
 
 def _repr_text(values: np.ndarray) -> np.ndarray:
@@ -167,25 +167,25 @@ def cmd_simulate(args) -> int:
         wanted = _parse_generations(args.generations, config.generations)
     elif config.snapshots:
         wanted = range(config.generations + 1)
-    states = run_trajectory(config, trajectory_seed(config.master_seed, 0))
+    traj = run_trajectory(config, [trajectory_seed(config.master_seed, 0)])
     json_mirror = args.fmt == "json"
     args.out.mkdir(parents=True, exist_ok=True)
     write_table(args.out / "trajectory.csv", TRAJECTORY_HEADER,
-                trajectory_rows(states), json_mirror)
+                trajectory_rows(traj), json_mirror)
     if wanted is None:
         return 0
     grid = config.grid()
     write_snapshots(args.out / "snapshots", grid,
-                    run_profiles(states, grid, config.objective_kind()), wanted, json_mirror)
+                    run_profiles(traj, grid, config.objective_kind())[0], wanted, json_mirror)
     return 0
 
 
 def cmd_landscape(args) -> int:
     config = _load_config(args)
     wanted = _parse_generations(args.generations, config.generations)
-    states = run_trajectory(config, trajectory_seed(config.master_seed, 0))
+    traj = run_trajectory(config, [trajectory_seed(config.master_seed, 0)])
     grid = config.grid()
-    write_snapshots(args.out, grid, run_profiles(states, grid, config.objective_kind()),
+    write_snapshots(args.out, grid, run_profiles(traj, grid, config.objective_kind())[0],
                     wanted, args.fmt == "json")
     return 0
 
@@ -201,7 +201,7 @@ def cmd_measures(args) -> int:
             write_snapshots(args.out / "snapshots" / f"run_{r:03d}", grid, profiles,
                             range(len(profiles)), json_mirror)
 
-    series = run_batch(config, workers=args.workers, per_run=per_run)
+    series = run_batch(config, per_run=per_run)
     args.out.mkdir(parents=True, exist_ok=True)
     write_table(args.out / "measures.csv", MEASURES_HEADER, list(series.rows()),
                 json_mirror)
@@ -223,7 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", type=Path, default=Path("."),
                         help="output directory (created if missing)")
     common.add_argument("--workers", type=int, default=1,
-                        help="parallel worker processes for batch runs")
+                        help="accepted for compatibility (must be >= 1); batches "
+                             "run in one process, with identical results")
     common.add_argument("--format", choices=("csv", "json"), default="csv",
                         dest="fmt",
                         help="csv only, or json to mirror every CSV as JSON")

@@ -1,26 +1,27 @@
-"""Two-population synchronous coevolutionary algorithm.
+"""Two-population synchronous coevolutionary algorithm, a block of runs at a time.
 
 Both populations run an ordinary generational loop (fitness evaluation,
 tournament selection, Gaussian mutation, no recombination) and are coupled
 only through fitness: the populations of generation k+1 are evaluated
 against the opposing population as it stood, evaluated, at the end of
-generation k. Each state keeps the evaluator samples (test-based) or the
-partner representative (compositional) actually used, so any fitness value
-can be recomputed afterwards.
+generation k. A run keeps the evaluator samples (test-based) or the partner
+representative (compositional) actually used, so any fitness value can be
+recomputed afterwards.
 
-A trajectory is sequential; distinct trajectories own their RNG and may run
-concurrently.
+Runs are independent, so a block of them advances together: each generation
+is one numpy pass over `(runs, 2, pop_size)` arrays. Only the random draws
+loop over runs, each run drawing from its own generator in a fixed order, so
+a run's numbers do not depend on the block it is part of.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .substrate import (
-    ObjectiveKind,
     Task,
     best_of,
     draw_sample,
@@ -33,185 +34,112 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 @dataclass
-class Population:
-    """One population: genotypes plus their subjective fitnesses.
+class Trajectories:
+    """A block of runs, every generation evaluated (k = 0 included).
 
-    fitnesses is None until the population has been evaluated; it always
-    holds subjective values, never objective ones.
+    Arrays are indexed [run, generation, population, ...], populations in
+    (P1, P2) order; `tasks` holds their tasks. `fitnesses` are subjective.
+    Test-based runs keep each individual's evaluator sample in `samples`;
+    compositional runs keep the opposing representative each population was
+    scored against in `partners`. The other of the two is None.
+
+        genotypes, fitnesses   (runs, generations+1, 2, pop_size)
+        best                   (runs, generations+1, 2)
+        samples                (runs, generations+1, 2, pop_size, sample_size)
+        partners               (runs, generations+1, 2)
     """
 
+    tasks: tuple[Task, Task]
     genotypes: np.ndarray
-    task: Task
-    label: str = "P1"
-    fitnesses: np.ndarray | None = None
-
-    def __len__(self) -> int:
-        return int(self.genotypes.size)
-
-    @property
-    def evaluated(self) -> bool:
-        return self.fitnesses is not None
-
-    def best(self) -> float:
-        """Representative this population presents: its best member under
-        its own task."""
-        if not self.evaluated:
-            raise ValueError(f"population {self.label} has no fitnesses yet")
-        return best_of(self.genotypes, self.fitnesses, self.task)
+    fitnesses: np.ndarray
+    best: np.ndarray
+    samples: np.ndarray | None = None
+    partners: np.ndarray | None = None
 
 
-@dataclass
-class CoevoState:
-    """Both populations at one generation, fully evaluated.
+def run_trajectory(config: ExperimentConfig, seeds) -> Trajectories:
+    """Run one trajectory per seed, deterministically, as one block.
 
-    samples1/samples2 hold the per-individual evaluator draws used in a
-    test-based evaluation, shape (pop_size, sample_size); partner1/partner2
-    hold the opposing representative used in a compositional evaluation.
-    Exactly one of the two mechanisms is populated per run, and the stored
-    values suffice to recompute every fitness in the state.
-    """
+    Each seed is anything numpy's default_rng accepts (int or SeedSequence)
+    and gives one run its own generator. Per run, generation 0 draws P1's
+    and P2's initial genotypes (`uniform`), then P1's and P2's evaluator
+    samples or, for compositional kinds, a uniformly drawn member of the
+    opponent's initial population as partner (`integers`). Every later
+    generation draws P1's tournaments (`integers`), mutation mask (`random`)
+    and noise (`normal`), the same for P2, then P1's and P2's samples.
 
-    pop1: Population
-    pop2: Population
-    generation: int
-    best1: float
-    best2: float
-    samples1: np.ndarray | None = None
-    samples2: np.ndarray | None = None
-    partner1: float | None = None
-    partner2: float | None = None
-
-
-def init_population(config: ExperimentConfig, task: Task, rng: np.random.Generator,
-                    label: str = "P1") -> Population:
-    """Draw pop_size genotypes i.i.d. uniform on the population's init interval."""
-    lo, hi = config.init_interval(label)
-    genotypes = rng.uniform(lo, hi, config.pop_size)
-    return Population(genotypes=genotypes, task=task, label=label)
-
-
-def evaluate_test(pop: Population, opponent_prev: Population, config: ExperimentConfig,
-                  kind: ObjectiveKind, rng: np.random.Generator
-                  ) -> tuple[Population, np.ndarray]:
-    """Assign test-based subjective fitness to every individual.
-
-    Each individual gets a fresh, independent evaluator sample of
-    sample_size members drawn from the opposing population's genotypes; the
-    whole population's samples are drawn in one call, row i for individual
-    i, and scored in one call. Returns the evaluated population and the
-    (pop_size, sample_size) array of samples so the per-generation landscape
-    can be rebuilt from them.
-    """
-    samples = draw_sample(opponent_prev.genotypes, len(pop), config.sample_size, rng,
-                          config.sample_with_replacement)
-    return replace(pop, fitnesses=subjective_test(pop.genotypes, samples, kind)), samples
-
-
-def tournament_select(pop: Population, config: ExperimentConfig,
-                      rng: np.random.Generator) -> np.ndarray:
-    """Fill pop_size offspring slots by independent tournaments.
-
-    Each tournament draws tournament_size contestants uniformly with
-    replacement; the winner is the contestant better under the population's
-    task, ties going to the first drawn.
-    """
-    if not pop.evaluated:
-        raise ValueError(f"population {pop.label} has no fitnesses yet")
-    n = len(pop)
-    idx = rng.integers(0, n, size=(n, config.tournament_size))
-    contest = pop.fitnesses[idx]
-    # argmax/argmin return the first occurrence, i.e. the first-drawn winner
-    if pop.task is Task.MAXIMIZE:
-        win = np.argmax(contest, axis=1)
-    else:
-        win = np.argmin(contest, axis=1)
-    return pop.genotypes[idx[np.arange(n), win]]
-
-
-def mutate(genotypes, config: ExperimentConfig, rng: np.random.Generator) -> np.ndarray:
-    """Gaussian mutation: each genotype independently gains N(0, sigma) noise
-    with probability mutation_prob, else passes through bit-exactly."""
-    g = np.array(genotypes, dtype=float)
-    mask = rng.random(g.size) < config.mutation_prob
-    noise = rng.normal(0.0, config.mutation_sigma, g.size)
-    g[mask] += noise[mask]
-    return g
-
-
-def _evaluate(generation: int, pop1: Population, pop2: Population,
-              prev1: Population, prev2: Population, config: ExperimentConfig,
-              kind: ObjectiveKind, rng: np.random.Generator) -> CoevoState:
-    """Score pop1 against P2's previous generation prev2, and pop2 against
-    P1's previous generation prev1, into the state of `generation`.
-
-    Test-based kinds give every individual a fresh evaluator sample; P1 draws
-    all of its samples before P2 draws any. Compositional kinds score along
-    the slice at the opponent's best member. Generation 0 has no fitness to
-    pick a best member by, so a uniformly drawn member of the opponent's
-    initial population stands in, P1's partner drawn first.
-    """
-    samples1 = samples2 = partner1 = partner2 = None
-    if kind.test_based:
-        pop1, samples1 = evaluate_test(pop1, prev2, config, kind, rng)
-        pop2, samples2 = evaluate_test(pop2, prev1, config, kind, rng)
-    else:
-        if generation == 0:
-            partner1 = float(rng.choice(prev2.genotypes))
-            partner2 = float(rng.choice(prev1.genotypes))
-        else:
-            partner1, partner2 = prev2.best(), prev1.best()
-        pop1 = replace(pop1, fitnesses=subjective_compositional(pop1.genotypes, partner1, kind))
-        pop2 = replace(pop2, fitnesses=subjective_compositional(pop2.genotypes, partner2, kind))
-    return CoevoState(
-        pop1=pop1, pop2=pop2, generation=generation,
-        best1=pop1.best(), best2=pop2.best(),
-        samples1=samples1, samples2=samples2,
-        partner1=partner1, partner2=partner2,
-    )
-
-
-def step_generation(state: CoevoState, config: ExperimentConfig, kind: ObjectiveKind,
-                    rng: np.random.Generator) -> CoevoState:
-    """Advance both populations one generation.
-
-    Selection then mutation runs independently per population; the new
-    populations are evaluated against the opposing population exactly as it
-    stood at generation k (its evaluated, pre-selection form).
-    """
-    child1 = replace(state.pop1, genotypes=mutate(
-        tournament_select(state.pop1, config, rng), config, rng), fitnesses=None)
-    child2 = replace(state.pop2, genotypes=mutate(
-        tournament_select(state.pop2, config, rng), config, rng), fitnesses=None)
-    return _evaluate(state.generation + 1, child1, child2, state.pop1, state.pop2,
-                     config, kind, rng)
-
-
-def bootstrap_state(config: ExperimentConfig, kind: ObjectiveKind,
-                    rng: np.random.Generator) -> CoevoState:
-    """Create and evaluate the generation-0 state.
-
-    Both initial populations, with the config's tasks, are evaluated against
-    each other's initial genotypes.
-    """
-    mode = config.interaction_mode()
-    pop1 = init_population(config, mode.task_p1, rng, "P1")
-    pop2 = init_population(config, mode.task_p2, rng, "P2")
-    return _evaluate(0, pop1, pop2, pop1, pop2, config, kind, rng)
-
-
-def run_trajectory(config: ExperimentConfig, seed) -> list[CoevoState]:
-    """Run one full coevolutionary trajectory, deterministically from seed.
-
-    Returns generations+1 evaluated states (k = 0 included). `seed` is
-    anything numpy's default_rng accepts (int or SeedSequence). A numeric
-    overflow or invalid operation (e.g. from an enormous mutation_sigma)
-    raises FloatingPointError instead of producing inf or nan values.
+    A numeric overflow or invalid operation (e.g. from an enormous
+    mutation_sigma) raises FloatingPointError instead of producing inf or nan.
     """
     config.validate()
     kind = config.objective_kind()
-    rng = np.random.default_rng(seed)
+    mode = config.interaction_mode()
+    tasks = (mode.task_p1, mode.task_p2)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    n, m = config.pop_size, config.sample_size
+    shape = (len(rngs), config.generations + 1, 2)
+    traj = Trajectories(tasks, np.empty(shape + (n,)), np.empty(shape + (n,)),
+                        np.empty(shape))
+    if kind.test_based:
+        traj.samples = np.empty(shape + (n, m))
+    else:
+        traj.partners = np.empty(shape)
+    intervals = [config.init_interval(p) for p in ("P1", "P2")]
     with np.errstate(over="raise", invalid="raise"):
-        states = [bootstrap_state(config, kind, rng)]
-        for _ in range(config.generations):
-            states.append(step_generation(states[-1], config, kind, rng))
-    return states
+        for k in range(config.generations + 1):
+            genotypes = traj.genotypes[:, k]
+            if k == 0:
+                genotypes[...] = [[rng.uniform(lo, hi, n) for lo, hi in intervals]
+                                  for rng in rngs]
+            else:
+                _breed(traj, k, rngs, config)
+            # P1 is scored against P2's previous generation, P2 against P1's
+            opponents = traj.genotypes[:, max(k - 1, 0), ::-1]
+            if kind.test_based:
+                picks = np.array([[draw_sample(n, n, m, rng, config.sample_with_replacement)
+                                   for _ in tasks] for rng in rngs])
+                samples = np.take_along_axis(opponents[:, :, None], picks, axis=-1)
+                traj.samples[:, k] = samples
+                traj.fitnesses[:, k] = subjective_test(genotypes, samples, kind)
+            else:
+                if k == 0:
+                    # no fitness yet to pick a best member by
+                    picks = np.array([[rng.integers(0, n) for _ in tasks] for rng in rngs])
+                    partners = np.take_along_axis(opponents, picks[..., None], axis=-1)[..., 0]
+                else:
+                    partners = traj.best[:, k - 1, ::-1]
+                traj.partners[:, k] = partners
+                traj.fitnesses[:, k] = subjective_compositional(genotypes, partners[..., None],
+                                                                kind)
+            for i, task in enumerate(tasks):
+                traj.best[:, k, i] = best_of(genotypes[:, i], traj.fitnesses[:, k, i], task)
+    return traj
+
+
+def _breed(traj: Trajectories, k: int, rngs: list[np.random.Generator],
+           config: ExperimentConfig) -> None:
+    """Fill generation k's genotypes from generation k-1's by tournament
+    selection, then Gaussian mutation.
+
+    Each of pop_size tournaments draws tournament_size contestants uniformly
+    with replacement; the winner is the contestant best under the
+    population's task, ties going to the first drawn. Each winner then gains
+    N(0, mutation_sigma) noise with probability mutation_prob, else passes
+    through bit-exactly.
+    """
+    n, t = config.pop_size, config.tournament_size
+    contests = np.empty((len(rngs), 2, n, t), dtype=np.int64)
+    mutated = np.empty((len(rngs), 2, n), dtype=bool)
+    noise = np.empty((len(rngs), 2, n))
+    for b, rng in enumerate(rngs):
+        for i in range(2):
+            contests[b, i] = rng.integers(0, n, size=(n, t))
+            mutated[b, i] = rng.random(n) < config.mutation_prob
+            noise[b, i] = rng.normal(0.0, config.mutation_sigma, n)
+    flat = contests.reshape(len(rngs), 2, n * t)
+    genotypes = np.take_along_axis(traj.genotypes[:, k - 1], flat, axis=-1).reshape(contests.shape)
+    fitnesses = np.take_along_axis(traj.fitnesses[:, k - 1], flat, axis=-1).reshape(contests.shape)
+    children = traj.genotypes[:, k]
+    for i, task in enumerate(traj.tasks):
+        children[:, i] = best_of(genotypes[:, i], fitnesses[:, i], task)
+    np.add(children, noise, out=children, where=mutated)

@@ -4,7 +4,7 @@ per generation into means with 95% confidence intervals.
 Every run r of a batch draws its RNG from
 ``numpy.random.SeedSequence(master_seed, spawn_key=(r,))``, so a batch is
 fully determined by (config, master_seed), run streams are independent,
-and results do not depend on execution order or worker count.
+and results do not depend on how runs are grouped into blocks.
 """
 
 from __future__ import annotations
@@ -12,17 +12,16 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
-from functools import partial
 from typing import Callable, Iterator
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .evolution import run_trajectory
-from .landscape import BHATT_MODES, make_grid, measure_generation, run_profiles
-from .substrate import InteractionMode, ObjectiveKind, Task, kind_from_name
+from .landscape import (BHATT_MODES, make_grid, measure_generation, objective_profile,
+                        run_profiles)
+from .substrate import (InteractionMode, ObjectiveKind, Task, eval_objective_shared,
+                        eval_objective_test, kind_from_name)
 
 POPULATIONS = ("P1", "P2")
 MEASURES = ("dist", "kld", "bhatt")
@@ -199,6 +198,32 @@ class ExperimentConfig:
             problems.append(f"bhatt_mode must be one of {BHATT_MODES}, got {self.bhatt_mode!r}")
         if problems:
             raise ConfigError("; ".join(problems))
+        problems = self._substrate_problems()
+        if problems:
+            raise ConfigError("; ".join(problems))
+
+    def _substrate_problems(self) -> list[str]:
+        """Objective values every run needs, checked before any starts: both
+        objective profiles finite and not flat on the grid (the measures
+        normalize by their range), and finite fitness at the init intervals'
+        endpoints (paired with the other interval's, for compositional kinds)."""
+        kind, mode, grid = self.objective_kind(), self.interaction_mode(), self.grid()
+        where = f"on the grid ({grid[0]}, {grid[-1]})"
+        problems = []
+        with np.errstate(over="raise", invalid="raise"):
+            for p, q, task in (("P1", "P2", mode.task_p1), ("P2", "P1", mode.task_p2)):
+                profile = _finite(objective_profile, kind, grid, task)
+                if profile is None:
+                    problems.append(f"objective profile for {p} overflows {where}")
+                elif profile.max() == profile.min():
+                    problems.append(f"objective profile for {p} is flat {where}")
+                x, y = np.array(self.init_interval(p)), np.array(self.init_interval(q))
+                ends = (_finite(eval_objective_test, kind, x) if kind.test_based
+                        else _finite(eval_objective_shared, kind, x[:, None], y))
+                if ends is None:
+                    problems.append(f"init interval for {p} {self.init_interval(p)} gives "
+                                    f"non-finite fitness")
+        return problems
 
     def objective_kind(self) -> ObjectiveKind:
         return kind_from_name(self.function, self.ridge_n)
@@ -230,6 +255,15 @@ class ExperimentConfig:
         return make_grid(lo, hi, self.grid_points)
 
 
+def _finite(evaluate, *args) -> np.ndarray | None:
+    """evaluate(*args), or None where it overflows or gives a non-finite value."""
+    try:
+        values = evaluate(*args)
+    except FloatingPointError:
+        return None
+    return values if np.all(np.isfinite(values)) else None
+
+
 def trajectory_seed(master_seed: int, run_index: int) -> np.random.SeedSequence:
     """Seed for run r of a batch: SeedSequence(master_seed, spawn_key=(r,))."""
     return np.random.SeedSequence(master_seed, spawn_key=(run_index,))
@@ -243,6 +277,9 @@ def ci95(samples):
     summed in the same order as its own 1-D sample. A single sample gives a
     zero-width interval by convention.
     """
+    # scipy.special takes longer to import than the rest of the package
+    from scipy.special import stdtrit
+
     a = np.ascontiguousarray(np.moveaxis(np.asarray(samples, dtype=float), 0, -1))
     n = a.shape[-1]
     if n == 0:
@@ -281,53 +318,65 @@ class MeasureSeries:
                    float(self.ci_lo[k, i, j]), float(self.ci_hi[k, i, j]))
 
 
-def _run_one(config: ExperimentConfig, run_index: int,
-             per_run: Callable[[int, np.ndarray], None] | None = None
-             ) -> np.ndarray:
-    """Measures of run r, shape (generations+1, populations, measures).
+# A block of runs holds about this many bytes in its largest arrays, the
+# profiles or the retained samples (9 runs at the defaults), so memory stays
+# flat however many runs a batch has.
+_BLOCK_BYTES = 1 << 20
 
-    The run's profiles are built once and serve both the measures and the
-    `per_run` hook. Any failure is re-raised as a RuntimeError naming run r
-    and its seed derivation, here in the run itself, so the name is right
-    however runs are grouped into pool tasks.
+
+def _block_runs(config: ExperimentConfig) -> int:
+    run_bytes = 8 * (config.generations + 1) * max(
+        4 * config.grid_points, 2 * config.pop_size * config.sample_size)
+    return max(1, _BLOCK_BYTES // run_bytes)
+
+
+def _measure_runs(config: ExperimentConfig, runs: range,
+                  per_run: Callable[[int, np.ndarray], None] | None) -> list[np.ndarray]:
+    """Measures of each run of a block, shape (generations+1, 2, 3) each.
+
+    The block's profiles are built in one array; each run's slice is measured
+    and handed to `per_run` in turn, so the measures' temporaries stay the
+    size of one run.
     """
-    try:
-        kind = config.objective_kind()
-        states = run_trajectory(config, trajectory_seed(config.master_seed, run_index))
-        profiles = run_profiles(states, config.grid(), kind)
-        measures = measure_generation(profiles, kind, grid_factor=config.dist_grid_factor,
-                                      bhatt_mode=config.bhatt_mode)
+    kind = config.objective_kind()
+    traj = run_trajectory(config, [trajectory_seed(config.master_seed, r) for r in runs])
+    profiles = run_profiles(traj, config.grid(), kind)
+    del traj  # free the retained samples before the measures' temporaries
+    measures = []
+    for r, run_profile in zip(runs, profiles):
+        measures.append(measure_generation(run_profile, kind,
+                                           grid_factor=config.dist_grid_factor,
+                                           bhatt_mode=config.bhatt_mode))
         if per_run is not None:
-            per_run(run_index, profiles)
-    except Exception as e:
-        raise RuntimeError(f"run {run_index} failed (seed = SeedSequence("
-                           f"{config.master_seed}, spawn_key=({run_index},))): {e}") from e
+            per_run(r, run_profile)
     return measures
 
 
-def run_batch(config: ExperimentConfig, workers: int = 1,
+def run_batch(config: ExperimentConfig,
               per_run: Callable[[int, np.ndarray], None] | None = None
               ) -> MeasureSeries:
     """Run `config.runs` independent trajectories and aggregate their measures.
 
-    Results are collected and aggregated in run-index order, so the series
-    is identical for any worker count; at most one worker per run is
-    started. `per_run(r, profiles)` is an optional hook (e.g. snapshot
-    writing) that receives run r's `run_profiles` array, and forces serial
-    execution. Any failing run aborts the batch with its run index and seed
-    derivation reported.
+    Runs advance in blocks of a size derived from the config; every run draws
+    from its own generator, so the series does not depend on the blocks.
+    `per_run(r, profiles)` is an optional hook (e.g. snapshot writing) that
+    receives run r's `run_profiles` slice, in run order. Any failing run
+    aborts the batch with its run index and seed derivation reported: a block
+    that fails is re-run one run at a time to find it.
     """
     config.validate()
-    if not _is_int(workers) or workers < 1:
-        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
-    run = partial(_run_one, config, per_run=per_run)
-    if workers > 1 and per_run is None:
-        # one task per worker: a run is too short to pay a pool round trip
-        workers = min(workers, config.runs)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, range(config.runs),
-                                    chunksize=math.ceil(config.runs / workers)))
-    else:
-        results = list(map(run, range(config.runs)))
-
-    return MeasureSeries.from_runs(np.stack(results))
+    size = _block_runs(config)
+    measures = []
+    for start in range(0, config.runs, size):
+        runs = range(start, min(start + size, config.runs))
+        try:
+            measures += _measure_runs(config, runs, per_run)
+        except Exception:
+            # re-run the block one run at a time, so the failing run names itself
+            for r in runs:
+                try:
+                    measures += _measure_runs(config, range(r, r + 1), per_run)
+                except Exception as e:
+                    raise RuntimeError(f"run {r} failed (seed = SeedSequence("
+                                       f"{config.master_seed}, spawn_key=({r},))): {e}") from e
+    return MeasureSeries.from_runs(np.stack(measures))

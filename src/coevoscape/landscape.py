@@ -6,8 +6,8 @@ generation, the objective profile is static while the subjective profile is
 rebuilt from what the run actually used: the retained evaluator samples
 (test-based, averaged into an ensemble mean) or the opposing representative
 (compositional, an exact slice of the shared landscape). `run_profiles`
-builds a whole run's profiles in one array, each objective profile once; the
-measures and the landscape snapshots both read it.
+builds a block of runs' profiles in one array, each objective profile once;
+the measures and the landscape snapshots both read it.
 
 Three measures compare an objective profile against a subjective one of the
 same shape:
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .evolution import CoevoState
+from .evolution import Trajectories
 from .substrate import (
     ObjectiveKind,
     Task,
@@ -36,7 +36,6 @@ from .substrate import (
     eval_objective_test,
     objective_min,
     reference_partner,
-    subjective_test,
 )
 
 # Floor applied after shifting profiles non-negative, before normalizing;
@@ -74,18 +73,37 @@ def subjective_profile_test(grid: np.ndarray, samples: np.ndarray,
     """Mean subjective landscape over one generation's evaluator samples.
 
     `samples` is the (pop_size, sample_size) array retained by the
-    generation's evaluation; the profile at each grid point is the mean over
-    all per-individual landscapes, i.e. the subjective fitness of the point
-    against all drawn evaluators pooled.
+    generation's evaluation, or a stack of them, shape (..., pop_size,
+    sample_size); the profile at each grid point is the mean over all
+    per-individual landscapes, i.e. the subjective fitness of the point
+    against all drawn evaluators pooled (`subjective_test` against the
+    flattened sample). Gives one profile per generation, (..., grid points).
+
+    Each generation's pooled evaluator values are sorted on their own, and a
+    point's wins are its left insertion point among them; the count over the
+    pooled size is the same float the mean of strict wins gives.
     """
-    return subjective_test(grid, np.ravel(samples), kind)
+    samples = np.asarray(samples, dtype=float)
+    if samples.size == 0:
+        raise ValueError("empty evaluator sample: evaluation is disengaged")
+    pooled = eval_objective_test(kind, samples.reshape(*samples.shape[:-2], -1))
+    pooled.sort(axis=-1)
+    fx = eval_objective_test(kind, np.asarray(grid, dtype=float))
+    rows = pooled.reshape(-1, pooled.shape[-1])
+    wins = np.empty(pooled.shape[:-1] + fx.shape)
+    for row, out in zip(rows, wins.reshape(len(rows), fx.size)):
+        out[:] = np.searchsorted(row, fx, side="left")
+    wins /= pooled.shape[-1]
+    return wins
 
 
-def subjective_profile_comp(grid: np.ndarray, partner_best: float,
+def subjective_profile_comp(grid: np.ndarray, partner_best,
                             kind: ObjectiveKind) -> np.ndarray:
     """Subjective landscape of a compositional generation: the exact slice of
-    the shared objective at the opposing representative."""
-    return eval_objective_shared(kind, np.asarray(grid, dtype=float), partner_best)
+    the shared objective at the opposing representative. An array of
+    representatives, shape (...), gives one slice each, (..., grid points)."""
+    return eval_objective_shared(kind, np.asarray(grid, dtype=float),
+                                 np.asarray(partner_best, dtype=float)[..., None])
 
 
 def _check_same_shape(obj: np.ndarray, sub: np.ndarray) -> None:
@@ -163,34 +181,35 @@ def bhatt(obj: np.ndarray, sub: np.ndarray, *,
     return float(out) if out.ndim == 0 else out
 
 
-def run_profiles(states: list[CoevoState], grid: np.ndarray,
+def run_profiles(traj: Trajectories, grid: np.ndarray,
                  kind: ObjectiveKind) -> np.ndarray:
-    """All profiles of one run, shape (len(states), 4, grid points): per
-    state the rows (obj_p1, obj_p2, sub_p1, sub_p2).
+    """All profiles of a block of runs, shape (runs, generations+1, 4, grid
+    points): per run and generation the rows (obj_p1, obj_p2, sub_p1, sub_p2).
 
     Each population's objective profile is the static reference for its own
-    task, built once per run; its subjective profile is rebuilt per state
-    from what its fitnesses were computed with (retained samples or partner
-    value).
+    task, built once per block; its subjective profile is rebuilt per
+    generation from what its fitnesses were computed with (retained samples
+    or partner value), one run at a time so the temporaries stay one run's
+    size.
     """
-    profiles = np.empty((len(states), 4, len(grid)))
-    profiles[:, 0] = objective_profile(kind, grid, states[0].pop1.task)
-    profiles[:, 1] = objective_profile(kind, grid, states[0].pop2.task)
-    for k, state in enumerate(states):
-        if kind.test_based:
-            profiles[k, 2] = subjective_profile_test(grid, state.samples1, kind)
-            profiles[k, 3] = subjective_profile_test(grid, state.samples2, kind)
-        else:
-            profiles[k, 2] = subjective_profile_comp(grid, state.partner1, kind)
-            profiles[k, 3] = subjective_profile_comp(grid, state.partner2, kind)
+    profiles = np.empty(traj.best.shape[:2] + (4, len(grid)))
+    for i, task in enumerate(traj.tasks):
+        profiles[:, :, i] = objective_profile(kind, grid, task)
+    if kind.test_based:
+        subjective, used = subjective_profile_test, traj.samples
+    else:
+        subjective, used = subjective_profile_comp, traj.partners
+    for rows, run_used in zip(profiles, used):
+        rows[:, 2:] = subjective(grid, run_used, kind)
     return profiles
 
 
 def measure_generation(profiles: np.ndarray, kind: ObjectiveKind, *, grid_factor: bool = True,
                        bhatt_mode: str = "hellinger") -> np.ndarray:
-    """(dist, kld, bhatt) of P1 and of P2 for every state of a `run_profiles`
-    array: shape (..., 4, grid points) in, (..., 2, 3) out, so a whole run
-    (generations+1, 4, grid points) gives (generations+1, 2, 3).
+    """(dist, kld, bhatt) of P1 and of P2 for every generation of a
+    `run_profiles` array: shape (..., 4, grid points) in, (..., 2, 3) out, so
+    a block (runs, generations+1, 4, grid points) gives (runs, generations+1,
+    2, 3).
 
     The objective and the subjective rows are each normalized once and
     shared by kld and bhatt.

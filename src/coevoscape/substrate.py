@@ -201,12 +201,8 @@ def subjective_test(x, samples, kind: ObjectiveKind):
     value is a multiple of 1/samples.shape[-1] in [0, 1]. A scalar against a
     1-D sample gives a float; a population (pop,) against its per-individual
     rows (pop, sample) gives one fitness each; a grid against the pooled
-    samples of a generation gives its subjective profile.
-
-    Against a 1-D sample the wins are counted in one sorted pass: the number
-    of evaluators strictly below f(x) is its left insertion point among the
-    sorted f(samples). The count over the sample size is the same float the
-    mean gives.
+    samples of a generation gives its subjective profile (which
+    `landscape.subjective_profile_test` counts from one sort of the sample).
 
     Raises:
         ValueError: empty sample (nothing to evaluate against).
@@ -215,11 +211,7 @@ def subjective_test(x, samples, kind: ObjectiveKind):
     if samples.size == 0:
         raise ValueError("empty evaluator sample: evaluation is disengaged")
     fx = np.asarray(eval_objective_test(kind, x))
-    fs = eval_objective_test(kind, samples)
-    if samples.ndim == 1:
-        out = np.searchsorted(np.sort(fs), fx, side="left") / samples.size
-    else:
-        out = (fx[..., None] > fs).mean(axis=-1)
+    out = (fx[..., None] > eval_objective_test(kind, samples)).mean(axis=-1)
     return float(out) if out.ndim == 0 else out
 
 
@@ -231,8 +223,9 @@ def subjective_compositional(x, partner_best: float, kind: ObjectiveKind):
     return eval_objective_shared(kind, x, partner_best)
 
 
-def best_of(genotypes, fitnesses, task: Task) -> float:
-    """Genotype with maximal (Task.MAXIMIZE) or minimal fitness.
+def best_of(genotypes, fitnesses, task: Task):
+    """Genotype with maximal (Task.MAXIMIZE) or minimal fitness along the last
+    axis: a float for one population, one value per row for a stack of them.
 
     Ties break to the lowest index so runs stay reproducible.
     """
@@ -242,30 +235,28 @@ def best_of(genotypes, fitnesses, task: Task) -> float:
         raise ValueError("empty population has no best member")
     if genotypes.shape != fitnesses.shape:
         raise ValueError("genotypes and fitnesses must have equal length")
-    idx = int(np.argmax(fitnesses) if task is Task.MAXIMIZE else np.argmin(fitnesses))
-    return float(genotypes[idx])
+    pick = np.argmax if task is Task.MAXIMIZE else np.argmin
+    out = np.take_along_axis(genotypes, pick(fitnesses, axis=-1)[..., None], axis=-1)[..., 0]
+    return float(out) if out.ndim == 0 else out
 
 
-def draw_sample(genotypes, rows: int, size: int, rng: np.random.Generator,
+def draw_sample(n: int, rows: int, size: int, rng: np.random.Generator,
                 with_replacement: bool = False) -> np.ndarray:
     """Draw `rows` independent evaluator samples of `size` members each from
-    an opposing population's genotypes, as one (rows, size) block.
+    an opposing population of `n`, as one (rows, size) block of member
+    indices.
 
     Without replacement by default: each row is the first `size` entries of
     its own random permutation of the population, so its members are
-    distinct; requires size <= len(genotypes). With replacement, every
-    entry is an independent uniform index.
+    distinct; requires size <= n. With replacement, every entry is an
+    independent uniform index.
     """
-    genotypes = np.asarray(genotypes, dtype=float)
     if size < 1:
         raise ValueError(f"sample size must be >= 1, got {size}")
-    n = genotypes.size
     if with_replacement:
-        idx = rng.integers(0, n, (rows, size))
-    elif size > n:
+        return rng.integers(0, n, (rows, size))
+    if size > n:
         raise ValueError(
             f"cannot draw {size} distinct evaluators from a population of {n}"
         )
-    else:
-        idx = rng.permuted(np.broadcast_to(np.arange(n), (rows, n)), axis=1)[:, :size]
-    return genotypes[idx]
+    return rng.permuted(np.broadcast_to(np.arange(n), (rows, n)), axis=1)[:, :size]

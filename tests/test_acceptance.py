@@ -109,17 +109,18 @@ def test_compositional_profiles_are_exact_slices():
         config = ExperimentConfig(function=name, generations=10)
         kind = config.objective_kind()
         grid = config.grid()
-        states = run_trajectory(config, trajectory_seed(1, 0))
-        profiles = run_profiles(states, grid, kind)
-        for k, state in enumerate(states):
+        traj = run_trajectory(config, [trajectory_seed(1, 0)])
+        profiles = run_profiles(traj, grid, kind)[0]
+        partners, best = traj.partners[0], traj.best[0]
+        for k in range(config.generations + 1):
             if k > 0:
-                assert state.partner1 == states[k - 1].best2
-                assert state.partner2 == states[k - 1].best1
+                assert partners[k, 0] == best[k - 1, 1]
+                assert partners[k, 1] == best[k - 1, 0]
             _, _, sub1, sub2 = profiles[k]
             # the population's own coordinate is always the first argument
-            want1 = np.array([eval_objective_shared(kind, float(x), state.partner1)
+            want1 = np.array([eval_objective_shared(kind, float(x), partners[k, 0])
                               for x in grid])
-            want2 = np.array([eval_objective_shared(kind, float(x), state.partner2)
+            want2 = np.array([eval_objective_shared(kind, float(x), partners[k, 1])
                               for x in grid])
             mismatches += int(not np.array_equal(sub1, want1))
             mismatches += int(not np.array_equal(sub2, want2))

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -125,9 +128,9 @@ def test_landscape_matches_library_values(tmp_path):
     assert rc == 0
 
     config = ExperimentConfig.from_dict(data)
-    states = run_trajectory(config, trajectory_seed(7, 0))
+    traj = run_trajectory(config, [trajectory_seed(7, 0)])
     grid = config.grid()
-    obj1, _, sub1, sub2 = run_profiles(states, grid, kind_from_name("sinusoid"))[3]
+    obj1, _, sub1, sub2 = run_profiles(traj, grid, kind_from_name("sinusoid"))[0, 3]
     _, rows = read_rows(out / "landscape_k3.csv")
     parsed = np.array([[float(v) for v in row] for row in rows])
     # repr round-trips floats, so the file reproduces the values bit-exactly
@@ -260,6 +263,74 @@ def test_non_finite_span_rejected_at_load(tmp_path, capsys, command, section, ba
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "measures"])
+@pytest.mark.parametrize("data, wanted", [
+    pytest.param({"substrate": {"function": "smooth"},
+                  "landscape": {"grid_lo": -1e307, "grid_hi": 1e307}},
+                 "objective profile for P1 overflows on the grid", id="smooth-grid-overflows"),
+    pytest.param({"substrate": {"function": "smooth"},
+                  "evolution": {"init_interval_p1": [-1e307, 1e307]}},
+                 "init interval for P1 (-1e+307, 1e+307) gives non-finite fitness",
+                 id="smooth-init-overflows"),
+    pytest.param({"substrate": {"function": "sinusoid"},
+                  "evolution": {"init_interval_p2": [-1e307, 1e307]}},
+                 "init interval for P2 (-1e+307, 1e+307) gives non-finite fitness",
+                 id="sinusoid-init-overflows"),
+    pytest.param({"substrate": {"function": "crisp"}, "landscape": {"grid_lo": 5, "grid_hi": 10}},
+                 "objective profile for P1 is flat on the grid (5.0, 10.0)", id="crisp-flat-grid"),
+    pytest.param({"substrate": {"function": "ridge"}, "landscape": {"grid_lo": 20, "grid_hi": 30}},
+                 "objective profile for P2 is flat on the grid (20.0, 30.0)", id="ridge-flat-grid"),
+])
+def test_overflowing_or_flat_substrate_rejected_at_load(tmp_path, capsys, command, data, wanted):
+    """Values the runs would overflow on, or a grid the measures cannot
+    normalize on, fail at config load, before any run or output."""
+    cfg = write_config(tmp_path, dict(data, experiment={"runs": 3}))
+    out = tmp_path / "out"
+    rc = cli.main([command, "--config", str(cfg), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and wanted in err
+    assert not out.exists()
+
+
+def test_import_and_config_load_leave_scipy_out(tmp_path):
+    """Importing the CLI, loading a config and a `simulate` never import
+    scipy: only a batch's aggregate needs it."""
+    cfg = write_config(tmp_path, SMOOTH_SMALL)
+    code = "\n".join([
+        "import sys",
+        "import coevoscape.cli",
+        "from coevoscape.experiment import ExperimentConfig",
+        "ExperimentConfig.from_file(sys.argv[1])",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        "assert coevoscape.cli.main(['simulate', '--config', sys.argv[1], '--out', sys.argv[2],",
+        "                            '--generations', '0,5']) == 0",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+    ])
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code, str(cfg), str(tmp_path / "sim")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "[]"]
+
+
+def test_simulate_reproduces_run_zero_of_a_batch(tmp_path):
+    """`simulate --seed S` writes run 0's snapshots of `measures --seed S`,
+    here a batch of two blocks."""
+    data = dict(SMOOTH_SMALL, experiment={"runs": 12, "snapshots": True})
+    cfg = write_config(tmp_path, data)
+    batch, single = tmp_path / "batch", tmp_path / "single"
+    assert cli.main(["measures", "--config", str(cfg), "--out", str(batch), "--seed", "21"]) == 0
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(single), "--seed", "21",
+                     "--generations", ",".join(str(k) for k in range(11))]) == 0
+    for k in range(11):
+        name = f"landscape_k{k}.csv"
+        assert ((single / "snapshots" / name).read_bytes()
+                == (batch / "snapshots" / "run_000" / name).read_bytes())
+
+
 def test_invalid_config_key_reports_error(tmp_path, capsys):
     cfg = write_config(tmp_path, {"substrate": {"flavor": "smooth"}})
     rc = cli.main(["measures", "--config", str(cfg), "--out", str(tmp_path / "x")])
@@ -364,8 +435,8 @@ def test_measures_snapshot_files_match_per_value_text(tmp_path, function, fmt):
     header = cli.SNAPSHOT_HEADER
     expected = {}
     for r in range(3):
-        states = run_trajectory(config, trajectory_seed(8, r))
-        profiles = run_profiles(states, grid, config.objective_kind())
+        traj = run_trajectory(config, [trajectory_seed(8, r)])
+        profiles = run_profiles(traj, grid, config.objective_kind())[0]
         for k in range(config.generations + 1):
             obj1, _, sub1, sub2 = profiles[k]
             rows = list(zip(grid, obj1, sub1, sub2))

@@ -5,290 +5,301 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from coevoscape.evolution import (
-    CoevoState,
-    Population,
-    bootstrap_state,
-    evaluate_test,
-    init_population,
-    mutate,
-    run_trajectory,
-    step_generation,
-    tournament_select,
-)
+from coevoscape.evolution import run_trajectory
 from coevoscape.experiment import ExperimentConfig
 from coevoscape.substrate import (
-    CrispLinear,
     Ridge,
     Sinusoid,
     SmoothUnimodalPair,
     Task,
+    best_of,
+    draw_sample,
     eval_objective_shared,
     subjective_test,
 )
 
-CRISP = CrispLinear()
 SMOOTH = SmoothUnimodalPair()
 RIDGE8 = Ridge(8.0)
 SIN = Sinusoid()
 
 
-def _pop(genotypes, task=Task.MAXIMIZE, fitnesses=None, label="P1"):
-    g = np.asarray(genotypes, dtype=float)
-    f = None if fitnesses is None else np.asarray(fitnesses, dtype=float)
-    return Population(genotypes=g, task=task, label=label, fitnesses=f)
-
-
 def test_init_population_within_interval():
-    config = ExperimentConfig(pop_size=24, init_interval_p1=(0.0, 1.0))
-    pop = init_population(config, Task.MAXIMIZE, np.random.default_rng(0))
-    assert len(pop) == 24
-    assert np.all((pop.genotypes >= 0.0) & (pop.genotypes <= 1.0))
-    assert not pop.evaluated
+    config = ExperimentConfig(pop_size=24, init_interval_p1=(0.0, 1.0), generations=0)
+    genotypes = run_trajectory(config, [0]).genotypes[0, 0, 0]
+    assert genotypes.shape == (24,)
+    assert np.all((genotypes >= 0.0) & (genotypes <= 1.0))
 
 
 def test_init_population_nearly_degenerate_interval():
     eps = 1e-9
-    config = ExperimentConfig(pop_size=1, init_interval_p2=(0.5, 0.5 + eps))
-    pop = init_population(config, Task.MAXIMIZE, np.random.default_rng(0), "P2")
-    assert abs(pop.genotypes[0] - 0.5) <= eps
+    config = ExperimentConfig(pop_size=1, sample_size=1, generations=0,
+                              init_interval_p2=(0.5, 0.5 + eps))
+    assert abs(run_trajectory(config, [0]).genotypes[0, 0, 1, 0] - 0.5) <= eps
 
 
 def test_init_population_deterministic():
-    config = ExperimentConfig()
-    a = init_population(config, Task.MAXIMIZE, np.random.default_rng(99))
-    b = init_population(config, Task.MAXIMIZE, np.random.default_rng(99))
+    config = ExperimentConfig(generations=0)
+    a = run_trajectory(config, [99])
+    b = run_trajectory(config, [99])
     assert np.array_equal(a.genotypes, b.genotypes)
 
 
 def test_evaluate_test_forced_full_sample():
     # sample_size equal to the opponent size forces the sample to be the
-    # whole opponent population, making the fitness hand-checkable
-    config = ExperimentConfig(pop_size=1, sample_size=3)
-    pop = _pop([0.8])
-    opponent = _pop([0.1, 0.5, 0.9], label="P2")
-    evaluated, samples = evaluate_test(pop, opponent, config, CRISP,
-                                       np.random.default_rng(0))
-    assert evaluated.fitnesses[0] == pytest.approx(2.0 / 3.0)
-    assert samples.shape == (1, 3)
-    assert sorted(samples[0].tolist()) == [0.1, 0.5, 0.9]
+    # whole opponent population, making the fitness hand-checkable: crisp
+    # is f(x) = x on the unit interval
+    config = ExperimentConfig(function="crisp", pop_size=3, sample_size=3, generations=0,
+                              init_interval_p1=(0.0, 1.0), init_interval_p2=(0.0, 1.0))
+    traj = run_trajectory(config, [0])
+    assert traj.samples.shape == (1, 1, 2, 3, 3)
+    opponents = traj.genotypes[0, 0, 1]
+    for x, sample, fitness in zip(traj.genotypes[0, 0, 0], traj.samples[0, 0, 0],
+                                  traj.fitnesses[0, 0, 0]):
+        assert sorted(sample.tolist()) == sorted(opponents.tolist())
+        assert fitness == np.count_nonzero(x > opponents) / 3
+
+
+def _crisp_fitnesses(init_p1):
+    """P1's generation-0 fitnesses against opponents that all sit on crisp's
+    flat 0.5 level."""
+    config = ExperimentConfig(function="crisp", pop_size=2, sample_size=2, generations=0,
+                              init_interval_p1=init_p1, init_interval_p2=(-2.0, -1.0))
+    return run_trajectory(config, [1]).fitnesses[0, 0, 0].tolist()
 
 
 def test_evaluate_test_extremes():
-    config = ExperimentConfig(pop_size=2, sample_size=3)
-    pop = _pop([0.9, 0.0])
-    opponent = _pop([0.0, 0.0, 0.0], label="P2")
-    evaluated, _ = evaluate_test(pop, opponent, config, CRISP,
-                                 np.random.default_rng(1))
-    # beats every opponent at the global minimum
-    assert evaluated.fitnesses[0] == 1.0
+    # beats every opponent
+    assert _crisp_fitnesses((0.9, 0.95)) == [1.0, 1.0]
     # identical objective value everywhere scores zero under strict inequality
-    assert evaluated.fitnesses[1] == 0.0
+    assert _crisp_fitnesses((2.0, 3.0)) == [0.0, 0.0]
 
 
 def test_evaluate_test_rejects_oversized_sample():
-    config = ExperimentConfig(pop_size=2, sample_size=4)
-    pop = _pop([0.1, 0.2])
-    opponent = _pop([0.3, 0.4, 0.5], label="P2")
     with pytest.raises(ValueError):
-        evaluate_test(pop, opponent, config, CRISP, np.random.default_rng(0))
+        run_trajectory(ExperimentConfig(pop_size=2, sample_size=4), [0])
+    with pytest.raises(ValueError):
+        draw_sample(3, 2, 4, np.random.default_rng(0))
 
 
-def _compositional_step(genotype, opponent, kind):
-    """Fitness and partner of a one-member P1 holding `genotype` after one
-    generation step against the evaluated P2 `opponent`. With one member and
-    no mutation, selection leaves the genotype as it is."""
-    own = _pop([genotype], fitnesses=[0.0])
-    state = CoevoState(pop1=own, pop2=opponent, generation=1,
-                       best1=genotype, best2=opponent.best())
-    nxt = step_generation(state, ExperimentConfig(mutation_prob=0.0), kind,
-                          np.random.default_rng(0))
-    assert nxt.pop1.genotypes[0] == genotype
-    return nxt.pop1.fitnesses[0], nxt.partner1
+def _compositional_step(init_p1, init_p2, function):
+    """Fitness and partner of a one-member P1 at generation 1, against a
+    one-member P2. With one member and no mutation, selection leaves the
+    genotype as it is, and P2's only member is its best."""
+    config = ExperimentConfig(function=function, pop_size=1, sample_size=1,
+                              mutation_prob=0.0, generations=1,
+                              init_interval_p1=init_p1, init_interval_p2=init_p2)
+    traj = run_trajectory(config, [0])
+    assert traj.genotypes[0, 1, 0, 0] == traj.genotypes[0, 0, 0, 0]
+    assert traj.partners[0, 1, 0] == traj.best[0, 0, 1] == traj.genotypes[0, 0, 1, 0]
+    return traj.fitnesses[0, 1, 0, 0], traj.partners[0, 1, 0]
 
 
 def test_evaluate_compositional_examples():
-    opponent = _pop([8.0, 1.0], Task.MAXIMIZE, fitnesses=[16.0, 2.0], label="P2")
-    assert _compositional_step(8.0, opponent, RIDGE8) == (16.0, 8.0)
-
-    opponent = _pop([2.0, 7.0], Task.MINIMIZE, fitnesses=[1.0, 9.0], label="P2")
-    assert _compositional_step(4.0, opponent, RIDGE8) == (8.0, 2.0)
+    # intervals just inside the ridge square, around the hand-checked points
+    near = lambda v: (v - 1e-9, v)  # noqa: E731
+    assert _compositional_step(near(8.0), near(8.0), "ridge") == pytest.approx((16.0, 8.0))
+    assert _compositional_step(near(4.0), near(2.0), "ridge") == pytest.approx((8.0, 2.0))
 
 
 def test_evaluate_compositional_sinusoid_zero():
-    opponent = _pop([1.3], fitnesses=[0.5], label="P2")
-    fitness, _ = _compositional_step(-1.3, opponent, SIN)
-    assert fitness == 0.0
+    fitness, _ = _compositional_step((-1.3, -1.3 + 1e-12), (1.3, 1.3 + 1e-12), "sinusoid")
+    assert fitness == pytest.approx(0.0, abs=1e-11)
 
 
 def test_evaluate_compositional_requires_evaluated_opponent():
     # the opponent's best member, which compositional scoring uses, needs fitnesses
     with pytest.raises(ValueError):
-        _pop([2.0], label="P2").best()
+        best_of([2.0], [], Task.MAXIMIZE)
 
 
 def test_tournament_uniform_when_fitness_flat():
-    config = ExperimentConfig(pop_size=6)
-    pop = _pop(np.arange(6.0), fitnesses=np.ones(6))
-    out = tournament_select(pop, config, np.random.default_rng(2))
+    # every member of both populations sits on crisp's flat level: fitness 0
+    config = ExperimentConfig(function="crisp", pop_size=6, sample_size=6, mutation_prob=0.0,
+                              generations=1, init_interval_p1=(2.0, 3.0),
+                              init_interval_p2=(2.0, 3.0))
+    traj = run_trajectory(config, [2])
+    assert np.all(traj.fitnesses[0, 0] == 0.0)
+    out = traj.genotypes[0, 1, 0]
     assert out.shape == (6,)
-    assert set(out.tolist()) <= set(pop.genotypes.tolist())
+    assert set(out.tolist()) <= set(traj.genotypes[0, 0, 0].tolist())
 
 
 def test_tournament_win_rate_size_two():
     """With two individuals the better one fills 3/4 of the slots: it wins
     unless never drawn, and P(drawn at least once in two draws) = 3/4."""
-    config = ExperimentConfig(pop_size=2, tournament_size=2)
-    rng = np.random.default_rng(17)
-    wins = 0
-    slots = 0
-    pop_max = _pop([10.0, 20.0], Task.MAXIMIZE, fitnesses=[0.0, 1.0])
-    for _ in range(5000):
-        out = tournament_select(pop_max, config, rng)
-        wins += int(np.sum(out == 20.0))
-        slots += 2
-    assert abs(wins / slots - 0.75) < 0.02
+    config = ExperimentConfig(function="ridge", pop_size=2, sample_size=1, tournament_size=2,
+                              mutation_prob=0.0, generations=1)
+    traj = run_trajectory(config, range(4000))
+    fitnesses = traj.fitnesses[:, 0, 0]
+    distinct = fitnesses[:, 0] != fitnesses[:, 1]
+    better = traj.best[distinct, 0, 0]
+    slots = traj.genotypes[distinct, 1, 0]
+    assert distinct.sum() > 3900
+    assert abs(np.mean(slots == better[:, None]) - 0.75) < 0.02
+
+
+def _replayed_contests(config, seed):
+    """P1's generation-1 tournaments of a compositional run, drawn from the
+    run's generator in the engine's documented order."""
+    rng = np.random.default_rng(seed)
+    for population in ("P1", "P2"):
+        rng.uniform(*config.init_interval(population), config.pop_size)
+    for _ in range(2):  # generation-0 partners
+        rng.integers(0, config.pop_size)
+    return rng.integers(0, config.pop_size, size=(config.pop_size, config.tournament_size))
 
 
 def test_tournament_minimize_mirrors_maximize():
-    config = ExperimentConfig(pop_size=2, tournament_size=2)
-    pop_min = _pop([10.0, 20.0], Task.MINIMIZE, fitnesses=[0.0, 1.0])
-    pop_max = _pop([10.0, 20.0], Task.MAXIMIZE, fitnesses=[1.0, 0.0])
-    a = tournament_select(pop_min, config, np.random.default_rng(3))
-    b = tournament_select(pop_max, config, np.random.default_rng(3))
-    assert np.array_equal(a, b)
+    children = {}
+    for task in ("minimize", "maximize"):
+        config = ExperimentConfig(function="ridge", pop_size=6, sample_size=1,
+                                  tournament_size=3, mutation_prob=0.0, generations=1,
+                                  task_p1=task)
+        traj = run_trajectory(config, [3])
+        contests = _replayed_contests(config, 3)
+        genotypes = traj.genotypes[0, 0, 0][contests]
+        fitnesses = traj.fitnesses[0, 0, 0][contests]
+        children[task] = traj.genotypes[0, 1, 0]
+    # both runs share generation 0; minimizing f picks what maximizing -f picks
+    assert np.array_equal(children["minimize"], best_of(genotypes, -fitnesses, Task.MAXIMIZE))
+    assert np.array_equal(children["maximize"], best_of(genotypes, fitnesses, Task.MAXIMIZE))
 
 
 def test_selection_raises_mean_fitness():
     """Post-selection mean fitness should not fall below the pre-selection
-    mean (one-sided check at 3 standard errors over 1000 repetitions)."""
-    config = ExperimentConfig(pop_size=24)
-    rng = np.random.default_rng(29)
-    fitnesses = rng.uniform(size=24)
-    pop = _pop(np.arange(24.0), fitnesses=fitnesses)
-    diffs = np.empty(1000)
-    for i in range(1000):
-        selected = tournament_select(pop, config, rng)
-        diffs[i] = fitnesses[selected.astype(int)].mean() - fitnesses.mean()
+    mean (one-sided check at 3 standard errors over 1000 runs)."""
+    config = ExperimentConfig(function="ridge", task_p1="maximize", pop_size=24,
+                              mutation_prob=0.0, generations=1)
+    traj = run_trajectory(config, range(1000))
+    parents, children = traj.genotypes[:, 0, 0], traj.genotypes[:, 1, 0]
+    fitnesses = traj.fitnesses[:, 0, 0]
+    chosen = np.argmax(children[:, :, None] == parents[:, None, :], axis=-1)
+    diffs = (np.take_along_axis(fitnesses, chosen, axis=-1).mean(axis=-1)
+             - fitnesses.mean(axis=-1))
     stderr = diffs.std(ddof=1) / np.sqrt(diffs.size)
     assert diffs.mean() >= -3.0 * stderr
     assert diffs.mean() > 0.0
 
 
+def _one_member(mutation_prob, mutation_sigma=0.1, runs=1, generations=1):
+    """Genotypes of a one-member P1: selection keeps it, so generation k+1
+    differs from generation k by mutation only. Shape (runs, generations+1)."""
+    config = ExperimentConfig(pop_size=1, sample_size=1, mutation_prob=mutation_prob,
+                              mutation_sigma=mutation_sigma, generations=generations)
+    return run_trajectory(config, range(runs)).genotypes[:, :, 0, 0]
+
+
 def test_mutate_prob_zero_is_identity():
-    config = ExperimentConfig(mutation_prob=0.0)
-    g = np.random.default_rng(4).normal(size=50)
-    out = mutate(g, config, np.random.default_rng(5))
-    assert np.array_equal(out, g)
+    g = _one_member(0.0, runs=50)
+    assert np.array_equal(g[:, 1], g[:, 0])
 
 
 def test_mutate_tiny_sigma_close_to_identity():
-    config = ExperimentConfig(mutation_prob=1.0, mutation_sigma=1e-12)
-    g = np.random.default_rng(4).normal(size=50)
-    out = mutate(g, config, np.random.default_rng(5))
-    assert np.allclose(out, g, atol=1e-10)
+    g = _one_member(1.0, mutation_sigma=1e-12, runs=50)
+    assert np.allclose(g[:, 1], g[:, 0], atol=1e-10)
 
 
 def test_mutate_untouched_genes_pass_through_bit_exact():
-    config = ExperimentConfig(mutation_prob=0.5)
-    g = np.random.default_rng(6).normal(size=1000)
-    out = mutate(g, config, np.random.default_rng(7))
-    changed = out != g
+    g = _one_member(0.5, runs=1000)
+    changed = g[:, 1] != g[:, 0]
     assert 350 < changed.sum() < 650
-    assert np.array_equal(out[~changed], g[~changed])
+    assert np.array_equal(g[~changed, 1], g[~changed, 0])
 
 
 def test_mutate_gaussian_moments():
-    config = ExperimentConfig(mutation_prob=1.0, mutation_sigma=0.1)
-    n = 100_000
-    g = np.zeros(n)
-    out = mutate(g, config, np.random.default_rng(8))
-    assert abs(out.mean()) <= 3.0 * 0.1 / np.sqrt(n)
-    assert abs(out.std(ddof=1) - 0.1) < 0.005
-
-
-def _competitive_config(**kw):
-    return ExperimentConfig(**kw)
+    steps = np.diff(_one_member(1.0, runs=5, generations=2000), axis=1).ravel()
+    n = steps.size
+    assert abs(steps.mean()) <= 3.0 * 0.1 / np.sqrt(n)
+    assert abs(steps.std(ddof=1) - 0.1) < 0.005
 
 
 def test_step_generation_increments_and_keeps_size():
-    cfg = _competitive_config()
-    rng = np.random.default_rng(9)
-    state = bootstrap_state(cfg, SMOOTH, rng)
-    nxt = step_generation(state, cfg, SMOOTH, rng)
-    assert nxt.generation == state.generation + 1
-    assert len(nxt.pop1) == len(state.pop1) == 24
-    assert len(nxt.pop2) == len(state.pop2) == 24
-    assert nxt.samples1.shape == (24, 12)
+    traj = run_trajectory(ExperimentConfig(generations=1), [9])
+    assert traj.genotypes.shape == traj.fitnesses.shape == (1, 2, 2, 24)
+    assert traj.best.shape == (1, 2, 2)
+    assert traj.samples.shape == (1, 2, 2, 24, 12)
+    assert traj.partners is None
 
 
 def test_fitness_recomputable_from_logged_samples():
     """Causality: every stored test-based fitness equals a recomputation
     from the genotype and its logged evaluator sample."""
-    cfg = _competitive_config(generations=5)
-    states = run_trajectory(cfg, 123)
-    for state in states:
-        for pop, samples in ((state.pop1, state.samples1), (state.pop2, state.samples2)):
-            for i, x in enumerate(pop.genotypes):
-                assert pop.fitnesses[i] == subjective_test(float(x), samples[i], SMOOTH)
+    traj = run_trajectory(ExperimentConfig(generations=5), [123])
+    for index in np.ndindex(traj.fitnesses.shape):
+        x = float(traj.genotypes[index])
+        assert traj.fitnesses[index] == subjective_test(x, traj.samples[index], SMOOTH)
 
 
 def test_compositional_fitness_is_slice_at_opponent_best():
-    cfg = _competitive_config(function="ridge", generations=6)
-    states = run_trajectory(cfg, 31)
-    for prev, cur in zip(states, states[1:]):
-        assert cur.partner1 == prev.pop2.best()
-        assert cur.partner2 == prev.pop1.best()
-        for pop, partner in ((cur.pop1, cur.partner1), (cur.pop2, cur.partner2)):
-            expect = eval_objective_shared(RIDGE8, pop.genotypes, partner)
-            assert np.array_equal(pop.fitnesses, expect)
+    traj = run_trajectory(ExperimentConfig(function="ridge", generations=6), [31])
+    for k in range(1, 7):
+        for i, task in enumerate(traj.tasks):
+            assert traj.best[0, k - 1, i] == best_of(traj.genotypes[0, k - 1, i],
+                                                     traj.fitnesses[0, k - 1, i], task)
+        assert traj.partners[0, k, 0] == traj.best[0, k - 1, 1]
+        assert traj.partners[0, k, 1] == traj.best[0, k - 1, 0]
+        for i in range(2):
+            expect = eval_objective_shared(RIDGE8, traj.genotypes[0, k, i],
+                                           traj.partners[0, k, i])
+            assert np.array_equal(traj.fitnesses[0, k, i], expect)
 
 
 def test_bootstrap_compositional_partner_comes_from_opponent():
-    cfg = _competitive_config(function="sinusoid")
-    rng = np.random.default_rng(12)
-    state = bootstrap_state(cfg, SIN, rng)
-    assert state.partner1 in state.pop2.genotypes
-    assert state.partner2 in state.pop1.genotypes
-    expect = eval_objective_shared(SIN, state.pop1.genotypes, state.partner1)
-    assert np.array_equal(state.pop1.fitnesses, expect)
+    traj = run_trajectory(ExperimentConfig(function="sinusoid", generations=0), [12])
+    assert traj.partners[0, 0, 0] in traj.genotypes[0, 0, 1]
+    assert traj.partners[0, 0, 1] in traj.genotypes[0, 0, 0]
+    expect = eval_objective_shared(SIN, traj.genotypes[0, 0, 0], traj.partners[0, 0, 0])
+    assert np.array_equal(traj.fitnesses[0, 0, 0], expect)
 
 
 def test_run_trajectory_lengths():
-    assert len(run_trajectory(_competitive_config(generations=0), 1)) == 1
-    assert len(run_trajectory(_competitive_config(generations=10), 1)) == 11
+    assert run_trajectory(ExperimentConfig(generations=0), [1]).genotypes.shape[1] == 1
+    assert run_trajectory(ExperimentConfig(generations=10), [1]).genotypes.shape[1] == 11
 
 
 def test_run_trajectory_deterministic():
-    cfg = _competitive_config(generations=4)
-    a = run_trajectory(cfg, 77)
-    b = run_trajectory(cfg, 77)
-    for sa, sb in zip(a, b):
-        assert np.array_equal(sa.pop1.genotypes, sb.pop1.genotypes)
-        assert np.array_equal(sa.pop2.fitnesses, sb.pop2.fitnesses)
-        assert np.array_equal(sa.samples1, sb.samples1)
-        assert sa.best1 == sb.best1 and sa.best2 == sb.best2
+    cfg = ExperimentConfig(generations=4)
+    a = run_trajectory(cfg, [77])
+    b = run_trajectory(cfg, [77])
+    assert np.array_equal(a.genotypes, b.genotypes)
+    assert np.array_equal(a.fitnesses, b.fitnesses)
+    assert np.array_equal(a.samples, b.samples)
+    assert np.array_equal(a.best, b.best)
+
+
+@pytest.mark.parametrize("function", ["crisp", "smooth", "ridge", "sinusoid"])
+@pytest.mark.parametrize("with_replacement", [False, True])
+def test_block_equals_one_run_blocks(function, with_replacement):
+    """A run's arrays do not depend on the block it is advanced in."""
+    cfg = ExperimentConfig(function=function, generations=4,
+                           sample_with_replacement=with_replacement)
+    seeds = [np.random.SeedSequence(5, spawn_key=(r,)) for r in range(7)]
+    block = run_trajectory(cfg, seeds)
+    for r, seed in enumerate(seeds):
+        one = run_trajectory(cfg, [seed])
+        for name in ("genotypes", "fitnesses", "best", "samples", "partners"):
+            whole, alone = getattr(block, name), getattr(one, name)
+            assert (whole is None) == (alone is None)
+            if whole is not None:
+                assert np.array_equal(whole[r], alone[0])
 
 
 def test_run_trajectory_rejects_bad_config_before_running():
-    cfg = _competitive_config(sample_size=30)
+    cfg = ExperimentConfig(sample_size=30)
     with pytest.raises(ValueError):
-        run_trajectory(cfg, 1)
+        run_trajectory(cfg, [1])
 
 
 @pytest.mark.parametrize("function", ["smooth", "sinusoid"])
 def test_run_trajectory_raises_on_overflow(function):
-    cfg = _competitive_config(function=function, mutation_sigma=1e300, generations=3)
+    cfg = ExperimentConfig(function=function, mutation_sigma=1e300, generations=3)
     with pytest.raises(FloatingPointError, match="overflow"):
-        run_trajectory(cfg, 1)
+        run_trajectory(cfg, [1])
 
 
 def test_genotypes_are_never_clipped():
     # a large mutation step must be able to carry genotypes far outside the
     # initialization interval
-    cfg = _competitive_config(mutation_sigma=5.0, generations=5)
-    states = run_trajectory(cfg, 13)
-    all_g = np.concatenate([s.pop1.genotypes for s in states]
-                           + [s.pop2.genotypes for s in states])
-    assert np.any(np.abs(all_g) > 3.0)
-    assert np.all(np.isfinite(all_g))
+    traj = run_trajectory(ExperimentConfig(mutation_sigma=5.0, generations=5), [13])
+    assert np.any(np.abs(traj.genotypes) > 3.0)
+    assert np.all(np.isfinite(traj.genotypes))

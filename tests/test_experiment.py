@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import json
 import math
-import multiprocessing
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -112,7 +112,7 @@ def _interval(lo=st.floats(-100.0, 100.0)):
 def valid_configs(draw):
     pop_size = draw(st.integers(1, 50))
     grid = draw(st.one_of(st.just((None, None)), _interval()))
-    return ExperimentConfig(
+    config = ExperimentConfig(
         function=draw(st.sampled_from(["crisp", "smooth", "ridge", "sinusoid"])),
         ridge_n=draw(st.floats(0.5, 20.0)),
         pop_size=pop_size,
@@ -135,6 +135,14 @@ def valid_configs(draw):
         master_seed=draw(st.integers(0, 2**63)),
         snapshots=draw(st.booleans()),
     )
+    try:
+        config.validate()
+    except ConfigError:
+        # the drawn grid is too coarse or sits on a flat stretch of the
+        # substrate: every function varies on its default grid of 5+ points
+        config = replace(config, grid_lo=None, grid_hi=None,
+                         grid_points=max(config.grid_points, 5))
+    return config
 
 
 # field annotation -> values of the wrong type, as a JSON file could hold them
@@ -277,9 +285,9 @@ def test_run_batch_single_run_has_zero_width_ci():
         assert lo == mean == hi
 
     # the batch mean of one run is that run's measures
-    states = run_trajectory(cfg, trajectory_seed(cfg.master_seed, 0))
+    traj = run_trajectory(cfg, [trajectory_seed(cfg.master_seed, 0)])
     kind = cfg.objective_kind()
-    profiles = run_profiles(states, cfg.grid(), kind)
+    profiles = run_profiles(traj, cfg.grid(), kind)[0]
     t1, _ = measure_generation(profiles[2], kind)
     assert series.mean[2, 0, 0] == t1[0]
     assert series.mean[2, 0, 2] == t1[2]
@@ -295,12 +303,39 @@ def test_run_batch_deterministic():
     assert np.array_equal(a.ci_lo, b.ci_lo)
 
 
-def test_run_batch_workers_do_not_change_results():
+def test_run_batch_blocks_do_not_change_results():
     cfg = ExperimentConfig(runs=6, generations=2)
-    serial = run_batch(cfg, workers=1)
-    parallel = run_batch(cfg, workers=3)
-    assert np.array_equal(serial.mean, parallel.mean)
-    assert np.array_equal(serial.ci_hi, parallel.ci_hi)
+    default = run_batch(cfg)
+    for size in (1, 4):
+        with mock.patch.object(experiment, "_block_runs", lambda config: size):
+            assert np.array_equal(run_batch(cfg).values, default.values)
+
+
+def test_block_size_at_the_defaults():
+    # about 1 MiB of profiles per block: 9 runs of 11 x 4 x 301 float64 values
+    assert experiment._block_runs(ExperimentConfig()) == 9
+    assert experiment._block_runs(ExperimentConfig(generations=10_000)) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(function=st.sampled_from(["crisp", "smooth", "ridge", "sinusoid"]),
+       with_replacement=st.booleans(), runs=st.integers(1, 20),
+       generations=st.integers(0, 3), block=st.none() | st.integers(1, 8),
+       master_seed=st.integers(0, 2**32 - 1))
+def test_run_batch_blocks_move_no_number(function, with_replacement, runs, generations,
+                                         block, master_seed):
+    """Run r's measures equal its one-run pipeline bit for bit, whatever the
+    blocks (None: the derived size, else a forced one)."""
+    cfg = ExperimentConfig(function=function, sample_with_replacement=with_replacement,
+                           runs=runs, generations=generations, master_seed=master_seed)
+    size = experiment._block_runs(cfg) if block is None else block
+    with mock.patch.object(experiment, "_block_runs", lambda config: size):
+        series = run_batch(cfg)
+    kind = cfg.objective_kind()
+    for r in range(runs):
+        traj = run_trajectory(cfg, [trajectory_seed(master_seed, r)])
+        alone = measure_generation(run_profiles(traj, cfg.grid(), kind), kind)
+        assert np.array_equal(series.values[r], alone[0])
 
 
 def test_run_batch_per_run_hook_sees_runs_in_order():
@@ -316,73 +351,31 @@ def test_run_batch_hook_gets_the_measured_profiles():
     series = run_batch(cfg, per_run=lambda r, profiles: seen.setdefault(r, profiles))
     kind = cfg.objective_kind()
     for r, profiles in seen.items():
-        states = run_trajectory(cfg, trajectory_seed(cfg.master_seed, r))
-        assert profiles.shape == (len(states), 4, cfg.grid_points)
-        assert np.array_equal(profiles, run_profiles(states, cfg.grid(), kind))
-        for k in range(len(states)):
+        traj = run_trajectory(cfg, [trajectory_seed(cfg.master_seed, r)])
+        assert profiles.shape == (cfg.generations + 1, 4, cfg.grid_points)
+        assert np.array_equal(profiles, run_profiles(traj, cfg.grid(), kind)[0])
+        for k in range(cfg.generations + 1):
             t1, t2 = measure_generation(profiles[k], kind)
             assert series.values[r, k, 0, 0] == t1[0]
             assert series.values[r, k, 1, 2] == t2[2]
 
 
-@pytest.mark.parametrize("workers", [0, -2, 1.5])
-def test_run_batch_rejects_bad_worker_counts(workers):
-    with pytest.raises(ValueError, match="workers must be an integer >= 1"):
-        run_batch(ExperimentConfig(runs=2, generations=1), workers=workers)
-
-
-def test_run_batch_starts_at_most_one_worker_per_run(monkeypatch):
-    sizes = []
-    chunks = []
-
-    class RecordingPool:
-        """Stands in for ProcessPoolExecutor: records max_workers and the
-        chunk size, runs in process."""
-
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, iterable, chunksize=1):
-            chunks.append(chunksize)
-            return map(fn, iterable)
-
-    monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
-    cfg = ExperimentConfig(runs=3, generations=1)
-    serial = run_batch(cfg)
-    run_batch(cfg, workers=64)
-    capped = run_batch(cfg, workers=2)
-    assert sizes == [3, 2]
-    # one chunk of runs per worker: ceil(runs / workers)
-    assert chunks == [1, 2]
-    assert np.array_equal(serial.values, capped.values)
-
-
-FORK_ONLY = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                               reason="pool workers see the patched module only when forked")
-
-
-@pytest.mark.parametrize("workers, failing", [
-    pytest.param(1, 2, id="1"),
-    pytest.param(2, 2, id="2", marks=FORK_ONLY),
-    # runs 2 and 3 share the second pool task; the failure must name run 3
-    pytest.param(2, 3, id="2-second-of-chunk", marks=FORK_ONLY),
+@pytest.mark.parametrize("runs, failing", [
+    pytest.param(4, 2, id="1"),
+    # 9 runs to a block at the defaults: run 10 is in the second block
+    pytest.param(12, 10, id="second-block"),
 ])
-def test_run_batch_names_failing_run_and_seed(monkeypatch, workers, failing):
-    def fail_one_run(config, seed):
-        if seed.spawn_key == (failing,):
+def test_run_batch_names_failing_run_and_seed(monkeypatch, runs, failing):
+    def fail_one_run(config, seeds):
+        if any(seed.spawn_key == (failing,) for seed in seeds):
             raise ValueError("boom")
-        return run_trajectory(config, seed)
+        return run_trajectory(config, seeds)
 
     monkeypatch.setattr(experiment, "run_trajectory", fail_one_run)
+    cfg = ExperimentConfig(runs=runs)
     expected = f"run {failing} failed (seed = SeedSequence(1, spawn_key=({failing},))): boom"
     with pytest.raises(RuntimeError, match=re.escape(expected)):
-        run_batch(ExperimentConfig(runs=4, generations=1), workers=workers)
+        run_batch(cfg)
 
 
 def test_run_batch_names_run_whose_hook_fails():

@@ -146,6 +146,17 @@ def test_subjective_profile_equals_grid_pop_sample_tensor(grid, samples):
     assert np.array_equal(subjective_profile_test(grid, samples, CRISP), reference)
 
 
+@given(arrays(float, st.integers(1, 30), elements=TIED_GENOTYPES),
+       arrays(float, st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 6),
+                               st.integers(1, 6)), elements=TIED_GENOTYPES))
+def test_subjective_profile_stack_equals_per_generation_calls(grid, samples):
+    """A stack of generations' samples gives each generation's own profile."""
+    stacked = subjective_profile_test(grid, samples, CRISP)
+    assert stacked.shape == samples.shape[:2] + grid.shape
+    for index in np.ndindex(samples.shape[:2]):
+        assert np.array_equal(stacked[index], subjective_profile_test(grid, samples[index], CRISP))
+
+
 def test_subjective_profile_comp_is_bit_exact_slice():
     grid = make_grid(-2.0, 10.0, 301)
     prof = subjective_profile_comp(grid, 8.0, RIDGE8)
@@ -265,41 +276,36 @@ def test_bhatt_verbatim_mode():
         bhatt(a, b, mode="euclid")
 
 
-def _measures(state, cfg):
+def _measures(traj, cfg):
+    """(P1, P2) measures of every generation of the block's first run."""
     kind = cfg.objective_kind()
-    return measure_generation(run_profiles([state], cfg.grid(), kind)[0], kind)
+    return measure_generation(run_profiles(traj, cfg.grid(), kind), kind)[0]
 
 
 def test_measure_generation_zero_dist_at_reference_partner():
     cfg = ExperimentConfig(function="ridge", generations=0)
-    states = run_trajectory(cfg, 55)
-    state = states[0]
+    traj = run_trajectory(cfg, [55])
     # force the recorded representative onto the task-matched optimum slice
-    state.partner2 = 8.0  # P2 maximizes; its reference slice is y* = n
-    t1, t2 = _measures(state, cfg)
+    traj.partners[0, 0, 1] = 8.0  # P2 maximizes; its reference slice is y* = n
+    t1, t2 = _measures(traj, cfg)[0]
     assert t2.tolist() == [0.0, 0.0, 0.0]
     assert t1[0] > 0.0
 
 
 def test_measure_generation_symmetric_state():
     cfg = ExperimentConfig(task_p1="maximize", task_p2="maximize", generations=2)
-    states = run_trajectory(cfg, 66)
-    state = states[-1]
-    mirrored = type(state)(
-        pop1=state.pop1, pop2=state.pop1, generation=state.generation,
-        best1=state.best1, best2=state.best1,
-        samples1=state.samples1, samples2=state.samples1,
-    )
-    t1, t2 = _measures(mirrored, cfg)
+    traj = run_trajectory(cfg, [66])
+    # mirror P1's retained samples onto P2
+    traj.samples[:, :, 1] = traj.samples[:, :, 0]
+    t1, t2 = _measures(traj, cfg)[-1]
     assert np.array_equal(t1, t2)
 
 
 def test_measure_generation_all_finite_in_range():
     for fn in ("crisp", "smooth", "ridge", "sinusoid"):
         cfg = ExperimentConfig(function=fn, generations=3)
-        states = run_trajectory(cfg, 77)
-        for state in states:
-            for d, k, b in _measures(state, cfg):
+        for generation in _measures(run_trajectory(cfg, [77]), cfg):
+            for d, k, b in generation:
                 assert 0.0 <= d <= 1.0
                 assert k >= 0.0 and np.isfinite(k)
                 assert 0.0 <= b <= 1.0
@@ -307,27 +313,31 @@ def test_measure_generation_all_finite_in_range():
 
 def test_run_profiles_shapes_and_slice():
     cfg = ExperimentConfig(function="sinusoid", generations=2)
-    states = run_trajectory(cfg, 88)
+    traj = run_trajectory(cfg, [88, 89])
     grid = cfg.grid()
-    profiles = run_profiles(states, grid, SIN)
-    assert profiles.shape == (3, 4, grid.size)
-    for state, (obj1, obj2, sub1, sub2) in zip(states, profiles):
-        assert np.array_equal(obj1, objective_profile(SIN, grid, state.pop1.task))
-        assert np.array_equal(obj2, objective_profile(SIN, grid, state.pop2.task))
-        assert np.array_equal(sub1, eval_objective_shared(SIN, grid, state.partner1))
-        assert np.array_equal(sub2, eval_objective_shared(SIN, grid, state.partner2))
+    profiles = run_profiles(traj, grid, SIN)
+    assert profiles.shape == (2, 3, 4, grid.size)
+    for r, k in np.ndindex(2, 3):
+        obj1, obj2, sub1, sub2 = profiles[r, k]
+        assert np.array_equal(obj1, objective_profile(SIN, grid, traj.tasks[0]))
+        assert np.array_equal(obj2, objective_profile(SIN, grid, traj.tasks[1]))
+        assert np.array_equal(sub1, eval_objective_shared(SIN, grid, traj.partners[r, k, 0]))
+        assert np.array_equal(sub2, eval_objective_shared(SIN, grid, traj.partners[r, k, 1]))
 
 
 def test_run_profiles_test_based_uses_retained_samples():
     cfg = ExperimentConfig(function="smooth", generations=1)
-    states = run_trajectory(cfg, 89)
+    traj = run_trajectory(cfg, [89, 90])
     grid = cfg.grid()
-    profiles = run_profiles(states, grid, SMOOTH)
-    for state, (obj1, obj2, sub1, sub2) in zip(states, profiles):
+    profiles = run_profiles(traj, grid, SMOOTH)
+    for r, k in np.ndindex(2, 2):
+        obj1, obj2, sub1, sub2 = profiles[r, k]
         assert np.array_equal(obj1, eval_objective_test(SMOOTH, grid))
         assert np.array_equal(obj2, obj1)
-        assert np.array_equal(sub1, subjective_profile_test(grid, state.samples1, SMOOTH))
-        assert np.array_equal(sub2, subjective_profile_test(grid, state.samples2, SMOOTH))
+        for i, sub in ((0, sub1), (1, sub2)):
+            samples = traj.samples[r, k, i]
+            assert np.array_equal(sub, subjective_profile_test(grid, samples, SMOOTH))
+            assert np.array_equal(sub, subjective_test(grid, samples.ravel(), SMOOTH))
 
 
 # -- properties of the measures on arbitrary profiles ------------------------

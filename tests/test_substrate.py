@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from coevoscape.landscape import subjective_profile_test
 from coevoscape.substrate import (
     CrispLinear,
     InteractionMode,
@@ -144,10 +145,11 @@ def test_subjective_test_population_equals_per_row_calls(pop_and_samples):
 @given(arrays(float, st.integers(0, 30), elements=TIED_GENOTYPES),
        arrays(float, st.integers(1, 40), elements=TIED_GENOTYPES))
 def test_subjective_test_sorted_count_equals_broadcast_mean(x, sample):
-    """Against a 1-D sample, the sorted count gives bit for bit the mean of
-    the strict-win matrix, ties included, for points and for a scalar."""
+    """Against a 1-D sample, the profile's sorted count gives bit for bit the
+    mean of the strict-win matrix, ties included, as do points and scalars."""
     fx = eval_objective_test(CRISP, x)
     reference = (fx[:, None] > eval_objective_test(CRISP, sample)).mean(axis=-1)
+    assert np.array_equal(subjective_profile_test(x, sample[None, :], CRISP), reference)
     assert np.array_equal(subjective_test(x, sample, CRISP), reference)
     for point, expected in zip(x, reference):
         assert subjective_test(float(point), sample, CRISP) == expected
@@ -212,6 +214,19 @@ def test_best_of_directions_and_ties():
     assert best_of([1.0, 2.0], [0.7, 0.7], Task.MINIMIZE) == 1.0
 
 
+@given(arrays(float, st.tuples(st.integers(1, 4), st.integers(1, 3), st.integers(1, 6)),
+              elements=st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0])),
+       st.sampled_from(list(Task)))
+def test_best_of_rows_equal_per_row_calls(fitnesses, task):
+    """A stack of populations gives each row's own best member, ties (-0.0
+    against 0.0 included) going to the lowest index as for one population."""
+    genotypes = np.arange(fitnesses.size, dtype=float).reshape(fitnesses.shape)
+    best = best_of(genotypes, fitnesses, task)
+    assert best.shape == fitnesses.shape[:-1]
+    for index in np.ndindex(best.shape):
+        assert best[index] == best_of(genotypes[index], fitnesses[index], task)
+
+
 def test_best_of_rejects_bad_input():
     with pytest.raises(ValueError):
         best_of([], [], Task.MAXIMIZE)
@@ -232,15 +247,15 @@ def test_best_of_invariant_under_monotone_transform():
 def test_draw_sample_without_replacement():
     rng = np.random.default_rng(5)
     pool = np.arange(24, dtype=float)
-    sample = draw_sample(pool, 24, 12, rng)
+    sample = pool[draw_sample(pool.size, 24, 12, rng)]
     assert sample.shape == (24, 12)
     for row in sample.tolist():
         assert len(set(row)) == 12
         assert set(row) <= set(pool.tolist())
     with pytest.raises(ValueError):
-        draw_sample(pool, 24, 25, rng)
+        draw_sample(pool.size, 24, 25, rng)
     with pytest.raises(ValueError):
-        draw_sample(pool, 24, 0, rng)
+        draw_sample(pool.size, 24, 0, rng)
 
 
 @given(st.integers(1, 30), st.integers(1, 30).flatmap(
@@ -250,7 +265,7 @@ def test_draw_sample_rows_hold_distinct_members(rows, pop_and_size, seed):
     members of the opponent."""
     n, size = pop_and_size
     pool = np.arange(n, dtype=float) - 0.5
-    sample = draw_sample(pool, rows, size, np.random.default_rng(seed))
+    sample = pool[draw_sample(n, rows, size, np.random.default_rng(seed))]
     assert sample.shape == (rows, size)
     assert all(len(set(row)) == size for row in sample.tolist())
     assert np.isin(sample, pool).all()
@@ -259,11 +274,11 @@ def test_draw_sample_rows_hold_distinct_members(rows, pop_and_size, seed):
 def test_draw_sample_with_replacement_allows_oversampling():
     rng = np.random.default_rng(5)
     pool = np.array([1.0, 2.0])
-    sample = draw_sample(pool, 3, 10, rng, with_replacement=True)
+    sample = pool[draw_sample(pool.size, 3, 10, rng, with_replacement=True)]
     assert sample.shape == (3, 10)
     assert set(sample.ravel().tolist()) <= {1.0, 2.0}
     with pytest.raises(ValueError):
-        draw_sample(pool, 3, 0, rng, with_replacement=True)
+        draw_sample(pool.size, 3, 0, rng, with_replacement=True)
 
 
 @pytest.mark.parametrize("with_replacement", [False, True])
@@ -273,8 +288,8 @@ def test_draw_sample_members_are_drawn_uniformly(with_replacement):
     pop, size, draws = 24, 12, 400
     counts = np.zeros(pop)
     for _ in range(draws):
-        block = draw_sample(np.arange(pop, dtype=float), pop, size, rng, with_replacement)
-        counts += np.bincount(block.astype(int).ravel(), minlength=pop)
+        block = draw_sample(pop, pop, size, rng, with_replacement)
+        counts += np.bincount(block.ravel(), minlength=pop)
     frequency = counts / (draws * pop)
     # five standard deviations of a member's mean count per row
     assert np.abs(frequency - size / pop).max() < 0.04
