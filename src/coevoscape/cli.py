@@ -37,17 +37,11 @@ SNAPSHOT_HEADER = ("x", "f_obj", "f_sub_p1", "f_sub_p2")
 MEASURES_HEADER = ("generation", "population", "measure", "mean", "ci_lo", "ci_hi")
 
 
-def _json_value(value):
+def _cell(value) -> str:
+    # repr of a Python int or float is its shortest round-trip and JSON text
     if isinstance(value, str):
         return value
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    return float(value)
-
-
-def _cell(value) -> str:
-    # repr of a Python float is the shortest round-trip form
-    return value if isinstance(value, str) else repr(_json_value(value))
+    return repr(int(value) if isinstance(value, (int, np.integer)) else float(value))
 
 
 def write_table(path: Path, header: tuple[str, ...], rows, json_mirror: bool,
@@ -56,24 +50,31 @@ def write_table(path: Path, header: tuple[str, ...], rows, json_mirror: bool,
     directory and verify both back.
 
     `rows` holds one sequence of str, int or float cells per row. `text`, if
-    given, holds the same rows already rendered to CSV cells (as `_repr_text`
-    does for a whole run's snapshots); otherwise each cell is rendered here.
-    The JSON mirror is always built from `rows`.
+    given, holds the same rows already rendered to all-number CSV cells (as
+    `_repr_text` does for a whole run's snapshots); otherwise each cell is
+    rendered here. The JSON mirror carries the CSV cells' text, str cells quoted.
     """
+    json_text = text
     if text is None:
         rows = list(rows)
-        text = [[_cell(v) for v in row] for row in rows]
-    lines = [",".join(header)]
-    lines.extend(map(",".join, text))
+        text = json_text = [[_cell(v) for v in row] for row in rows]
+        if json_mirror:
+            json_text = [[json.dumps(c) if isinstance(v, str) else c for v, c in zip(row, cells)]
+                         for row, cells in zip(rows, text)]
     with open(path, "w", encoding="utf-8", newline="") as fp:
-        fp.write("\n".join(lines) + "\n")
+        fp.write("\n".join([",".join(header), *map(",".join, text)]) + "\n")
     if json_mirror:
-        records = [dict(zip(header, map(_json_value, row))) for row in rows]
         with open(path.with_suffix(".json"), "w", encoding="utf-8", newline="") as fp:
-            json.dump(records, fp, indent=2)
-            fp.write("\n")
+            fp.write(_mirror_text(header, json_text))
     _verify_table(path, header, len(rows), json_mirror)
     return path
+
+
+def _mirror_text(header: tuple[str, ...], json_text) -> str:
+    """`json.dumps(records, indent=2) + "\\n"` of `header`-keyed `json_text` rows."""
+    keys = [f"    {json.dumps(h)}: " for h in header]
+    records = ["  {\n" + ",\n".join(map(str.__add__, keys, row)) + "\n  }" for row in json_text]
+    return "[\n" + ",\n".join(records) + "\n]\n" if records else "[]\n"
 
 
 def _verify_table(path: Path, header: tuple[str, ...], n_rows: int,
@@ -126,8 +127,7 @@ def write_snapshots(directory: Path, grid: np.ndarray, profiles: np.ndarray,
     the objective profile for P1's task next to both subjective profiles.
 
     The run's snapshot values repeat heavily across cells and generations, so
-    they are rendered to text in one block and each file takes its slice.
-    """
+    they are rendered to text in one block and each file takes its slice."""
     generations = list(generations)
     obj1, sub1, sub2 = (profiles[generations, i] for i in (0, 2, 3))
     block = np.stack((np.broadcast_to(grid, obj1.shape), obj1, sub1, sub2), axis=-1)
@@ -144,6 +144,7 @@ def _load_config(args) -> ExperimentConfig:
     config = ExperimentConfig.from_file(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, master_seed=args.seed)
+        config.validate()
     return config
 
 
@@ -172,11 +173,10 @@ def cmd_simulate(args) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
     write_table(args.out / "trajectory.csv", TRAJECTORY_HEADER,
                 trajectory_rows(traj), json_mirror)
-    if wanted is None:
-        return 0
-    grid = config.grid()
-    write_snapshots(args.out / "snapshots", grid,
-                    run_profiles(traj, grid, config.objective_kind())[0], wanted, json_mirror)
+    if wanted is not None:
+        grid = config.grid()
+        write_snapshots(args.out / "snapshots", grid,
+                        run_profiles(traj, grid, config.objective_kind())[0], wanted, json_mirror)
     return 0
 
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from coevoscape import cli
 from coevoscape.evolution import run_trajectory
-from coevoscape.experiment import ExperimentConfig, trajectory_seed
+from coevoscape.experiment import ExperimentConfig, run_batch, trajectory_seed
 from coevoscape.landscape import run_profiles
 from coevoscape.substrate import kind_from_name
 
@@ -230,20 +230,67 @@ def test_json_mirror(tmp_path):
 ])
 def test_truncated_json_mirror_fails_the_command(tmp_path, capsys, monkeypatch, truncate):
     """The JSON mirror is re-read like the CSV: a short mirror means exit 1."""
-    real_dump = json.dump
+    real_mirror_text = cli._mirror_text
 
-    def short_dump(records, fp, **kwargs):
-        if truncate is not None:
-            return real_dump(truncate(records), fp, **kwargs)
-        fp.write(json.dumps(records, **kwargs)[:-10])
+    def short_mirror_text(header, json_text):
+        text = real_mirror_text(header, json_text)
+        if truncate is None:
+            return text[:-10]
+        return json.dumps(truncate(json.loads(text)), indent=2) + "\n"
 
-    monkeypatch.setattr(cli.json, "dump", short_dump)
+    monkeypatch.setattr(cli, "_mirror_text", short_mirror_text)
     data = dict(SMOOTH_SMALL, evolution={"generations": 1})
     cfg = write_config(tmp_path, data)
     rc = cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out"),
                    "--format", "json"])
     assert rc == 1
     assert "trajectory.json" in capsys.readouterr().err
+
+
+def test_typed_mirrors_match_json_dumps(tmp_path):
+    """measures.json and trajectory.json carry int, str and float values laid out
+    exactly as `json.dumps(records, indent=2)` lays out the typed rows."""
+    data = dict(SMOOTH_SMALL, evolution={"generations": 3})
+    cfg = write_config(tmp_path, data)
+    out = tmp_path / "out"
+    for command in ("measures", "simulate"):
+        assert cli.main([command, "--config", str(cfg), "--out", str(out),
+                         "--format", "json"]) == 0
+    config = ExperimentConfig.from_dict(data)
+    trajectory = cli.trajectory_rows(run_trajectory(config, [trajectory_seed(11, 0)]))
+    measures = list(run_batch(config).rows())
+    for name, header, rows in (("trajectory", cli.TRAJECTORY_HEADER, trajectory),
+                               ("measures", cli.MEASURES_HEADER, measures)):
+        assert [type(v) for v in rows[0]] == (
+            [int, float, float, float, float] if name == "trajectory"
+            else [int, str, str, float, float, float])
+        records = [dict(zip(header, row)) for row in rows]
+        assert (out / f"{name}.json").read_text(encoding="utf-8") == (
+            json.dumps(records, indent=2) + "\n"), name
+
+
+def test_zero_row_table_mirror_is_an_empty_list(tmp_path):
+    path = cli.write_table(tmp_path / "empty.csv", cli.MEASURES_HEADER, [], True)
+    assert path.read_text(encoding="utf-8") == ",".join(cli.MEASURES_HEADER) + "\n"
+    assert (tmp_path / "empty.json").read_text(encoding="utf-8") == json.dumps([]) + "\n"
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_cell_fails_the_json_mirror(tmp_path, value):
+    """A mirror must be standard JSON: `repr` text of nan or inf fails the re-read."""
+    with pytest.raises(RuntimeError, match=r"bad\.json"):
+        cli.write_table(tmp_path / "bad.csv", cli.SNAPSHOT_HEADER,
+                        [(0.0, value, 1.0, 2.0)], True)
+
+
+@pytest.mark.parametrize("command", ["simulate", "landscape", "measures"])
+def test_negative_seed_flag_rejected_at_load(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, SMOOTH_SMALL)
+    out = tmp_path / "out"
+    rc = cli.main([command, "--config", str(cfg), "--out", str(out), "--seed", "-1"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: master_seed must be >= 0, got -1\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "measures"])
