@@ -9,6 +9,8 @@ and results do not depend on how runs are grouped into blocks.
 
 from __future__ import annotations
 
+import functools
+import importlib.resources
 import json
 import math
 import numbers
@@ -269,6 +271,26 @@ def trajectory_seed(master_seed: int, run_index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(master_seed, spawn_key=(run_index,))
 
 
+@functools.cache
+def _t975_table() -> tuple[float, ...]:
+    """`scipy.special.stdtrit(df, 0.975)` at index df - 1, for df from 1 to
+    the table's length, as written by tools/tabulate_t975.py."""
+    text = importlib.resources.files(__package__).joinpath("t975.txt").read_text("ascii")
+    return tuple(float(line) for line in text.split())
+
+
+def _t975(df: int) -> float:
+    """The 0.975 quantile of Student's t with `df` degrees of freedom: the
+    table's value, or scipy's beyond it (both are `stdtrit`, bit for bit)."""
+    table = _t975_table()
+    if df <= len(table):
+        return table[df - 1]
+    # scipy.special takes longer to import than the rest of the package
+    from scipy.special import stdtrit
+
+    return stdtrit(df, 0.975)
+
+
 def ci95(samples):
     """Mean and 95% confidence interval of the mean (Student-t) over the first
     axis: three floats for a 1-D sample, three arrays for a `(runs, ...)` array.
@@ -277,9 +299,6 @@ def ci95(samples):
     summed in the same order as its own 1-D sample. A single sample gives a
     zero-width interval by convention.
     """
-    # scipy.special takes longer to import than the rest of the package
-    from scipy.special import stdtrit
-
     a = np.ascontiguousarray(np.moveaxis(np.asarray(samples, dtype=float), 0, -1))
     n = a.shape[-1]
     if n == 0:
@@ -287,7 +306,7 @@ def ci95(samples):
     mean = a.mean(axis=-1)
     if n == 1:
         return mean, mean.copy(), mean.copy()
-    half = stdtrit(n - 1, 0.975) * a.std(axis=-1, ddof=1) / np.sqrt(n)
+    half = _t975(n - 1) * a.std(axis=-1, ddof=1) / np.sqrt(n)
     return mean, mean - half, mean + half
 
 

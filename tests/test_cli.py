@@ -341,26 +341,44 @@ def test_overflowing_or_flat_substrate_rejected_at_load(tmp_path, capsys, comman
 
 
 def test_import_and_config_load_leave_scipy_out(tmp_path):
-    """Importing the CLI, loading a config and a `simulate` never import
-    scipy: only a batch's aggregate needs it."""
+    """Importing the CLI, loading a config, a `simulate` and a 100-run
+    `measures` never import scipy: `ci95` reads its t quantile from a table
+    up to 1,001 runs. With scipy blocked, `measures` writes the same bytes."""
     cfg = write_config(tmp_path, SMOOTH_SMALL)
-    code = "\n".join([
+    batch = write_config(tmp_path, dict(SMOOTH_SMALL, experiment={"runs": 100}), "batch.json")
+    scipy_modules = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    measures = ("assert coevoscape.cli.main(['measures', '--config', sys.argv[3], '--out', "
+                "sys.argv[4], '--format', 'json']) == 0")
+    free = "\n".join([
         "import sys",
         "import coevoscape.cli",
         "from coevoscape.experiment import ExperimentConfig",
         "ExperimentConfig.from_file(sys.argv[1])",
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        scipy_modules,
         "assert coevoscape.cli.main(['simulate', '--config', sys.argv[1], '--out', sys.argv[2],",
         "                            '--generations', '0,5']) == 0",
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        scipy_modules,
+        measures,
+        scipy_modules,
     ])
+    blocked = "\n".join(["import sys", "sys.modules['scipy'] = None", "import coevoscape.cli",
+                         measures])
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code, str(cfg), str(tmp_path / "sim")],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "[]"]
+
+    def printed(code, out):
+        proc = subprocess.run([sys.executable, "-c", code, str(cfg), str(tmp_path / "sim"),
+                               str(batch), str(out)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()
+
+    assert printed(free, tmp_path / "free") == ["[]", "[]", "[]"]
+    assert printed(blocked, tmp_path / "blocked") == []
+    for name in ("measures.csv", "measures.json"):
+        assert ((tmp_path / "blocked" / name).read_bytes()
+                == (tmp_path / "free" / name).read_bytes())
 
 
 def test_simulate_reproduces_run_zero_of_a_batch(tmp_path):

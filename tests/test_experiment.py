@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import importlib.resources
+import importlib.util
 import json
 import math
 import re
 from dataclasses import fields, replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -13,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.special import stdtrit
 
 from coevoscape import experiment
 from coevoscape.evolution import run_trajectory
@@ -54,6 +58,39 @@ def test_ci95_matches_scipy_interval():
     t = stats.t.ppf(0.975, 39)
     half = t * samples.std(ddof=1) / np.sqrt(40)
     assert lo == pytest.approx(mean - half) and hi == pytest.approx(mean + half)
+
+
+def test_t975_table_equals_stdtrit():
+    """Every tabulated quantile is `stdtrit(df, 0.975)` bit for bit."""
+    table = experiment._t975_table()
+    assert len(table) == 1000
+    assert [df for df, t in enumerate(table, start=1) if t != stdtrit(df, 0.975)] == []
+
+
+def test_t975_table_is_the_generator_output():
+    """The committed table is what tools/tabulate_t975.py writes from the
+    installed scipy, so a scipy whose quantiles moved fails here rather than
+    split the table from the fallback beyond it."""
+    script = Path(__file__).resolve().parents[1] / "tools" / "tabulate_t975.py"
+    spec = importlib.util.spec_from_file_location("tabulate_t975", script)
+    tabulate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tabulate)
+    committed = importlib.resources.files("coevoscape").joinpath("t975.txt").read_text("ascii")
+    assert tabulate.table_text() == committed
+
+
+@pytest.mark.parametrize("n", [2, 1001, 1002])
+def test_ci95_equals_inline_stdtrit_on_both_sides_of_the_table(n):
+    """ci95 at 2 samples (df 1), 1,001 (the table's last df) and 1,002 (the
+    scipy fallback) equals the scipy form bit for bit, for a 1-D sample and
+    per column."""
+    samples = np.random.default_rng(n).normal(3.0, 2.0, size=(n, 4))
+    columns = np.ascontiguousarray(samples.T)  # summed in ci95's order
+    half = stdtrit(n - 1, 0.975) * columns.std(axis=1, ddof=1) / np.sqrt(n)
+    mean = columns.mean(axis=1)
+    assert ci95(samples[:, 0]) == (mean[0], mean[0] - half[0], mean[0] + half[0])
+    for got, want in zip(ci95(samples), (mean, mean - half, mean + half)):
+        assert np.array_equal(got, want)
 
 
 def test_config_defaults_match_standard_setup():
