@@ -13,8 +13,11 @@ override built-in defaults. Single-trajectory commands seed their run
 exactly like run 0 of a batch with the same master seed, so `simulate
 --seed S` reproduces the first run of `measures --seed S`.
 
-Exit code 0 means every requested file was written and re-read cleanly;
-any failure prints a message to stderr and exits 1.
+Exit code 0 means every requested file was written and read back equal to
+its bytes; any failure prints a message to stderr and exits 1. A `measures`
+batch with snapshots hands its snapshot files to one writer process, so
+creating them overlaps the batch's compute; the command reaps it and
+reports its first failure before returning.
 """
 
 from __future__ import annotations
@@ -22,11 +25,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import pickle
 import sys
 from pathlib import Path
 
 import numpy as np
 
+from . import _writer
+from ._writer import write_file
 from .evolution import Trajectories, run_trajectory
 from .experiment import ConfigError, ExperimentConfig, run_batch, trajectory_seed
 from .landscape import run_profiles
@@ -45,58 +51,73 @@ def _cell(value) -> str:
 
 
 def write_table(path: Path, header: tuple[str, ...], rows, json_mirror: bool,
-                text: list[list[str]] | None = None) -> Path:
-    """Write one CSV table (plus optional JSON mirror) into an existing
-    directory and verify both back.
+                text: np.ndarray | None = None, write=write_file) -> Path:
+    """Write one CSV table (plus optional JSON mirror) through `write`, which
+    writes each file and reads it back (`write_file`, or a `WriterProcess`).
 
     `rows` holds one sequence of str, int or float cells per row. `text`, if
-    given, holds the same rows already rendered to all-number CSV cells (as
-    `_repr_text` does for a whole run's snapshots); otherwise each cell is
-    rendered here. The JSON mirror carries the CSV cells' text, str cells quoted.
+    given, holds the same rows already rendered to all-number CSV cells, as a
+    (rows, columns) object array of str (`_repr_text` renders a whole run's
+    snapshots); otherwise each cell is rendered here. The JSON mirror carries
+    the CSV cells' text, str cells quoted. The CSV text's header, row count
+    and cell count are checked before it is written.
     """
     json_text = text
     if text is None:
         rows = list(rows)
-        text = json_text = [[_cell(v) for v in row] for row in rows]
+        cells = [[_cell(v) for v in row] for row in rows]
+        text = json_text = _cell_array(cells, len(header))
         if json_mirror:
-            json_text = [[json.dumps(c) if isinstance(v, str) else c for v, c in zip(row, cells)]
-                         for row, cells in zip(rows, text)]
-    with open(path, "w", encoding="utf-8", newline="") as fp:
-        fp.write("\n".join([",".join(header), *map(",".join, text)]) + "\n")
+            json_text = _cell_array([[json.dumps(c) if isinstance(v, str) else c
+                                      for v, c in zip(row, row_cells)]
+                                     for row, row_cells in zip(rows, cells)], len(header))
+    csv = ",".join(header) + "\n" + _interleave(text, ["", *[","] * (len(header) - 1)], "\n")
+    _check_csv(path, csv, header, len(rows))
+    write(path, csv.encode())
     if json_mirror:
-        with open(path.with_suffix(".json"), "w", encoding="utf-8", newline="") as fp:
-            fp.write(_mirror_text(header, json_text))
-    _verify_table(path, header, len(rows), json_mirror)
+        write(path.with_suffix(".json"), _mirror_text(header, json_text).encode(),
+              (header, len(rows)))
     return path
 
 
-def _mirror_text(header: tuple[str, ...], json_text) -> str:
+def _cell_array(cells: list[list[str]], columns: int) -> np.ndarray:
+    """`cells` as a (rows, columns) object array; a row of another length fails."""
+    return np.array(cells, dtype=object).reshape(len(cells), columns)
+
+
+def _interleave(cells: np.ndarray, before: list[str], after: str) -> str:
+    """Every row of `cells` as one string: each cell preceded by its column's
+    `before` string, the row ended by `after`."""
+    rows, columns = cells.shape
+    parts = np.empty((rows, 2 * columns + 1), dtype=object)
+    parts[:, 0:-1:2] = before
+    parts[:, 1::2] = cells
+    parts[:, -1] = after
+    return "".join(parts.ravel().tolist())
+
+
+def _mirror_text(header: tuple[str, ...], json_text: np.ndarray) -> str:
     """`json.dumps(records, indent=2) + "\\n"` of `header`-keyed `json_text` rows."""
+    if not len(json_text):
+        return "[]\n"
     keys = [f"    {json.dumps(h)}: " for h in header]
-    records = ["  {\n" + ",\n".join(map(str.__add__, keys, row)) + "\n  }" for row in json_text]
-    return "[\n" + ",\n".join(records) + "\n]\n" if records else "[]\n"
+    before = ["  {\n" + keys[0], *(",\n" + key for key in keys[1:])]
+    # every record is followed by ",\n"; the last one's is cut
+    return "[\n" + _interleave(json_text, before, "\n  },\n")[:-2] + "\n]\n"
 
 
-def _verify_table(path: Path, header: tuple[str, ...], n_rows: int,
-                  json_mirror: bool) -> None:
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != ",".join(header):
-        raise RuntimeError(f"{path}: header mismatch after write")
-    if len(lines) - 1 != n_rows:
-        raise RuntimeError(f"{path}: expected {n_rows} data rows, found {len(lines) - 1}")
-    for line in lines[1:]:
-        if line.count(",") != len(header) - 1:
-            raise RuntimeError(f"{path}: malformed row {line!r}")
-    if not json_mirror:
-        return
-    mirror = path.with_suffix(".json")
-    try:
-        records = json.loads(mirror.read_text(encoding="utf-8"))
-    except ValueError as e:
-        raise RuntimeError(f"{mirror}: unreadable after write: {e}") from e
-    if not (isinstance(records, list) and len(records) == n_rows
-            and all(isinstance(r, dict) and tuple(r) == header for r in records)):
-        raise RuntimeError(f"{mirror}: expected {n_rows} records keyed by {header}")
+def _check_csv(path: Path, csv: str, header: tuple[str, ...], n_rows: int) -> None:
+    """Whole-text checks of a table's CSV text: its header line, one line per
+    row, and `len(header)` cells per line. Every row was rendered from a
+    (rows, columns) array, so a count off by any amount means a cell that
+    holds a comma or a line break."""
+    if not csv.startswith(",".join(header) + "\n"):
+        raise RuntimeError(f"{path}: header mismatch")
+    lines = csv.count("\n")
+    if lines - 1 != n_rows:
+        raise RuntimeError(f"{path}: expected {n_rows} data rows, found {lines - 1}")
+    if csv.count(",") != lines * (len(header) - 1):
+        raise RuntimeError(f"{path}: expected {len(header)} cells in each row")
 
 
 def trajectory_rows(traj: Trajectories) -> list[tuple]:
@@ -110,32 +131,74 @@ def trajectory_rows(traj: Trajectories) -> list[tuple]:
     return [(k, *row) for k, row in enumerate(zip(*columns))]
 
 
-def _repr_text(values: np.ndarray) -> np.ndarray:
+def _repr_text(values: np.ndarray, cache: dict[int, str] | None = None) -> np.ndarray:
     """`repr(float(v))` of every float64 in `values`, as an object array of the
     same shape. Each distinct bit pattern is formatted once (so 0.0 and -0.0
-    stay apart); the text is shared by every cell that holds it."""
+    stay apart); the text is shared by every cell that holds it.
+
+    `cache`, if given, maps bit patterns to the text an earlier call made;
+    that text is reused, and the cache is left holding this call's values
+    only, so it never outgrows one call however many calls share it."""
     values = np.ascontiguousarray(values, dtype=np.float64)
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    text = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    keys = bits.tolist()
+    known = (cache or {}).get
+    texts = [known(b) or repr(v) for b, v in zip(keys, bits.view(np.float64).tolist())]
+    if cache is not None:
+        cache.clear()
+        cache.update(zip(keys, texts))
     # the inverse's shape differs across numpy versions
-    return text[inverse.ravel()].reshape(values.shape)
+    return np.array(texts, dtype=object)[inverse.ravel()].reshape(values.shape)
 
 
 def write_snapshots(directory: Path, grid: np.ndarray, profiles: np.ndarray,
-                    generations, json_mirror: bool) -> None:
+                    generations, json_mirror: bool, write=write_file,
+                    cache: dict[int, str] | None = None) -> None:
     """landscape_k<k>.csv for each generation k of one run's `run_profiles`:
     the objective profile for P1's task next to both subjective profiles.
 
     The run's snapshot values repeat heavily across cells and generations, so
-    they are rendered to text in one block and each file takes its slice."""
+    they are rendered to text in one block and each file takes its slice.
+    Runs of a batch share `cache`: the grid and the objective profile, and
+    test-based subjective values, repeat from run to run."""
     generations = list(generations)
     obj1, sub1, sub2 = (profiles[generations, i] for i in (0, 2, 3))
     block = np.stack((np.broadcast_to(grid, obj1.shape), obj1, sub1, sub2), axis=-1)
-    text = _repr_text(block)
-    directory.mkdir(parents=True, exist_ok=True)
+    text = _repr_text(block, cache)
     for i, k in enumerate(generations):
         write_table(directory / f"landscape_k{k}.csv", SNAPSHOT_HEADER, block[i],
-                    json_mirror, text[i].tolist())
+                    json_mirror, text[i], write)
+
+
+class WriterProcess:
+    """A `_writer.py` process that writes and re-reads the files sent to it,
+    so creating them overlaps this process's compute. Called like
+    `write_file`. On exit it closes the pipe, reaps the process and raises
+    the first failure it reported."""
+
+    def __enter__(self) -> WriterProcess:
+        import subprocess  # loaded by snapshot batches only
+
+        # -I -S: the standard library only, no site packages or environment
+        self._proc = subprocess.Popen([sys.executable, "-I", "-S", _writer.__file__],
+                                      stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+        try:
+            # 1 MiB, Linux's default pipe-max-size, holds about 40 default-sized
+            # snapshot files: work for the writer while a block computes
+            import fcntl
+            fcntl.fcntl(self._proc.stdin, fcntl.F_SETPIPE_SZ, 1 << 20)
+        except (ImportError, AttributeError, OSError):
+            pass  # keep the default pipe size
+        return self
+
+    def __call__(self, path: Path, data: bytes, records=None) -> None:
+        pickle.dump((str(path), data, records), self._proc.stdin, pickle.HIGHEST_PROTOCOL)
+
+    def __exit__(self, *exc) -> None:
+        report, _ = self._proc.communicate()
+        if report or self._proc.returncode:
+            raise RuntimeError(report.decode(errors="replace").strip()
+                               or f"snapshot writer exited with status {self._proc.returncode}")
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -170,7 +233,6 @@ def cmd_simulate(args) -> int:
         wanted = range(config.generations + 1)
     traj = run_trajectory(config, [trajectory_seed(config.master_seed, 0)])
     json_mirror = args.fmt == "json"
-    args.out.mkdir(parents=True, exist_ok=True)
     write_table(args.out / "trajectory.csv", TRAJECTORY_HEADER,
                 trajectory_rows(traj), json_mirror)
     if wanted is not None:
@@ -193,16 +255,16 @@ def cmd_landscape(args) -> int:
 def cmd_measures(args) -> int:
     config = _load_config(args)
     json_mirror = args.fmt == "json"
-    per_run = None
     if config.snapshots:
-        grid = config.grid()
+        grid, cache = config.grid(), {}
+        with WriterProcess() as write:
+            def per_run(r: int, profiles: np.ndarray) -> None:
+                write_snapshots(args.out / "snapshots" / f"run_{r:03d}", grid, profiles,
+                                range(len(profiles)), json_mirror, write, cache)
 
-        def per_run(r: int, profiles: np.ndarray) -> None:
-            write_snapshots(args.out / "snapshots" / f"run_{r:03d}", grid, profiles,
-                            range(len(profiles)), json_mirror)
-
-    series = run_batch(config, per_run=per_run)
-    args.out.mkdir(parents=True, exist_ok=True)
+            series = run_batch(config, per_run=per_run)
+    else:
+        series = run_batch(config)
     write_table(args.out / "measures.csv", MEASURES_HEADER, list(series.rows()),
                 json_mirror)
     return 0

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coevoscape import cli
+from coevoscape import cli, experiment
 from coevoscape.evolution import run_trajectory
 from coevoscape.experiment import ExperimentConfig, run_batch, trajectory_seed
 from coevoscape.landscape import run_profiles
@@ -36,6 +36,12 @@ def write_config(tmp_path, data, name="config.json"):
 def read_rows(path):
     lines = path.read_text().splitlines()
     return lines[0], [line.split(",") for line in lines[1:]]
+
+
+def assert_no_child_process():
+    """Every process a command started has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_simulate_writes_trajectory(tmp_path):
@@ -246,6 +252,16 @@ def test_truncated_json_mirror_fails_the_command(tmp_path, capsys, monkeypatch, 
     assert rc == 1
     assert "trajectory.json" in capsys.readouterr().err
 
+    # a snapshot batch's mirrors are checked the same way, by the writer process
+    data = dict(data, landscape={"grid_points": 21}, experiment={"runs": 12, "snapshots": True})
+    cfg = write_config(tmp_path, data, "snapshots.json")
+    out = tmp_path / "meas"
+    rc = cli.main(["measures", "--config", str(cfg), "--out", str(out), "--format", "json"])
+    assert rc == 1
+    assert str(out / "snapshots" / "run_000" / "landscape_k0.json") in capsys.readouterr().err
+    assert not (out / "measures.csv").exists()
+    assert_no_child_process()
+
 
 def test_typed_mirrors_match_json_dumps(tmp_path):
     """measures.json and trajectory.json carry int, str and float values laid out
@@ -273,6 +289,19 @@ def test_zero_row_table_mirror_is_an_empty_list(tmp_path):
     path = cli.write_table(tmp_path / "empty.csv", cli.MEASURES_HEADER, [], True)
     assert path.read_text(encoding="utf-8") == ",".join(cli.MEASURES_HEADER) + "\n"
     assert (tmp_path / "empty.json").read_text(encoding="utf-8") == json.dumps([]) + "\n"
+
+
+@pytest.mark.parametrize("row, wanted", [
+    pytest.param((0, "P,1", "dist", 1.0, 2.0, 3.0), "cells in each row", id="comma-in-cell"),
+    pytest.param((0, "P1\nP2", "dist", 1.0, 2.0, 3.0), "data rows", id="newline-in-cell"),
+    pytest.param((0, "P1", "dist", 1.0, 2.0), "cannot reshape", id="short-row"),
+])
+def test_malformed_csv_text_is_never_written(tmp_path, row, wanted):
+    """The CSV text is checked before it is written: a cell holding a comma or
+    a line break, or a row of the wrong length, fails and leaves no file."""
+    with pytest.raises((RuntimeError, ValueError), match=wanted):
+        cli.write_table(tmp_path / "bad.csv", cli.MEASURES_HEADER, [row], False)
+    assert not (tmp_path / "bad.csv").exists()
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
@@ -343,10 +372,13 @@ def test_overflowing_or_flat_substrate_rejected_at_load(tmp_path, capsys, comman
 def test_import_and_config_load_leave_scipy_out(tmp_path):
     """Importing the CLI, loading a config, a `simulate` and a 100-run
     `measures` never import scipy: `ci95` reads its t quantile from a table
-    up to 1,001 runs. With scipy blocked, `measures` writes the same bytes."""
+    up to 1,001 runs. With scipy blocked, `measures` writes the same bytes.
+    Nor do they import subprocess: only a snapshot batch starts a writer
+    process."""
     cfg = write_config(tmp_path, SMOOTH_SMALL)
     batch = write_config(tmp_path, dict(SMOOTH_SMALL, experiment={"runs": 100}), "batch.json")
-    scipy_modules = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    scipy_modules = ("print(sorted(m for m in sys.modules "
+                     "if m.split('.')[0] in ('scipy', 'subprocess')))")
     measures = ("assert coevoscape.cli.main(['measures', '--config', sys.argv[3], '--out', "
                 "sys.argv[4], '--format', 'json']) == 0")
     free = "\n".join([
@@ -419,6 +451,63 @@ def test_measures_per_run_snapshots(tmp_path):
         assert names == ["landscape_k0.csv", "landscape_k1.csv"]
 
 
+@pytest.mark.parametrize("runs", [
+    pytest.param(4, id="last-run"),
+    pytest.param(12, id="mid-batch"),
+])
+def test_writer_process_failure_names_the_file(tmp_path, capsys, runs):
+    """A file the writer process cannot create fails the command with the
+    file's name, whether it is the batch's last run or the writer has quit
+    while runs were still being sent; the writer is reaped either way."""
+    # default-sized snapshots: the runs after run 3 overfill the pipe
+    cfg = write_config(tmp_path, {"experiment": {"runs": runs, "master_seed": 3,
+                                                 "snapshots": True}})
+    out = tmp_path / "meas"
+    (out / "snapshots").mkdir(parents=True)
+    (out / "snapshots" / "run_003").write_text("")
+    rc = cli.main(["measures", "--config", str(cfg), "--out", str(out)])
+    assert rc == 1
+    assert str(out / "snapshots" / "run_003" / "landscape_k0.csv") in capsys.readouterr().err
+    assert not (out / "measures.csv").exists()
+    assert_no_child_process()
+
+
+def test_run_failure_in_a_snapshot_batch_reaps_the_writer(tmp_path, capsys, monkeypatch):
+    """A run failing in the second block of a snapshot batch (9 runs per
+    block at the defaults) names itself; the runs before it are written."""
+    real_run_trajectory = experiment.run_trajectory
+
+    def fail_run_10(config, seeds):
+        if any(seed.spawn_key == (10,) for seed in seeds):
+            raise ValueError("boom")
+        return real_run_trajectory(config, seeds)
+
+    monkeypatch.setattr(experiment, "run_trajectory", fail_run_10)
+    cfg = write_config(tmp_path, {"experiment": {"runs": 12, "master_seed": 5,
+                                                 "snapshots": True}})
+    out = tmp_path / "meas"
+    rc = cli.main(["measures", "--config", str(cfg), "--out", str(out)])
+    assert rc == 1
+    assert ("error: run 10 failed (seed = SeedSequence(5, spawn_key=(10,))): boom"
+            in capsys.readouterr().err)
+    assert len(list((out / "snapshots" / "run_009").iterdir())) == 11
+    assert not (out / "snapshots" / "run_010").exists()
+    assert_no_child_process()
+
+
+def test_snapshot_batch_leaves_stdout_alone_and_no_process(tmp_path, capfd):
+    """In process, a snapshot batch prints nothing, not even from its writer
+    process, and reaps it."""
+    data = dict(SMOOTH_SMALL, experiment={"runs": 3, "snapshots": True})
+    cfg = write_config(tmp_path, data)
+    out = tmp_path / "meas"
+    assert cli.main(["measures", "--config", str(cfg), "--out", str(out),
+                     "--format", "json"]) == 0
+    assert capfd.readouterr() == ("", "")
+    assert len(list(out.rglob("landscape_k*.json"))) == 3 * 11
+    assert_no_child_process()
+
+
 @pytest.mark.parametrize("command, workers", [
     pytest.param("measures", "0", id="0"),
     pytest.param("measures", "-2", id="-2"),
@@ -478,6 +567,49 @@ def test_repr_text_matches_per_value_repr(pool, picks):
         assert text.ravel().tolist() == [repr(float(v)) for v in values.ravel()]
 
 
+@settings(max_examples=200, deadline=None)
+@given(pool=st.lists(FLOATS, min_size=1, max_size=8),
+       calls=st.lists(st.lists(st.integers(0, 7), min_size=1, max_size=24),
+                      min_size=1, max_size=5))
+@example(pool=[0.0, -0.0, 5e-324, 1.0], calls=[[0, 2, 0, 3], [1, 0, 1], [2, 1, 2, 2], [0]])
+def test_repr_text_reuses_text_across_calls(pool, calls):
+    """With a shared cache, each call still gives `repr(float(v))` cell by cell:
+    a value repeated from an earlier call reuses that call's text, 0.0 and -0.0
+    never share one, and the cache keeps only the last call's bit patterns."""
+    cache = {}
+    for picks in calls:
+        a = np.array([pool[i % len(pool)] for i in picks], dtype=np.float64)
+        assert cli._repr_text(a, cache).tolist() == [repr(float(v)) for v in a]
+        assert sorted(cache) == sorted(set(a.view(np.int64).tolist()))
+
+
+def test_snapshot_text_reuse_stays_bounded_as_runs_grow(tmp_path, monkeypatch):
+    """A ridge batch formats new values in almost every run; the text the
+    runs share never holds more than one run's cells, however many runs."""
+    sizes, seen = [], set()
+    real_repr_text = cli._repr_text
+
+    def recording(values, cache=None):
+        text = real_repr_text(values, cache)
+        sizes.append(len(cache))
+        seen.update(np.ascontiguousarray(values).view(np.int64).ravel().tolist())
+        return text
+
+    monkeypatch.setattr(cli, "_repr_text", recording)
+    run_cells = 5 * 61 * 4
+    for runs in (2, 40):
+        sizes.clear()
+        cfg = write_config(tmp_path, {"substrate": {"function": "ridge"},
+                                      "evolution": {"generations": 4},
+                                      "landscape": {"grid_points": 61},
+                                      "experiment": {"runs": runs, "snapshots": True}})
+        out = tmp_path / f"runs{runs}"
+        assert cli.main(["measures", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(sizes) == runs
+        assert max(sizes) <= run_cells
+    assert len(seen) > 10 * run_cells  # a batch-wide cache would have held all of them
+
+
 SUBSTRATES = ["crisp", "smooth", "ridge", "sinusoid"]
 
 
@@ -485,21 +617,22 @@ SUBSTRATES = ["crisp", "smooth", "ridge", "sinusoid"]
 @pytest.mark.parametrize("function", SUBSTRATES)
 def test_measures_snapshot_files_match_per_value_text(tmp_path, function, fmt):
     """Every per-run snapshot file, and its JSON mirror, equals the text built
-    cell by cell from `run_profiles` with the plain per-value expressions."""
+    cell by cell from `run_profiles` with the plain per-value expressions,
+    across the two blocks (9 runs, then 1) of a 10-run batch at the defaults,
+    whose text the renderer reuses from run to run."""
     data = {"substrate": {"function": function},
-            "evolution": {"generations": 4},
-            "landscape": {"grid_points": 61},
-            "experiment": {"runs": 3, "master_seed": 8, "snapshots": True}}
+            "experiment": {"runs": 10, "master_seed": 8, "snapshots": True}}
     cfg = write_config(tmp_path, data)
     out = tmp_path / "meas"
     assert cli.main(["measures", "--config", str(cfg), "--out", str(out),
                      "--format", fmt]) == 0
 
     config = ExperimentConfig.from_dict(data)
+    assert experiment._block_runs(config) == 9
     grid = config.grid()
     header = cli.SNAPSHOT_HEADER
     expected = {}
-    for r in range(3):
+    for r in range(10):
         traj = run_trajectory(config, [trajectory_seed(8, r)])
         profiles = run_profiles(traj, grid, config.objective_kind())[0]
         for k in range(config.generations + 1):
