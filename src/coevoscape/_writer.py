@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import os
 import pickle
+import signal
 import sys
 
 
@@ -66,4 +67,7 @@ def serve(frames, report) -> int:
 
 
 if __name__ == "__main__":
+    # a terminal's Ctrl-C reaches the parent too: it closes the pipe, and
+    # this process ends there
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     sys.exit(serve(sys.stdin.buffer, sys.stdout))

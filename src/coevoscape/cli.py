@@ -194,8 +194,10 @@ class WriterProcess:
     def __call__(self, path: Path, data: bytes, records=None) -> None:
         pickle.dump((str(path), data, records), self._proc.stdin, pickle.HIGHEST_PROTOCOL)
 
-    def __exit__(self, *exc) -> None:
+    def __exit__(self, exc_type, exc, tb) -> None:
         report, _ = self._proc.communicate()
+        if exc_type is not None and not issubclass(exc_type, Exception):
+            return  # an interrupt or exit goes on as it is
         if report or self._proc.returncode:
             raise RuntimeError(report.decode(errors="replace").strip()
                                or f"snapshot writer exited with status {self._proc.returncode}")

@@ -495,6 +495,24 @@ def test_run_failure_in_a_snapshot_batch_reaps_the_writer(tmp_path, capsys, monk
     assert_no_child_process()
 
 
+def test_interrupt_in_a_snapshot_batch_reaps_the_writer(tmp_path, monkeypatch):
+    """An interrupt mid-batch propagates as itself, after the writer is reaped."""
+    real_write_snapshots = cli.write_snapshots
+
+    def interrupted(directory, *args):
+        if directory.name == "run_002":
+            raise KeyboardInterrupt
+        real_write_snapshots(directory, *args)
+
+    monkeypatch.setattr(cli, "write_snapshots", interrupted)
+    cfg = write_config(tmp_path, dict(SMOOTH_SMALL, experiment={"runs": 4, "snapshots": True}))
+    out = tmp_path / "meas"
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["measures", "--config", str(cfg), "--out", str(out)])
+    assert len(list((out / "snapshots" / "run_001").iterdir())) == 11
+    assert_no_child_process()
+
+
 def test_snapshot_batch_leaves_stdout_alone_and_no_process(tmp_path, capfd):
     """In process, a snapshot batch prints nothing, not even from its writer
     process, and reaps it."""
