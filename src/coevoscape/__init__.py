@@ -39,7 +39,7 @@ from .experiment import (
     trajectory_seed,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "CrispLinear",

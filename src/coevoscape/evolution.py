@@ -10,8 +10,9 @@ recomputed afterwards.
 
 Runs are independent, so a block of them advances together: each generation
 is one numpy pass over `(runs, 2, pop_size)` arrays. Only the random draws
-loop over runs, each run drawing from its own generator in a fixed order, so
-a run's numbers do not depend on the block it is part of.
+loop over runs: each run draws its whole trajectory's randomness from its own
+generator in six calls, in a fixed order, before the first generation, so a
+run's numbers do not depend on the block it is part of.
 """
 
 from __future__ import annotations
@@ -61,12 +62,20 @@ def run_trajectory(config: ExperimentConfig, seeds) -> Trajectories:
     """Run one trajectory per seed, deterministically, as one block.
 
     Each seed is anything numpy's default_rng accepts (int or SeedSequence)
-    and gives one run its own generator. Per run, generation 0 draws P1's
-    and P2's initial genotypes (`uniform`), then P1's and P2's evaluator
-    samples or, for compositional kinds, a uniformly drawn member of the
-    opponent's initial population as partner (`integers`). Every later
-    generation draws P1's tournaments (`integers`), mutation mask (`random`)
-    and noise (`normal`), the same for P2, then P1's and P2's samples.
+    and gives one run its own generator. No draw depends on the run's state,
+    so a run draws all its randomness before the first generation, in this
+    order (RNG stream 0.3.0; G generations, n = pop_size, t =
+    tournament_size, m = sample_size):
+
+    1. P1's and P2's initial genotypes, `uniform(lo, hi, n)` each;
+    2. the tournaments of generations 1..G, `integers(0, n, (G, 2, n, t))`;
+    3. the mutation mask, `random((G, 2, n)) < mutation_prob`;
+    4. the mutation noise, `normal(0, mutation_sigma, (G, 2, n))`;
+    5. for test-based kinds, the evaluator samples of generations 0..G as
+       one `draw_sample(n, (G+1)*2*n, m, rng, sample_with_replacement)`,
+       read as [generation, population, individual, member]; for
+       compositional kinds, the generation-0 partners of P1 and P2 as
+       members of the opponent's initial population, `integers(0, n, 2)`.
 
     A numeric overflow or invalid operation (e.g. from an enormous
     mutation_sigma) raises FloatingPointError instead of producing inf or nan.
@@ -76,35 +85,46 @@ def run_trajectory(config: ExperimentConfig, seeds) -> Trajectories:
     mode = config.interaction_mode()
     tasks = (mode.task_p1, mode.task_p2)
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    n, m = config.pop_size, config.sample_size
-    shape = (len(rngs), config.generations + 1, 2)
+    runs, gens = len(rngs), config.generations
+    n, m, t = config.pop_size, config.sample_size, config.tournament_size
+    shape = (runs, gens + 1, 2)
     traj = Trajectories(tasks, np.empty(shape + (n,)), np.empty(shape + (n,)),
                         np.empty(shape))
     if kind.test_based:
         traj.samples = np.empty(shape + (n, m))
+        picks = np.empty(shape + (n, m), dtype=np.int64)
     else:
         traj.partners = np.empty(shape)
+        picks = np.empty((runs, 2), dtype=np.int64)
+    contests = np.empty((runs, gens, 2, n, t), dtype=np.int64)
+    mutated = np.empty((runs, gens, 2, n), dtype=bool)
+    noise = np.empty((runs, gens, 2, n))
     intervals = [config.init_interval(p) for p in ("P1", "P2")]
+    for b, rng in enumerate(rngs):
+        for i, (lo, hi) in enumerate(intervals):
+            traj.genotypes[b, 0, i] = rng.uniform(lo, hi, n)
+        contests[b] = rng.integers(0, n, (gens, 2, n, t))
+        mutated[b] = rng.random((gens, 2, n)) < config.mutation_prob
+        noise[b] = rng.normal(0.0, config.mutation_sigma, (gens, 2, n))
+        if kind.test_based:
+            picks[b] = draw_sample(n, (gens + 1) * 2 * n, m, rng,
+                                   config.sample_with_replacement).reshape(picks.shape[1:])
+        else:
+            picks[b] = rng.integers(0, n, 2)
     with np.errstate(over="raise", invalid="raise"):
-        for k in range(config.generations + 1):
+        for k in range(gens + 1):
             genotypes = traj.genotypes[:, k]
-            if k == 0:
-                genotypes[...] = [[rng.uniform(lo, hi, n) for lo, hi in intervals]
-                                  for rng in rngs]
-            else:
-                _breed(traj, k, rngs, config)
+            if k > 0:
+                _breed(traj, k, contests[:, k - 1], mutated[:, k - 1], noise[:, k - 1])
             # P1 is scored against P2's previous generation, P2 against P1's
             opponents = traj.genotypes[:, max(k - 1, 0), ::-1]
             if kind.test_based:
-                picks = np.array([[draw_sample(n, n, m, rng, config.sample_with_replacement)
-                                   for _ in tasks] for rng in rngs])
-                samples = np.take_along_axis(opponents[:, :, None], picks, axis=-1)
+                samples = np.take_along_axis(opponents[:, :, None], picks[:, k], axis=-1)
                 traj.samples[:, k] = samples
                 traj.fitnesses[:, k] = subjective_test(genotypes, samples, kind)
             else:
                 if k == 0:
                     # no fitness yet to pick a best member by
-                    picks = np.array([[rng.integers(0, n) for _ in tasks] for rng in rngs])
                     partners = np.take_along_axis(opponents, picks[..., None], axis=-1)[..., 0]
                 else:
                     partners = traj.best[:, k - 1, ::-1]
@@ -116,27 +136,20 @@ def run_trajectory(config: ExperimentConfig, seeds) -> Trajectories:
     return traj
 
 
-def _breed(traj: Trajectories, k: int, rngs: list[np.random.Generator],
-           config: ExperimentConfig) -> None:
+def _breed(traj: Trajectories, k: int, contests: np.ndarray, mutated: np.ndarray,
+           noise: np.ndarray) -> None:
     """Fill generation k's genotypes from generation k-1's by tournament
-    selection, then Gaussian mutation.
+    selection, then Gaussian mutation, from the block's draws for generation
+    k: `contests` (runs, 2, pop_size, tournament_size) holds each
+    tournament's contestants, `mutated` and `noise` (runs, 2, pop_size) each
+    winner's mutation.
 
-    Each of pop_size tournaments draws tournament_size contestants uniformly
-    with replacement; the winner is the contestant best under the
-    population's task, ties going to the first drawn. Each winner then gains
-    N(0, mutation_sigma) noise with probability mutation_prob, else passes
-    through bit-exactly.
+    The winner of a tournament is the contestant best under the population's
+    task, ties going to the first drawn. Each winner then gains its noise
+    where `mutated`, else passes through bit-exactly.
     """
-    n, t = config.pop_size, config.tournament_size
-    contests = np.empty((len(rngs), 2, n, t), dtype=np.int64)
-    mutated = np.empty((len(rngs), 2, n), dtype=bool)
-    noise = np.empty((len(rngs), 2, n))
-    for b, rng in enumerate(rngs):
-        for i in range(2):
-            contests[b, i] = rng.integers(0, n, size=(n, t))
-            mutated[b, i] = rng.random(n) < config.mutation_prob
-            noise[b, i] = rng.normal(0.0, config.mutation_sigma, n)
-    flat = contests.reshape(len(rngs), 2, n * t)
+    runs, _, n, t = contests.shape
+    flat = contests.reshape(runs, 2, n * t)
     genotypes = np.take_along_axis(traj.genotypes[:, k - 1], flat, axis=-1).reshape(contests.shape)
     fitnesses = np.take_along_axis(traj.fitnesses[:, k - 1], flat, axis=-1).reshape(contests.shape)
     children = traj.genotypes[:, k]

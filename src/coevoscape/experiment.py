@@ -349,25 +349,57 @@ def _block_runs(config: ExperimentConfig) -> int:
     return max(1, _BLOCK_BYTES // run_bytes)
 
 
+def _block_profiles(config: ExperimentConfig, runs: range) -> np.ndarray:
+    """`run_profiles` of a block of runs, computed in one array."""
+    traj = run_trajectory(config, [trajectory_seed(config.master_seed, r) for r in runs])
+    return run_profiles(traj, config.grid(), config.objective_kind())
+
+
+def _run_failed(config: ExperimentConfig, r: int, error: Exception) -> RuntimeError:
+    return RuntimeError(f"run {r} failed (seed = SeedSequence("
+                        f"{config.master_seed}, spawn_key=({r},))): {error}")
+
+
+def _profiles_by_run(config: ExperimentConfig,
+                     runs: range) -> Iterator[tuple[int, np.ndarray]]:
+    """(r, run r's profiles) for each run of a block, in run order.
+
+    The block is computed in one pass. That pass has no side effects, so if
+    it fails the block is computed again one run at a time, up to the run
+    that fails, which is then named.
+    """
+    try:
+        profiles = _block_profiles(config, runs)
+    except Exception:
+        for r in runs:
+            try:
+                profiles = _block_profiles(config, range(r, r + 1))
+            except Exception as e:
+                raise _run_failed(config, r, e) from e
+            yield r, profiles[0]
+    else:
+        yield from zip(runs, profiles)
+
+
 def _measure_runs(config: ExperimentConfig, runs: range,
                   per_run: Callable[[int, np.ndarray], None] | None) -> list[np.ndarray]:
     """Measures of each run of a block, shape (generations+1, 2, 3) each.
 
-    The block's profiles are built in one array; each run's slice is measured
-    and handed to `per_run` in turn, so the measures' temporaries stay the
-    size of one run.
+    Each run's slice of the block's profiles is measured and handed to
+    `per_run` in turn, so the measures' temporaries stay the size of one run,
+    and a failure there names its run directly.
     """
     kind = config.objective_kind()
-    traj = run_trajectory(config, [trajectory_seed(config.master_seed, r) for r in runs])
-    profiles = run_profiles(traj, config.grid(), kind)
-    del traj  # free the retained samples before the measures' temporaries
     measures = []
-    for r, run_profile in zip(runs, profiles):
-        measures.append(measure_generation(run_profile, kind,
-                                           grid_factor=config.dist_grid_factor,
-                                           bhatt_mode=config.bhatt_mode))
-        if per_run is not None:
-            per_run(r, run_profile)
+    for r, run_profile in _profiles_by_run(config, runs):
+        try:
+            measures.append(measure_generation(run_profile, kind,
+                                               grid_factor=config.dist_grid_factor,
+                                               bhatt_mode=config.bhatt_mode))
+            if per_run is not None:
+                per_run(r, run_profile)
+        except Exception as e:
+            raise _run_failed(config, r, e) from e
     return measures
 
 
@@ -379,23 +411,19 @@ def run_batch(config: ExperimentConfig,
     Runs advance in blocks of a size derived from the config; every run draws
     from its own generator, so the series does not depend on the blocks.
     `per_run(r, profiles)` is an optional hook (e.g. snapshot writing) that
-    receives run r's `run_profiles` slice, in run order. Any failing run
-    aborts the batch with its run index and seed derivation reported: a block
-    that fails is re-run one run at a time to find it.
+    receives run r's `run_profiles` slice: exactly once for each run before
+    the first failure, in run order, after that run's measures succeed.
+
+    Any failing run aborts the batch with its run index and seed derivation
+    reported. Each run's measures and hook call go one run at a time, so a
+    failure there names its run directly; a block whose trajectories or
+    profiles fail is computed again one run at a time to find the run.
     """
     config.validate()
     size = _block_runs(config)
     measures = []
     for start in range(0, config.runs, size):
-        runs = range(start, min(start + size, config.runs))
-        try:
-            measures += _measure_runs(config, runs, per_run)
-        except Exception:
-            # re-run the block one run at a time, so the failing run names itself
-            for r in runs:
-                try:
-                    measures += _measure_runs(config, range(r, r + 1), per_run)
-                except Exception as e:
-                    raise RuntimeError(f"run {r} failed (seed = SeedSequence("
-                                       f"{config.master_seed}, spawn_key=({r},))): {e}") from e
+        # one block's profiles at a time: _measure_runs drops them on return
+        measures += _measure_runs(config, range(start, min(start + size, config.runs)),
+                                  per_run)
     return MeasureSeries.from_runs(np.stack(measures))

@@ -139,14 +139,14 @@ def test_tournament_win_rate_size_two():
 
 
 def _replayed_contests(config, seed):
-    """P1's generation-1 tournaments of a compositional run, drawn from the
-    run's generator in the engine's documented order."""
+    """P1's generation-1 tournaments of a run, drawn from the run's generator
+    in the engine's documented order."""
     rng = np.random.default_rng(seed)
     for population in ("P1", "P2"):
         rng.uniform(*config.init_interval(population), config.pop_size)
-    for _ in range(2):  # generation-0 partners
-        rng.integers(0, config.pop_size)
-    return rng.integers(0, config.pop_size, size=(config.pop_size, config.tournament_size))
+    contests = rng.integers(0, config.pop_size, (config.generations, 2, config.pop_size,
+                                                 config.tournament_size))
+    return contests[0, 0]
 
 
 def test_tournament_minimize_mirrors_maximize():
@@ -163,6 +163,53 @@ def test_tournament_minimize_mirrors_maximize():
     # both runs share generation 0; minimizing f picks what maximizing -f picks
     assert np.array_equal(children["minimize"], best_of(genotypes, -fitnesses, Task.MAXIMIZE))
     assert np.array_equal(children["maximize"], best_of(genotypes, fitnesses, Task.MAXIMIZE))
+
+
+def _replayed_draws(config, seed):
+    """A run's randomness drawn by hand from its generator, in the documented
+    order of RNG stream 0.3.0: initial genotypes (2, n), tournaments
+    (G, 2, n, t), mutation mask and noise (G, 2, n), then the sample indices
+    (G+1, 2, n, m) or the generation-0 partner indices (2,)."""
+    rng = np.random.default_rng(seed)
+    n, m, t, gens = (config.pop_size, config.sample_size, config.tournament_size,
+                     config.generations)
+    init = np.array([rng.uniform(*config.init_interval(p), n) for p in ("P1", "P2")])
+    contests = rng.integers(0, n, (gens, 2, n, t))
+    mutated = rng.random((gens, 2, n)) < config.mutation_prob
+    noise = rng.normal(0.0, config.mutation_sigma, (gens, 2, n))
+    if not config.objective_kind().test_based:
+        return init, contests, mutated, noise, rng.integers(0, n, 2)
+    rows = (gens + 1) * 2 * n
+    if config.sample_with_replacement:
+        picks = rng.integers(0, n, (rows, m))
+    else:
+        picks = rng.permuted(np.tile(np.arange(n), (rows, 1)), axis=1)[:, :m]
+    return init, contests, mutated, noise, picks.reshape(gens + 1, 2, n, m)
+
+
+@pytest.mark.parametrize("function, with_replacement", [
+    ("smooth", False), ("crisp", True), ("ridge", False)])
+def test_run_replays_by_hand_in_documented_order(function, with_replacement):
+    config = ExperimentConfig(function=function, pop_size=6, sample_size=4,
+                              tournament_size=3, generations=2,
+                              sample_with_replacement=with_replacement)
+    traj = run_trajectory(config, [np.random.SeedSequence(8, spawn_key=(5,))])
+    init, contests, mutated, noise, picks = _replayed_draws(
+        config, np.random.SeedSequence(8, spawn_key=(5,)))
+    genotypes, fitnesses = traj.genotypes[0], traj.fitnesses[0]
+    assert np.array_equal(genotypes[0], init)
+    for i, task in enumerate(traj.tasks):
+        opponent = genotypes[0, 1 - i]
+        if traj.samples is not None:
+            # generation k is scored against the opponent's generation k - 1
+            assert np.array_equal(traj.samples[0, 0, i], opponent[picks[0, i]])
+            assert np.array_equal(traj.samples[0, 1, i], opponent[picks[1, i]])
+        else:
+            assert traj.partners[0, 0, i] == opponent[picks[i]]
+        winners = best_of(genotypes[0, i][contests[0, i]], fitnesses[0, i][contests[0, i]],
+                          task)
+        assert np.array_equal(genotypes[1, i], np.where(mutated[0, i], winners + noise[0, i],
+                                                        winners))
 
 
 def test_selection_raises_mean_fitness():

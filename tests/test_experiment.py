@@ -425,6 +425,40 @@ def test_run_batch_names_run_whose_hook_fails():
         run_batch(ExperimentConfig(runs=3, generations=1), per_run=hook)
 
 
+def test_run_batch_calls_hook_once_per_run_up_to_the_failure():
+    # a hook that keeps failing once it has failed, like a send to a writer
+    # process that has quit, is still blamed on the run that failed first
+    seen = []
+
+    def hook(r, profiles):
+        seen.append(r)
+        if 3 in seen:
+            raise OSError("writer quit")
+
+    expected = "run 3 failed (seed = SeedSequence(1, spawn_key=(3,))): writer quit"
+    with pytest.raises(RuntimeError, match=re.escape(expected)):
+        run_batch(ExperimentConfig(function="ridge", runs=12), per_run=hook)
+    assert seen == [0, 1, 2, 3]
+
+
+def test_run_batch_numeric_failure_leaves_one_hook_call_per_earlier_run(monkeypatch):
+    def overflow_in_run_10(config, seeds):
+        if any(seed.spawn_key == (10,) for seed in seeds):
+            raise FloatingPointError("overflow encountered in multiply")
+        return run_trajectory(config, seeds)
+
+    monkeypatch.setattr(experiment, "run_trajectory", overflow_in_run_10)
+    cfg = ExperimentConfig(runs=12)
+    assert experiment._block_runs(cfg) == 9  # run 10 is in the second block
+    seen = []
+    expected = ("run 10 failed (seed = SeedSequence(1, spawn_key=(10,))): "
+                "overflow encountered in multiply")
+    with pytest.raises(RuntimeError, match=re.escape(expected)):
+        run_batch(cfg, per_run=lambda r, profiles: seen.append(r))
+    # the first block's runs once each, then run 9, found good by the retry
+    assert seen == list(range(10))
+
+
 def test_run_batch_validates_config_first():
     with pytest.raises(ConfigError):
         run_batch(ExperimentConfig(runs=0))
