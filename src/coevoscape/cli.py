@@ -264,9 +264,9 @@ def cmd_measures(args) -> int:
                 write_snapshots(args.out / "snapshots" / f"run_{r:03d}", grid, profiles,
                                 range(len(profiles)), json_mirror, write, cache)
 
-            series = run_batch(config, per_run=per_run)
+            series = run_batch(config, per_run=per_run, workers=args.workers)
     else:
-        series = run_batch(config)
+        series = run_batch(config, workers=args.workers)
     write_table(args.out / "measures.csv", MEASURES_HEADER, list(series.rows()),
                 json_mirror)
     return 0
@@ -287,8 +287,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", type=Path, default=Path("."),
                         help="output directory (created if missing)")
     common.add_argument("--workers", type=int, default=1,
-                        help="accepted for compatibility (must be >= 1); batches "
-                             "run in one process, with identical results")
+                        help="measures: split the batch's runs across up to this "
+                             "many processes (must be >= 1; capped at the runs and "
+                             "the usable CPUs; forked, POSIX only). Snapshot batches "
+                             "run in one process. Results are identical for any value")
     common.add_argument("--format", choices=("csv", "json"), default="csv",
                         dest="fmt",
                         help="csv only, or json to mirror every CSV as JSON")

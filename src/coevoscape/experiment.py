@@ -4,7 +4,8 @@ per generation into means with 95% confidence intervals.
 Every run r of a batch draws its RNG from
 ``numpy.random.SeedSequence(master_seed, spawn_key=(r,))``, so a batch is
 fully determined by (config, master_seed), run streams are independent,
-and results do not depend on how runs are grouped into blocks.
+and results do not depend on how runs are grouped into blocks or split
+across forked worker processes.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ import importlib.resources
 import json
 import math
 import numbers
+import os
 from dataclasses import dataclass, fields
-from typing import Callable, Iterator
+from typing import BinaryIO, Callable, Iterator
 
 import numpy as np
 
@@ -403,9 +405,107 @@ def _measure_runs(config: ExperimentConfig, runs: range,
     return measures
 
 
+def _measure_slice(config: ExperimentConfig, runs: range,
+                   per_run: Callable[[int, np.ndarray], None] | None = None) -> np.ndarray:
+    """Measures of the runs `runs`, shape (len(runs), generations+1, 2, 3),
+    computed block by block from the slice's first run."""
+    size = _block_runs(config)
+    measures = []
+    for start in range(runs.start, runs.stop, size):
+        # one block's profiles at a time: _measure_runs drops them on return
+        measures += _measure_runs(config, range(start, min(start + size, runs.stop)), per_run)
+    return np.stack(measures)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask, where there is one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _slices(runs: int, workers: int) -> list[range]:
+    """The runs cut into `min(workers, runs, usable CPUs)` contiguous slices
+    whose sizes differ by at most one, in run order."""
+    count = min(workers, runs, _usable_cpus())
+    bounds = [runs * i // count for i in range(count + 1)]
+    return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _fork_slice(config: ExperimentConfig, runs: range) -> tuple[int, BinaryIO]:
+    """Fork a child that measures `runs` and reports on a pipe, then exits:
+    b"+" and the measures' float64 bytes, or b"-" and the failure's text.
+    Returns the child's pid and the pipe's read end."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:  # the child: leaves with os._exit, never returns
+        code = 1
+        try:
+            os.close(read)
+            try:
+                report = b"+" + _measure_slice(config, runs).tobytes()  # float64
+            except Exception as e:
+                report = b"-" + str(e).encode()
+            with open(write, "wb") as pipe:
+                pipe.write(report)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    return pid, open(read, "rb")
+
+
+def _slice_result(config: ExperimentConfig, runs: range, report: bytes,
+                  status: int) -> np.ndarray:
+    """A reaped child's measures of `runs`, or its failure raised as the
+    serial path words it."""
+    shape = (len(runs), config.generations + 1, len(POPULATIONS), len(MEASURES))
+    if status == 0 and report[:1] == b"-":
+        raise RuntimeError(report[1:].decode(errors="replace"))
+    if status == 0 and report[:1] == b"+" and len(report) == 1 + 8 * math.prod(shape):
+        return np.frombuffer(report, np.float64, offset=1).reshape(shape)
+    raise RuntimeError(f"runs {runs.start}-{runs.stop - 1}: the worker process ended "
+                       f"without a result (exit code {os.waitstatus_to_exitcode(status)})")
+
+
+def _forked_measures(config: ExperimentConfig, slices: list[range]) -> np.ndarray:
+    """Measures of every run: slice 0 in this process, each other slice in a
+    forked child, joined in run order. The first failure in run order is
+    raised. Every child is reaped before this returns or raises; on any
+    exception here, interrupts included, the children left are killed."""
+    import signal  # loaded by forked batches only
+
+    children = {}  # pid -> (runs, pipe) of each child not yet reaped
+    try:
+        for runs in slices[1:]:
+            pid, pipe = _fork_slice(config, runs)
+            children[pid] = (runs, pipe)
+        parts = [_measure_slice(config, slices[0])]
+        for pid, (runs, pipe) in list(children.items()):
+            with pipe:
+                report = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[pid]
+            parts.append(_slice_result(config, runs, report, status))
+        return np.concatenate(parts)
+    finally:
+        for pid, (_, pipe) in children.items():
+            pipe.close()
+            try:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            except (ProcessLookupError, ChildProcessError):
+                pass  # reaped already
+
+
 def run_batch(config: ExperimentConfig,
-              per_run: Callable[[int, np.ndarray], None] | None = None
-              ) -> MeasureSeries:
+              per_run: Callable[[int, np.ndarray], None] | None = None,
+              workers: int = 1) -> MeasureSeries:
     """Run `config.runs` independent trajectories and aggregate their measures.
 
     Runs advance in blocks of a size derived from the config; every run draws
@@ -414,16 +514,25 @@ def run_batch(config: ExperimentConfig,
     receives run r's `run_profiles` slice: exactly once for each run before
     the first failure, in run order, after that run's measures succeed.
 
+    With `workers` > 1 and no hook, the runs are cut into
+    `min(workers, runs, usable CPUs)` contiguous slices: the first is
+    measured in this process and each other one in a forked child (POSIX
+    only), and the slices are joined in run order, so the series is the same
+    bytes for any `workers`. A batch with a hook, a single slice or no
+    `os.fork` runs in this process.
+
     Any failing run aborts the batch with its run index and seed derivation
-    reported. Each run's measures and hook call go one run at a time, so a
-    failure there names its run directly; a block whose trajectories or
-    profiles fail is computed again one run at a time to find the run.
+    reported; across slices, the first failure in run order. Each run's
+    measures and hook call go one run at a time, so a failure there names its
+    run directly; a block whose trajectories or profiles fail is computed
+    again one run at a time to find the run.
     """
     config.validate()
-    size = _block_runs(config)
-    measures = []
-    for start in range(0, config.runs, size):
-        # one block's profiles at a time: _measure_runs drops them on return
-        measures += _measure_runs(config, range(start, min(start + size, config.runs)),
-                                  per_run)
-    return MeasureSeries.from_runs(np.stack(measures))
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    slices = _slices(config.runs, workers)
+    if len(slices) == 1 or per_run is not None or not hasattr(os, "fork"):
+        values = _measure_slice(config, range(config.runs), per_run)
+    else:
+        values = _forked_measures(config, slices)
+    return MeasureSeries.from_runs(values)

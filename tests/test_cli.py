@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -188,18 +189,21 @@ def test_measures_byte_identical_reruns(tmp_path):
        runs=st.integers(1, 4), generations=st.integers(0, 3),
        seed=st.integers(0, 2**32 - 1))
 def test_measures_bytes_do_not_depend_on_workers(function, runs, generations, seed):
-    """`measures --workers 1` and `--workers 2` write identical bytes."""
+    """`measures --workers 1`, `2` and `3` write identical bytes. Three CPUs
+    are assumed, so each batch of two runs or more forks on any runner."""
     data = {"substrate": {"function": function},
             "evolution": {"generations": generations},
             "experiment": {"runs": runs, "master_seed": seed}}
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(experiment, "_usable_cpus", lambda: 3):
         root = Path(tmp)
         cfg = write_config(root, data)
-        for workers in ("1", "2"):
+        for workers in ("1", "2", "3"):
             assert cli.main(["measures", "--config", str(cfg), "--out", str(root / workers),
                              "--workers", workers, "--format", "json"]) == 0
         for name in ("measures.csv", "measures.json"):
             assert (root / "1" / name).read_bytes() == (root / "2" / name).read_bytes()
+            assert (root / "1" / name).read_bytes() == (root / "3" / name).read_bytes()
 
 
 def test_measures_seed_flag_overrides_config(tmp_path):
@@ -374,13 +378,18 @@ def test_import_and_config_load_leave_scipy_out(tmp_path):
     `measures` never import scipy: `ci95` reads its t quantile from a table
     up to 1,001 runs. With scipy blocked, `measures` writes the same bytes.
     Nor do they import subprocess: only a snapshot batch starts a writer
-    process."""
+    process. A `measures --workers 2` forks its workers, so it imports
+    neither multiprocessing nor concurrent, and writes the same bytes."""
     cfg = write_config(tmp_path, SMOOTH_SMALL)
     batch = write_config(tmp_path, dict(SMOOTH_SMALL, experiment={"runs": 100}), "batch.json")
     scipy_modules = ("print(sorted(m for m in sys.modules "
-                     "if m.split('.')[0] in ('scipy', 'subprocess')))")
+                     "if m.split('.')[0] in ('scipy', 'subprocess', 'multiprocessing', "
+                     "'concurrent')))")
     measures = ("assert coevoscape.cli.main(['measures', '--config', sys.argv[3], '--out', "
                 "sys.argv[4], '--format', 'json']) == 0")
+    forked = ("coevoscape.experiment._usable_cpus = lambda: 2\n"
+              "assert coevoscape.cli.main(['measures', '--config', sys.argv[3], '--out', "
+              "sys.argv[4] + '-forked', '--format', 'json', '--workers', '2']) == 0")
     free = "\n".join([
         "import sys",
         "import coevoscape.cli",
@@ -391,6 +400,8 @@ def test_import_and_config_load_leave_scipy_out(tmp_path):
         "                            '--generations', '0,5']) == 0",
         scipy_modules,
         measures,
+        scipy_modules,
+        forked,
         scipy_modules,
     ])
     blocked = "\n".join(["import sys", "sys.modules['scipy'] = None", "import coevoscape.cli",
@@ -406,11 +417,11 @@ def test_import_and_config_load_leave_scipy_out(tmp_path):
         assert proc.returncode == 0, proc.stderr
         return proc.stdout.splitlines()
 
-    assert printed(free, tmp_path / "free") == ["[]", "[]", "[]"]
+    assert printed(free, tmp_path / "free") == ["[]", "[]", "[]", "[]"]
     assert printed(blocked, tmp_path / "blocked") == []
     for name in ("measures.csv", "measures.json"):
-        assert ((tmp_path / "blocked" / name).read_bytes()
-                == (tmp_path / "free" / name).read_bytes())
+        for out in ("blocked", "free-forked"):
+            assert (tmp_path / out / name).read_bytes() == (tmp_path / "free" / name).read_bytes()
 
 
 def test_simulate_reproduces_run_zero_of_a_batch(tmp_path):

@@ -6,7 +6,9 @@ import importlib.resources
 import importlib.util
 import json
 import math
+import os
 import re
+import time
 from dataclasses import fields, replace
 from pathlib import Path
 from unittest import mock
@@ -397,22 +399,155 @@ def test_run_batch_hook_gets_the_measured_profiles():
             assert series.values[r, k, 1, 2] == t2[2]
 
 
-@pytest.mark.parametrize("runs, failing", [
-    pytest.param(4, 2, id="1"),
-    # 9 runs to a block at the defaults: run 10 is in the second block
-    pytest.param(12, 10, id="second-block"),
-])
-def test_run_batch_names_failing_run_and_seed(monkeypatch, runs, failing):
-    def fail_one_run(config, seeds):
-        if any(seed.spawn_key == (failing,) for seed in seeds):
-            raise ValueError("boom")
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """`run_batch` sees two usable CPUs, so `workers=2` forks on any runner."""
+    monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)
+
+
+def assert_no_child_process():
+    """Every process the batch started has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def fail_runs(failing, error=ValueError("boom")):
+    """`run_trajectory` that raises `error` for a block holding a run of `failing`."""
+    def run(config, seeds):
+        if any(seed.spawn_key[0] in failing for seed in seeds):
+            raise error
         return run_trajectory(config, seeds)
 
-    monkeypatch.setattr(experiment, "run_trajectory", fail_one_run)
+    return run
+
+
+@pytest.mark.parametrize("runs, failing, workers", [
+    pytest.param(4, 2, 1, id="1"),
+    # 9 runs to a block at the defaults: run 10 is in the second block
+    pytest.param(12, 10, 1, id="second-block"),
+    # slices (0-1, 2-3) and (0-5, 6-11): the failing run is the child's
+    pytest.param(4, 2, 2, id="1-forked"),
+    pytest.param(12, 10, 2, id="second-block-forked"),
+])
+def test_run_batch_names_failing_run_and_seed(monkeypatch, two_cpus, runs, failing, workers):
+    monkeypatch.setattr(experiment, "run_trajectory", fail_runs({failing}))
     cfg = ExperimentConfig(runs=runs)
     expected = f"run {failing} failed (seed = SeedSequence(1, spawn_key=({failing},))): boom"
-    with pytest.raises(RuntimeError, match=re.escape(expected)):
-        run_batch(cfg)
+    with pytest.raises(RuntimeError, match=f"^{re.escape(expected)}$"):
+        run_batch(cfg, workers=workers)
+    assert_no_child_process()
+
+
+@pytest.mark.parametrize("cpus, failing, named", [
+    pytest.param(2, {1, 8}, 1, id="both-slices"),
+    # slices 0-3, 4-7 and 8-11: both children fail, the first is read first
+    pytest.param(3, {9, 5}, 5, id="both-children"),
+])
+def test_run_batch_names_first_failure_in_run_order(monkeypatch, cpus, failing, named):
+    monkeypatch.setattr(experiment, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(experiment, "run_trajectory", fail_runs(failing))
+    expected = f"run {named} failed (seed = SeedSequence(1, spawn_key=({named},))): boom"
+    with pytest.raises(RuntimeError, match=f"^{re.escape(expected)}$"):
+        run_batch(ExperimentConfig(runs=12), workers=cpus)
+    assert_no_child_process()
+
+
+def test_run_batch_names_the_range_of_a_child_that_dies(monkeypatch, two_cpus):
+    parent = os.getpid()
+
+    def die_in_child(config, seeds):
+        if os.getpid() != parent:
+            os._exit(3)
+        return run_trajectory(config, seeds)
+
+    monkeypatch.setattr(experiment, "run_trajectory", die_in_child)
+    expected = "runs 6-11: the worker process ended without a result (exit code 3)"
+    with pytest.raises(RuntimeError, match=f"^{re.escape(expected)}$"):
+        run_batch(ExperimentConfig(runs=12), workers=2)
+    assert_no_child_process()
+
+
+def test_interrupt_in_the_parents_slice_kills_the_children(monkeypatch, two_cpus):
+    """A `KeyboardInterrupt` in this process's slice propagates as itself, and
+    the child, still busy, is killed and reaped rather than waited for."""
+    parent = os.getpid()
+
+    def interrupted(config, seeds):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)
+        return run_trajectory(config, seeds)
+
+    monkeypatch.setattr(experiment, "run_trajectory", interrupted)
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        run_batch(ExperimentConfig(runs=4), workers=2)
+    assert time.perf_counter() - start < 30
+    assert_no_child_process()
+
+
+@settings(max_examples=60, deadline=None)
+@given(runs=st.integers(1, 2_000), workers=st.integers(1, 10_000), cpus=st.integers(1, 64))
+def test_slices_cut_runs_in_order_up_to_the_cpu_cap(runs, workers, cpus):
+    with mock.patch.object(experiment, "_usable_cpus", lambda: cpus):
+        slices = experiment._slices(runs, workers)
+    assert len(slices) == min(workers, runs, cpus)
+    assert [r for part in slices for r in part] == list(range(runs))
+    assert max(map(len, slices)) - min(map(len, slices)) <= 1
+
+
+def test_slices_at_the_edges(monkeypatch, two_cpus):
+    assert experiment._slices(100, 10_000) == [range(0, 50), range(50, 100)]
+    assert experiment._slices(1, 2) == [range(0, 1)]
+    assert experiment._slices(7, 1) == [range(0, 7)]
+    monkeypatch.setattr(experiment, "_usable_cpus", lambda: 64)
+    assert experiment._slices(3, 10_000) == [range(0, 1), range(1, 2), range(2, 3)]
+
+
+def test_run_batch_forks_once_per_extra_slice(monkeypatch, two_cpus):
+    """10,000 workers on two CPUs fork one child (the stub refuses a second),
+    give the serial values and leave no process behind."""
+    forks = []
+    real_fork = os.fork
+
+    def counted_fork():
+        forks.append(os.getpid())
+        if len(forks) > 1:
+            raise OSError("a second fork")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    cfg = ExperimentConfig(runs=6, generations=2)
+    values = run_batch(cfg, workers=10_000).values
+    assert forks == [os.getpid()]
+    assert np.array_equal(values, run_batch(cfg).values)
+    assert_no_child_process()
+
+
+@pytest.mark.parametrize("runs, workers, hook", [
+    pytest.param(1, 2, None, id="one-run"),
+    pytest.param(4, 1, None, id="one-worker"),
+    pytest.param(4, 2, lambda r, profiles: None, id="hook"),
+])
+def test_run_batch_forks_nothing_for_one_slice_or_a_hook(monkeypatch, two_cpus, runs,
+                                                         workers, hook):
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    cfg = ExperimentConfig(runs=runs, generations=1)
+    assert run_batch(cfg, per_run=hook, workers=workers).values.shape == (runs, 2, 2, 3)
+
+
+def test_run_batch_runs_serially_without_fork(monkeypatch, two_cpus):
+    monkeypatch.delattr(os, "fork")
+    cfg = ExperimentConfig(runs=4, generations=1)
+    assert np.array_equal(run_batch(cfg, workers=2).values, run_batch(cfg).values)
+
+
+def test_run_batch_rejects_fewer_than_one_worker():
+    with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
+        run_batch(ExperimentConfig(runs=2, generations=1), workers=0)
 
 
 def test_run_batch_names_run_whose_hook_fails():
@@ -442,12 +577,8 @@ def test_run_batch_calls_hook_once_per_run_up_to_the_failure():
 
 
 def test_run_batch_numeric_failure_leaves_one_hook_call_per_earlier_run(monkeypatch):
-    def overflow_in_run_10(config, seeds):
-        if any(seed.spawn_key == (10,) for seed in seeds):
-            raise FloatingPointError("overflow encountered in multiply")
-        return run_trajectory(config, seeds)
-
-    monkeypatch.setattr(experiment, "run_trajectory", overflow_in_run_10)
+    monkeypatch.setattr(experiment, "run_trajectory",
+                        fail_runs({10}, FloatingPointError("overflow encountered in multiply")))
     cfg = ExperimentConfig(runs=12)
     assert experiment._block_runs(cfg) == 9  # run 10 is in the second block
     seen = []

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from coevoscape import cli
+from coevoscape import cli, experiment
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN_DIR = ROOT / "tests" / "golden"
@@ -73,7 +73,9 @@ def test_outputs_match_golden_files(tmp_path, case):
         assert (tmp_path / name).read_bytes() == (GOLDEN_DIR / case / name).read_bytes(), name
 
 
-def test_parallel_measures_match_golden_file(tmp_path):
+def test_parallel_measures_match_golden_file(tmp_path, monkeypatch):
+    # two usable CPUs, so the batch forks a worker on any runner
+    monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)
     produce("smooth_competitive", tmp_path, workers=2)
     golden = GOLDEN_DIR / "smooth_competitive" / "measures.csv"
     assert (tmp_path / "measures.csv").read_bytes() == golden.read_bytes()
