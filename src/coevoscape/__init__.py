@@ -28,7 +28,9 @@ from .landscape import (
     make_grid,
     measure_generation,
     objective_profile,
+    objective_side,
     run_profiles,
+    subjective_profiles,
 )
 from .experiment import (
     ConfigError,
@@ -58,6 +60,8 @@ __all__ = [
     "run_trajectory",
     "make_grid",
     "objective_profile",
+    "objective_side",
+    "subjective_profiles",
     "run_profiles",
     "dist",
     "kld",

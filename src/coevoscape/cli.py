@@ -23,7 +23,6 @@ reports its first failure before returning.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import pickle
 import sys
@@ -206,11 +205,7 @@ class WriterProcess:
 def _load_config(args) -> ExperimentConfig:
     if args.workers < 1:
         raise ConfigError(f"workers must be an integer >= 1, got {args.workers}")
-    config = ExperimentConfig.from_file(args.config)
-    if args.seed is not None:
-        config = dataclasses.replace(config, master_seed=args.seed)
-        config.validate()
-    return config
+    return ExperimentConfig.from_file(args.config, master_seed=args.seed)
 
 
 def _parse_generations(text: str, last: int) -> list[int]:

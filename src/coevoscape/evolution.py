@@ -17,6 +17,7 @@ run's numbers do not depend on the block it is part of.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -58,6 +59,32 @@ class Trajectories:
     partners: np.ndarray | None = None
 
 
+def _layout(config: ExperimentConfig, runs: int) -> dict[str, tuple[tuple[int, ...], type]]:
+    """Shape and dtype of every array `run_trajectory` holds for a block of
+    `runs` runs: the `Trajectories` fields and the up-front draws. Indices
+    into a population (tournament contestants, evaluator picks, generation-0
+    partners) are held in the smallest unsigned type that fits pop_size - 1."""
+    gens, n = config.generations, config.pop_size
+    m, t = config.sample_size, config.tournament_size
+    index = np.min_scalar_type(n - 1).type
+    shape = (runs, gens + 1, 2)
+    if config.objective_kind().test_based:
+        used = {"samples": (shape + (n, m), float), "picks": (shape + (n, m), index)}
+    else:
+        used = {"partners": (shape, float), "picks": ((runs, 2), index)}
+    return {"genotypes": (shape + (n,), float), "fitnesses": (shape + (n,), float),
+            "best": (shape, float), **used,
+            "contests": ((runs, gens, 2, n, t), index),
+            "mutated": ((runs, gens, 2, n), bool),
+            "noise": ((runs, gens, 2, n), float)}
+
+
+def run_bytes(config: ExperimentConfig) -> int:
+    """Bytes `run_trajectory` holds in its arrays for each run of a block."""
+    return sum(math.prod(shape) * np.dtype(dtype).itemsize
+               for shape, dtype in _layout(config, 1).values())
+
+
 def run_trajectory(config: ExperimentConfig, seeds) -> Trajectories:
     """Run one trajectory per seed, deterministically, as one block.
 
@@ -85,24 +112,19 @@ def run_trajectory(config: ExperimentConfig, seeds) -> Trajectories:
     mode = config.interaction_mode()
     tasks = (mode.task_p1, mode.task_p2)
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    runs, gens = len(rngs), config.generations
-    n, m, t = config.pop_size, config.sample_size, config.tournament_size
-    shape = (runs, gens + 1, 2)
-    traj = Trajectories(tasks, np.empty(shape + (n,)), np.empty(shape + (n,)),
-                        np.empty(shape))
-    if kind.test_based:
-        traj.samples = np.empty(shape + (n, m))
-        picks = np.empty(shape + (n, m), dtype=np.int64)
-    else:
-        traj.partners = np.empty(shape)
-        picks = np.empty((runs, 2), dtype=np.int64)
-    contests = np.empty((runs, gens, 2, n, t), dtype=np.int64)
-    mutated = np.empty((runs, gens, 2, n), dtype=bool)
-    noise = np.empty((runs, gens, 2, n))
+    gens, n, m, t = (config.generations, config.pop_size, config.sample_size,
+                     config.tournament_size)
+    arrays = {name: np.empty(shape, dtype)
+              for name, (shape, dtype) in _layout(config, len(rngs)).items()}
+    traj = Trajectories(tasks, arrays["genotypes"], arrays["fitnesses"], arrays["best"],
+                        arrays.get("samples"), arrays.get("partners"))
+    picks, contests = arrays["picks"], arrays["contests"]
+    mutated, noise = arrays["mutated"], arrays["noise"]
     intervals = [config.init_interval(p) for p in ("P1", "P2")]
     for b, rng in enumerate(rngs):
         for i, (lo, hi) in enumerate(intervals):
             traj.genotypes[b, 0, i] = rng.uniform(lo, hi, n)
+        # int64 draws, stored narrower: the values, and so the stream, are the same
         contests[b] = rng.integers(0, n, (gens, 2, n, t))
         mutated[b] = rng.random((gens, 2, n)) < config.mutation_prob
         noise[b] = rng.normal(0.0, config.mutation_sigma, (gens, 2, n))

@@ -21,9 +21,9 @@ from typing import BinaryIO, Callable, Iterator
 
 import numpy as np
 
-from .evolution import run_trajectory
-from .landscape import (BHATT_MODES, make_grid, measure_generation, objective_profile,
-                        run_profiles)
+from .evolution import Trajectories, run_bytes, run_trajectory
+from .landscape import (BHATT_MODES, ObjectiveSide, make_grid, measure_generation,
+                        objective_profile, objective_side, subjective_profiles)
 from .substrate import (InteractionMode, ObjectiveKind, Task, eval_objective_shared,
                         eval_objective_test, kind_from_name)
 
@@ -110,8 +110,10 @@ class ExperimentConfig:
     snapshots: bool = False
 
     @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentConfig":
-        """Build from a sectioned mapping; unknown sections or keys are errors."""
+    def from_dict(cls, data: dict, *, master_seed: int | None = None) -> "ExperimentConfig":
+        """Build from a sectioned mapping; unknown sections or keys are errors.
+        `master_seed`, if given, replaces the mapping's before the one
+        validation."""
         kwargs = {}
         for section, content in data.items():
             if section not in _SECTIONS:
@@ -129,13 +131,16 @@ class ExperimentConfig:
                 if key.startswith("init_interval") and isinstance(value, list):
                     value = tuple(value)
                 kwargs[key] = value
+        if master_seed is not None:
+            kwargs["master_seed"] = master_seed
         config = cls(**kwargs)
         config.validate()
         return config
 
     @classmethod
-    def from_file(cls, path) -> "ExperimentConfig":
-        """Load a JSON config file (see README for the exact keys)."""
+    def from_file(cls, path, *, master_seed: int | None = None) -> "ExperimentConfig":
+        """Load a JSON config file (see README for the exact keys), with
+        `master_seed`, if given, in place of the file's."""
         with open(path, "r", encoding="utf-8") as fp:
             try:
                 data = json.load(fp)
@@ -143,7 +148,7 @@ class ExperimentConfig:
                 raise ConfigError(f"config file {path} is not valid JSON: {e}") from e
         if not isinstance(data, dict):
             raise ConfigError(f"config file {path} must contain a JSON object")
-        return cls.from_dict(data)
+        return cls.from_dict(data, master_seed=master_seed)
 
     def to_dict(self) -> dict:
         """Sectioned mapping mirroring the config file layout."""
@@ -339,22 +344,15 @@ class MeasureSeries:
                    float(self.ci_lo[k, i, j]), float(self.ci_hi[k, i, j]))
 
 
-# A block of runs holds about this many bytes in its largest arrays, the
-# profiles or the retained samples (9 runs at the defaults), so memory stays
-# flat however many runs a batch has.
+# A block of runs is one `run_trajectory` pass. It holds about this many bytes
+# in the arrays that pass keeps for its runs (`run_bytes`: 14 test-based or 74
+# compositional runs at the defaults), and profiles and measures go one run at
+# a time, so memory stays flat however many runs a batch has.
 _BLOCK_BYTES = 1 << 20
 
 
 def _block_runs(config: ExperimentConfig) -> int:
-    run_bytes = 8 * (config.generations + 1) * max(
-        4 * config.grid_points, 2 * config.pop_size * config.sample_size)
-    return max(1, _BLOCK_BYTES // run_bytes)
-
-
-def _block_profiles(config: ExperimentConfig, runs: range) -> np.ndarray:
-    """`run_profiles` of a block of runs, computed in one array."""
-    traj = run_trajectory(config, [trajectory_seed(config.master_seed, r) for r in runs])
-    return run_profiles(traj, config.grid(), config.objective_kind())
+    return max(1, _BLOCK_BYTES // run_bytes(config))
 
 
 def _run_failed(config: ExperimentConfig, r: int, error: Exception) -> RuntimeError:
@@ -362,59 +360,63 @@ def _run_failed(config: ExperimentConfig, r: int, error: Exception) -> RuntimeEr
                         f"{config.master_seed}, spawn_key=({r},))): {error}")
 
 
-def _profiles_by_run(config: ExperimentConfig,
-                     runs: range) -> Iterator[tuple[int, np.ndarray]]:
-    """(r, run r's profiles) for each run of a block, in run order.
+def _evolve(config: ExperimentConfig, runs: range) -> Iterator[tuple[int, Trajectories, int]]:
+    """(r, trajectories, i) for each run r of a block, in run order, where run
+    r is run i of `trajectories`.
 
-    The block is computed in one pass. That pass has no side effects, so if
-    it fails the block is computed again one run at a time, up to the run
-    that fails, which is then named.
+    The block is evolved in one `run_trajectory` pass. That pass has no side
+    effects, so if it fails the block is evolved again one run at a time, up
+    to the run that fails, which is then named.
     """
     try:
-        profiles = _block_profiles(config, runs)
+        traj = run_trajectory(config, [trajectory_seed(config.master_seed, r) for r in runs])
     except Exception:
         for r in runs:
             try:
-                profiles = _block_profiles(config, range(r, r + 1))
+                traj = run_trajectory(config, [trajectory_seed(config.master_seed, r)])
             except Exception as e:
                 raise _run_failed(config, r, e) from e
-            yield r, profiles[0]
+            yield r, traj, 0
     else:
-        yield from zip(runs, profiles)
+        for i, r in enumerate(runs):
+            yield r, traj, i
 
 
-def _measure_runs(config: ExperimentConfig, runs: range,
-                  per_run: Callable[[int, np.ndarray], None] | None) -> list[np.ndarray]:
-    """Measures of each run of a block, shape (generations+1, 2, 3) each.
+def _measure_block(config: ExperimentConfig, objective: ObjectiveSide, runs: range,
+                   per_run: Callable[[int, np.ndarray], None] | None,
+                   out: np.ndarray) -> None:
+    """Measures of each run of a block into `out`, shape (len(runs),
+    generations+1, 2, 3).
 
-    Each run's slice of the block's profiles is measured and handed to
-    `per_run` in turn, so the measures' temporaries stay the size of one run,
-    and a failure there names its run directly.
+    Each run's subjective profiles are built, measured against `objective`
+    and, with their objective rows, handed to `per_run` in turn, so a
+    failure there names its run directly.
     """
-    kind = config.objective_kind()
-    measures = []
-    for r, run_profile in _profiles_by_run(config, runs):
+    grid, kind = config.grid(), config.objective_kind()
+    for r, traj, i in _evolve(config, runs):
         try:
-            measures.append(measure_generation(run_profile, kind,
-                                               grid_factor=config.dist_grid_factor,
-                                               bhatt_mode=config.bhatt_mode))
+            sub = subjective_profiles(traj, i, grid, kind)
+            out[r - runs.start] = measure_generation(objective, sub,
+                                                     bhatt_mode=config.bhatt_mode)
             if per_run is not None:
-                per_run(r, run_profile)
+                profiles = np.empty((len(sub), 4, len(grid)))
+                profiles[:, :2], profiles[:, 2:] = objective.profiles, sub
+                per_run(r, profiles)
         except Exception as e:
             raise _run_failed(config, r, e) from e
-    return measures
 
 
-def _measure_slice(config: ExperimentConfig, runs: range,
+def _measure_slice(config: ExperimentConfig, objective: ObjectiveSide, runs: range,
                    per_run: Callable[[int, np.ndarray], None] | None = None) -> np.ndarray:
     """Measures of the runs `runs`, shape (len(runs), generations+1, 2, 3),
     computed block by block from the slice's first run."""
+    values = np.empty((len(runs), config.generations + 1, len(POPULATIONS), len(MEASURES)))
     size = _block_runs(config)
-    measures = []
-    for start in range(runs.start, runs.stop, size):
-        # one block's profiles at a time: _measure_runs drops them on return
-        measures += _measure_runs(config, range(start, min(start + size, runs.stop)), per_run)
-    return np.stack(measures)
+    for start in range(0, len(runs), size):
+        # one block's trajectories at a time: _measure_block drops them on return
+        _measure_block(config, objective, runs[start:start + size], per_run,
+                       values[start:start + size])
+    return values
 
 
 def _usable_cpus() -> int:
@@ -432,7 +434,8 @@ def _slices(runs: int, workers: int) -> list[range]:
     return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _fork_slice(config: ExperimentConfig, runs: range) -> tuple[int, BinaryIO]:
+def _fork_slice(config: ExperimentConfig, objective: ObjectiveSide,
+                runs: range) -> tuple[int, BinaryIO]:
     """Fork a child that measures `runs` and reports on a pipe, then exits:
     b"+" and the measures' float64 bytes, or b"-" and the failure's text.
     Returns the child's pid and the pipe's read end."""
@@ -448,7 +451,7 @@ def _fork_slice(config: ExperimentConfig, runs: range) -> tuple[int, BinaryIO]:
         try:
             os.close(read)
             try:
-                report = b"+" + _measure_slice(config, runs).tobytes()  # float64
+                report = b"+" + _measure_slice(config, objective, runs).tobytes()  # float64
             except Exception as e:
                 report = b"-" + str(e).encode()
             with open(write, "wb") as pipe:
@@ -473,7 +476,8 @@ def _slice_result(config: ExperimentConfig, runs: range, report: bytes,
                        f"without a result (exit code {os.waitstatus_to_exitcode(status)})")
 
 
-def _forked_measures(config: ExperimentConfig, slices: list[range]) -> np.ndarray:
+def _forked_measures(config: ExperimentConfig, objective: ObjectiveSide,
+                     slices: list[range]) -> np.ndarray:
     """Measures of every run: slice 0 in this process, each other slice in a
     forked child, joined in run order. The first failure in run order is
     raised. Every child is reaped before this returns or raises; on any
@@ -483,9 +487,9 @@ def _forked_measures(config: ExperimentConfig, slices: list[range]) -> np.ndarra
     children = {}  # pid -> (runs, pipe) of each child not yet reaped
     try:
         for runs in slices[1:]:
-            pid, pipe = _fork_slice(config, runs)
+            pid, pipe = _fork_slice(config, objective, runs)
             children[pid] = (runs, pipe)
-        parts = [_measure_slice(config, slices[0])]
+        parts = [_measure_slice(config, objective, slices[0])]
         for pid, (runs, pipe) in list(children.items()):
             with pipe:
                 report = pipe.read()
@@ -508,11 +512,15 @@ def run_batch(config: ExperimentConfig,
               workers: int = 1) -> MeasureSeries:
     """Run `config.runs` independent trajectories and aggregate their measures.
 
-    Runs advance in blocks of a size derived from the config; every run draws
-    from its own generator, so the series does not depend on the blocks.
-    `per_run(r, profiles)` is an optional hook (e.g. snapshot writing) that
-    receives run r's `run_profiles` slice: exactly once for each run before
-    the first failure, in run order, after that run's measures succeed.
+    Runs evolve in blocks, one `run_trajectory` pass each, sized by the
+    arrays that pass holds per run; every run draws from its own generator,
+    so the series does not depend on the blocks. The objective side is built
+    once per batch, and each run's subjective profiles are built and measured
+    against it one run at a time. `per_run(r, profiles)` is an optional hook
+    (e.g. snapshot writing) that receives run r's profiles, shape
+    (generations+1, 4, grid points) as `run_profiles` lays them out: exactly
+    once for each run before the first failure, in run order, after that
+    run's measures succeed.
 
     With `workers` > 1 and no hook, the runs are cut into
     `min(workers, runs, usable CPUs)` contiguous slices: the first is
@@ -523,16 +531,20 @@ def run_batch(config: ExperimentConfig,
 
     Any failing run aborts the batch with its run index and seed derivation
     reported; across slices, the first failure in run order. Each run's
-    measures and hook call go one run at a time, so a failure there names its
-    run directly; a block whose trajectories or profiles fail is computed
+    profiles, measures and hook call go one run at a time, so a failure there
+    names its run directly; a block whose evolution pass fails is evolved
     again one run at a time to find the run.
     """
     config.validate()
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    # every run of the batch is measured against the same objective side
+    mode = config.interaction_mode()
+    objective = objective_side(config.objective_kind(), config.grid(),
+                               (mode.task_p1, mode.task_p2), grid_factor=config.dist_grid_factor)
     slices = _slices(config.runs, workers)
     if len(slices) == 1 or per_run is not None or not hasattr(os, "fork"):
-        values = _measure_slice(config, range(config.runs), per_run)
+        values = _measure_slice(config, objective, range(config.runs), per_run)
     else:
-        values = _forked_measures(config, slices)
+        values = _forked_measures(config, objective, slices)
     return MeasureSeries.from_runs(values)

@@ -5,9 +5,11 @@ search-space points (one grid per batch, `ExperimentConfig.grid()`). Per
 generation, the objective profile is static while the subjective profile is
 rebuilt from what the run actually used: the retained evaluator samples
 (test-based, averaged into an ensemble mean) or the opposing representative
-(compositional, an exact slice of the shared landscape). `run_profiles`
-builds a block of runs' profiles in one array, each objective profile once;
-the measures and the landscape snapshots both read it.
+(compositional, an exact slice of the shared landscape). A batch builds its
+objective side once (`objective_side`: both objective profiles and what the
+measures derive from them) and each run's subjective profiles on their own
+(`subjective_profiles`); `run_profiles` puts both sides of a block of runs
+in one array, as the landscape snapshots read them.
 
 Three measures compare an objective profile against a subjective one of the
 same shape:
@@ -25,6 +27,8 @@ same shape:
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,28 +115,42 @@ def _check_same_shape(obj: np.ndarray, sub: np.ndarray) -> None:
         raise ValueError(f"profiles must have the same shape, got {obj.shape} and {sub.shape}")
 
 
-def dist(obj: np.ndarray, sub: np.ndarray, *, grid_factor: bool = True):
+def _dist_scale(obj: np.ndarray, *, grid_factor: bool = True) -> np.ndarray:
+    """`dist`'s normaliser for each objective profile of shape (..., grid
+    points): its value range, times sqrt(grid size) with grid_factor.
+
+    Raises:
+        ValueError: an objective profile is flat (zero range).
+    """
+    value_range = np.max(obj, axis=-1) - np.min(obj, axis=-1)
+    if np.any(value_range == 0.0):
+        raise ValueError("objective profile is flat; distance normalization undefined")
+    return value_range * (np.sqrt(obj.shape[-1]) if grid_factor else 1.0)
+
+
+def dist(obj: np.ndarray, sub: np.ndarray, *, grid_factor: bool = True,
+         scale: np.ndarray | None = None):
     """Normalized Euclidean distance between two profiles on one grid.
 
     The norm of the pointwise difference is divided by the objective
     profile's value range times sqrt(grid size), making the result a
     unitary quantity independent of grid resolution. Set grid_factor=False
     for the plain range normalization. Profiles of shape (..., grid points)
-    give one distance per row; a single pair gives a float.
+    give one distance per row; a single pair gives a float. `scale`, if
+    given, is that normaliser computed beforehand (an `ObjectiveSide`'s),
+    and `obj` may then be rows that `sub` repeats along its leading axes.
 
     Raises:
         ValueError: the profiles differ in shape, or an objective profile
             is flat (zero range).
     """
-    _check_same_shape(obj, sub)
-    value_range = np.max(obj, axis=-1) - np.min(obj, axis=-1)
-    if np.any(value_range == 0.0):
-        raise ValueError("objective profile is flat; distance normalization undefined")
-    dist_max = value_range * (np.sqrt(obj.shape[-1]) if grid_factor else 1.0)
+    if scale is None:
+        _check_same_shape(obj, sub)
+        scale = _dist_scale(obj, grid_factor=grid_factor)
     d = obj - sub
     # each row's sum of squares as a dot product, as np.linalg.norm takes it
     # for one row, so a run's distances equal the per-row norms bit for bit
-    out = np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0]) / dist_max
+    out = np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0]) / scale
     return float(out) if out.ndim == 0 else out
 
 
@@ -148,12 +166,15 @@ def _kld(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, np.sum(p * np.log2(p / q), axis=-1))
 
 
-def _bhatt(p: np.ndarray, q: np.ndarray, mode: str) -> np.ndarray:
+def _bhatt(p: np.ndarray, q: np.ndarray, mode: str,
+           sqrt_p: np.ndarray | None = None) -> np.ndarray:
     if mode not in BHATT_MODES:
         raise ValueError(f"bhatt mode must be one of {BHATT_MODES}, got {mode!r}")
     if mode == "verbatim":
         return np.sqrt(np.maximum(0.0, 1.0 - np.sum(p * q, axis=-1)))
-    h = np.sqrt(0.5 * np.sum((np.sqrt(p) - np.sqrt(q)) ** 2, axis=-1))
+    if sqrt_p is None:
+        sqrt_p = np.sqrt(p)
+    h = np.sqrt(0.5 * np.sum((sqrt_p - np.sqrt(q)) ** 2, axis=-1))
     return np.minimum(1.0, h)
 
 
@@ -181,42 +202,79 @@ def bhatt(obj: np.ndarray, sub: np.ndarray, *,
     return float(out) if out.ndim == 0 else out
 
 
+@dataclass(frozen=True)
+class ObjectiveSide:
+    """The objective half of the measures, shared by every run and generation
+    of a batch: the objective profiles, shape (..., grid points), and what
+    `measure_generation` derives from them.
+
+        distribution   to_distribution(profiles, fitness_min)
+        sqrt           its square root, for bhatt's hellinger form
+        scale          dist's normaliser of each row
+    """
+
+    profiles: np.ndarray
+    fitness_min: float
+    distribution: np.ndarray
+    sqrt: np.ndarray
+    scale: np.ndarray
+
+    @classmethod
+    def of(cls, profiles: np.ndarray, kind: ObjectiveKind, *,
+           grid_factor: bool = True) -> ObjectiveSide:
+        """The objective side of the given objective profiles."""
+        fitness_min = objective_min(kind)
+        distribution = to_distribution(profiles, fitness_min)
+        return cls(profiles, fitness_min, distribution, np.sqrt(distribution),
+                   _dist_scale(profiles, grid_factor=grid_factor))
+
+
+def objective_side(kind: ObjectiveKind, grid: np.ndarray, tasks: tuple[Task, Task], *,
+                   grid_factor: bool = True) -> ObjectiveSide:
+    """A batch's objective side: rows (P1, P2), each population's static
+    reference profile for its own task."""
+    profiles = np.stack([objective_profile(kind, grid, task) for task in tasks])
+    return ObjectiveSide.of(profiles, kind, grid_factor=grid_factor)
+
+
+def subjective_profiles(traj: Trajectories, run: int, grid: np.ndarray,
+                        kind: ObjectiveKind) -> np.ndarray:
+    """Subjective profiles of run `run` of a block, shape (generations+1, 2,
+    grid points): per generation, P1's and P2's, rebuilt from what their
+    fitnesses were computed with (retained samples or partner value)."""
+    if kind.test_based:
+        return subjective_profile_test(grid, traj.samples[run], kind)
+    return subjective_profile_comp(grid, traj.partners[run], kind)
+
+
 def run_profiles(traj: Trajectories, grid: np.ndarray,
                  kind: ObjectiveKind) -> np.ndarray:
     """All profiles of a block of runs, shape (runs, generations+1, 4, grid
     points): per run and generation the rows (obj_p1, obj_p2, sub_p1, sub_p2).
 
     Each population's objective profile is the static reference for its own
-    task, built once per block; its subjective profile is rebuilt per
-    generation from what its fitnesses were computed with (retained samples
-    or partner value), one run at a time so the temporaries stay one run's
-    size.
+    task, built once per call; the subjective profiles are built one run at
+    a time (`subjective_profiles`), so the temporaries stay one run's size.
     """
     profiles = np.empty(traj.best.shape[:2] + (4, len(grid)))
     for i, task in enumerate(traj.tasks):
         profiles[:, :, i] = objective_profile(kind, grid, task)
-    if kind.test_based:
-        subjective, used = subjective_profile_test, traj.samples
-    else:
-        subjective, used = subjective_profile_comp, traj.partners
-    for rows, run_used in zip(profiles, used):
-        rows[:, 2:] = subjective(grid, run_used, kind)
+    for r, rows in enumerate(profiles):
+        rows[:, 2:] = subjective_profiles(traj, r, grid, kind)
     return profiles
 
 
-def measure_generation(profiles: np.ndarray, kind: ObjectiveKind, *, grid_factor: bool = True,
+def measure_generation(objective: ObjectiveSide, sub: np.ndarray, *,
                        bhatt_mode: str = "hellinger") -> np.ndarray:
-    """(dist, kld, bhatt) of P1 and of P2 for every generation of a
-    `run_profiles` array: shape (..., 4, grid points) in, (..., 2, 3) out, so
-    a block (runs, generations+1, 4, grid points) gives (runs, generations+1,
-    2, 3).
+    """(dist, kld, bhatt) of P1 and of P2 for every generation of a run:
+    subjective profiles `sub` of shape (..., 2, grid points), as
+    `subjective_profiles` gives them, against the objective side's rows,
+    which `sub` repeats along its leading axes. Returns (..., 2, 3), so a
+    run (generations+1, 2, grid points) gives (generations+1, 2, 3).
 
-    The objective and the subjective rows are each normalized once and
-    shared by kld and bhatt.
+    The subjective rows are normalized once and shared by kld and bhatt.
     """
-    obj, sub = profiles[..., :2, :], profiles[..., 2:, :]
-    fitness_min = objective_min(kind)
-    p = to_distribution(obj, fitness_min)
-    q = to_distribution(sub, fitness_min)
-    return np.stack([dist(obj, sub, grid_factor=grid_factor), _kld(p, q),
-                     _bhatt(p, q, bhatt_mode)], axis=-1)
+    q = to_distribution(sub, objective.fitness_min)
+    return np.stack([dist(objective.profiles, sub, scale=objective.scale),
+                     _kld(objective.distribution, q),
+                     _bhatt(objective.distribution, q, bhatt_mode, objective.sqrt)], axis=-1)

@@ -316,6 +316,21 @@ def test_non_finite_cell_fails_the_json_mirror(tmp_path, value):
                         [(0.0, value, 1.0, 2.0)], True)
 
 
+@pytest.mark.parametrize("seed", [None, 12])
+def test_config_is_validated_once_at_load(tmp_path, monkeypatch, seed):
+    """`--seed` replaces the file's seed before the one validation, each of
+    which builds both objective profiles."""
+    calls = []
+    validate = ExperimentConfig.validate
+    monkeypatch.setattr(ExperimentConfig, "validate",
+                        lambda self: calls.append(self.master_seed) or validate(self))
+    cfg = write_config(tmp_path, SMOOTH_SMALL)
+    argv = ["measures", "--config", str(cfg)] + ([] if seed is None else ["--seed", str(seed)])
+    config = cli._load_config(cli.build_parser().parse_args(argv))
+    assert calls == [config.master_seed]
+    assert config.master_seed == (11 if seed is None else seed)
+
+
 @pytest.mark.parametrize("command", ["simulate", "landscape", "measures"])
 def test_negative_seed_flag_rejected_at_load(tmp_path, capsys, command):
     cfg = write_config(tmp_path, SMOOTH_SMALL)
@@ -484,25 +499,26 @@ def test_writer_process_failure_names_the_file(tmp_path, capsys, runs):
 
 
 def test_run_failure_in_a_snapshot_batch_reaps_the_writer(tmp_path, capsys, monkeypatch):
-    """A run failing in the second block of a snapshot batch (9 runs per
-    block at the defaults) names itself; the runs before it are written."""
+    """A run failing in the second block of a snapshot batch (its second
+    run) names itself; the runs before it are written."""
     real_run_trajectory = experiment.run_trajectory
+    failing = experiment._block_runs(ExperimentConfig()) + 1
 
-    def fail_run_10(config, seeds):
-        if any(seed.spawn_key == (10,) for seed in seeds):
+    def fail_run(config, seeds):
+        if any(seed.spawn_key == (failing,) for seed in seeds):
             raise ValueError("boom")
         return real_run_trajectory(config, seeds)
 
-    monkeypatch.setattr(experiment, "run_trajectory", fail_run_10)
-    cfg = write_config(tmp_path, {"experiment": {"runs": 12, "master_seed": 5,
+    monkeypatch.setattr(experiment, "run_trajectory", fail_run)
+    cfg = write_config(tmp_path, {"experiment": {"runs": failing + 2, "master_seed": 5,
                                                  "snapshots": True}})
     out = tmp_path / "meas"
     rc = cli.main(["measures", "--config", str(cfg), "--out", str(out)])
     assert rc == 1
-    assert ("error: run 10 failed (seed = SeedSequence(5, spawn_key=(10,))): boom"
-            in capsys.readouterr().err)
-    assert len(list((out / "snapshots" / "run_009").iterdir())) == 11
-    assert not (out / "snapshots" / "run_010").exists()
+    assert (f"error: run {failing} failed (seed = SeedSequence(5, spawn_key=({failing},))): "
+            "boom" in capsys.readouterr().err)
+    assert len(list((out / "snapshots" / f"run_{failing - 1:03d}").iterdir())) == 11
+    assert not (out / "snapshots" / f"run_{failing:03d}").exists()
     assert_no_child_process()
 
 
@@ -647,32 +663,33 @@ SUBSTRATES = ["crisp", "smooth", "ridge", "sinusoid"]
 def test_measures_snapshot_files_match_per_value_text(tmp_path, function, fmt):
     """Every per-run snapshot file, and its JSON mirror, equals the text built
     cell by cell from `run_profiles` with the plain per-value expressions,
-    across the two blocks (9 runs, then 1) of a 10-run batch at the defaults,
-    whose text the renderer reuses from run to run."""
+    across the two blocks (a full one, then 1 run) of a batch at the
+    defaults, whose text the renderer reuses from run to run."""
+    runs = experiment._block_runs(ExperimentConfig(function=function)) + 1
     data = {"substrate": {"function": function},
-            "experiment": {"runs": 10, "master_seed": 8, "snapshots": True}}
+            "experiment": {"runs": runs, "master_seed": 8, "snapshots": True}}
     cfg = write_config(tmp_path, data)
     out = tmp_path / "meas"
     assert cli.main(["measures", "--config", str(cfg), "--out", str(out),
                      "--format", fmt]) == 0
 
     config = ExperimentConfig.from_dict(data)
-    assert experiment._block_runs(config) == 9
+    assert experiment._block_runs(config) == runs - 1
     grid = config.grid()
     header = cli.SNAPSHOT_HEADER
     expected = {}
-    for r in range(10):
+    for r in range(runs):
         traj = run_trajectory(config, [trajectory_seed(8, r)])
         profiles = run_profiles(traj, grid, config.objective_kind())[0]
         for k in range(config.generations + 1):
-            obj1, _, sub1, sub2 = profiles[k]
-            rows = list(zip(grid, obj1, sub1, sub2))
+            obj1, _, sub1, sub2 = profiles[k].tolist()
+            rows = list(zip(grid.tolist(), obj1, sub1, sub2))
             name = f"run_{r:03d}/landscape_k{k}"
             expected[f"{name}.csv"] = "\n".join(
-                [",".join(header)] + [",".join(repr(float(v)) for v in row) for row in rows]
+                [",".join(header)] + [",".join(repr(v) for v in row) for row in rows]
             ) + "\n"
             if fmt == "json":
-                records = [dict(zip(header, (float(v) for v in row))) for row in rows]
+                records = [dict(zip(header, row)) for row in rows]
                 expected[f"{name}.json"] = json.dumps(records, indent=2) + "\n"
     snapshots = out / "snapshots"
     written = {p.relative_to(snapshots).as_posix(): p.read_text(encoding="utf-8")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from coevoscape import evolution
 from coevoscape.evolution import run_trajectory
 from coevoscape.experiment import ExperimentConfig
 from coevoscape.substrate import (
@@ -187,29 +188,52 @@ def _replayed_draws(config, seed):
     return init, contests, mutated, noise, picks.reshape(gens + 1, 2, n, m)
 
 
+def _assert_replays(config, seed):
+    """Every generation of the run seeded `seed` follows from its hand-drawn
+    int64 draws: its evaluator samples or generation-0 partners, and its
+    tournament winners with their mutations."""
+    traj = run_trajectory(config, [seed])
+    init, contests, mutated, noise, picks = _replayed_draws(config, seed)
+    genotypes, fitnesses = traj.genotypes[0], traj.fitnesses[0]
+    assert np.array_equal(genotypes[0], init)
+    for k in range(config.generations + 1):
+        for i, task in enumerate(traj.tasks):
+            # generation k is scored against the opponent's generation k - 1
+            opponent = genotypes[max(k - 1, 0), 1 - i]
+            if traj.samples is not None:
+                assert np.array_equal(traj.samples[0, k, i], opponent[picks[k, i]])
+            elif k == 0:
+                assert traj.partners[0, 0, i] == opponent[picks[i]]
+            if k > 0:
+                entrants = contests[k - 1, i]
+                winners = best_of(genotypes[k - 1, i][entrants], fitnesses[k - 1, i][entrants],
+                                  task)
+                assert np.array_equal(genotypes[k, i], np.where(
+                    mutated[k - 1, i], winners + noise[k - 1, i], winners))
+
+
 @pytest.mark.parametrize("function, with_replacement", [
     ("smooth", False), ("crisp", True), ("ridge", False)])
 def test_run_replays_by_hand_in_documented_order(function, with_replacement):
     config = ExperimentConfig(function=function, pop_size=6, sample_size=4,
                               tournament_size=3, generations=2,
                               sample_with_replacement=with_replacement)
-    traj = run_trajectory(config, [np.random.SeedSequence(8, spawn_key=(5,))])
-    init, contests, mutated, noise, picks = _replayed_draws(
-        config, np.random.SeedSequence(8, spawn_key=(5,)))
-    genotypes, fitnesses = traj.genotypes[0], traj.fitnesses[0]
-    assert np.array_equal(genotypes[0], init)
-    for i, task in enumerate(traj.tasks):
-        opponent = genotypes[0, 1 - i]
-        if traj.samples is not None:
-            # generation k is scored against the opponent's generation k - 1
-            assert np.array_equal(traj.samples[0, 0, i], opponent[picks[0, i]])
-            assert np.array_equal(traj.samples[0, 1, i], opponent[picks[1, i]])
-        else:
-            assert traj.partners[0, 0, i] == opponent[picks[i]]
-        winners = best_of(genotypes[0, i][contests[0, i]], fitnesses[0, i][contests[0, i]],
-                          task)
-        assert np.array_equal(genotypes[1, i], np.where(mutated[0, i], winners + noise[0, i],
-                                                        winners))
+    _assert_replays(config, np.random.SeedSequence(8, spawn_key=(5,)))
+
+
+@pytest.mark.parametrize("with_replacement", [False, True])
+@pytest.mark.parametrize("function", ["smooth", "sinusoid"])
+@pytest.mark.parametrize("pop_size, index_type", [
+    (1, np.uint8), (24, np.uint8), (300, np.uint16)])
+def test_narrow_indices_replay_int64_draws(pop_size, index_type, function, with_replacement):
+    """The engine holds its index draws in the smallest type that fits
+    pop_size - 1; its runs still equal the int64 draws bit for bit."""
+    config = ExperimentConfig(function=function, pop_size=pop_size,
+                              sample_size=min(pop_size, 5), tournament_size=3,
+                              generations=3, sample_with_replacement=with_replacement)
+    layout = evolution._layout(config, 1)
+    assert layout["contests"][1] is layout["picks"][1] is index_type
+    _assert_replays(config, np.random.SeedSequence(9, spawn_key=(pop_size,)))
 
 
 def test_selection_raises_mean_fitness():

@@ -9,6 +9,7 @@ import math
 import os
 import re
 import time
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 from unittest import mock
@@ -32,7 +33,7 @@ from coevoscape.experiment import (
     run_batch,
     trajectory_seed,
 )
-from coevoscape.landscape import measure_generation, run_profiles
+from coevoscape.landscape import measure_generation, objective_side, run_profiles
 
 # t(0.975, df=1) * std({0,1}, ddof=1) / sqrt(2): the df=1 t quantile is
 # tan(pi*(0.975 - 0.5)) and std({0,1}) = 1/sqrt(2), so the half width is tan(0.475*pi)/2
@@ -326,12 +327,13 @@ def test_run_batch_single_run_has_zero_width_ci():
     # the batch mean of one run is that run's measures
     traj = run_trajectory(cfg, [trajectory_seed(cfg.master_seed, 0)])
     kind = cfg.objective_kind()
-    profiles = run_profiles(traj, cfg.grid(), kind)[0]
-    t1, _ = measure_generation(profiles[2], kind)
+    objective = objective_side(kind, cfg.grid(), traj.tasks)
+    sub = run_profiles(traj, cfg.grid(), kind)[0, :, 2:]
+    t1, _ = measure_generation(objective, sub[2])
     assert series.mean[2, 0, 0] == t1[0]
     assert series.mean[2, 0, 2] == t1[2]
     assert series.values[..., 0, 1].tolist() == [
-        [measure_generation(p, kind)[0][1] for p in profiles]]
+        [measure_generation(objective, s)[0][1] for s in sub]]
 
 
 def test_run_batch_deterministic():
@@ -351,9 +353,32 @@ def test_run_batch_blocks_do_not_change_results():
 
 
 def test_block_size_at_the_defaults():
-    # about 1 MiB of profiles per block: 9 runs of 11 x 4 x 301 float64 values
-    assert experiment._block_runs(ExperimentConfig()) == 9
+    # about 1 MiB of evolution arrays per block: 70,928 bytes a test-based run
+    # holds at the defaults (retained samples 50,688 of them), 14,082 a
+    # compositional one, with one-byte indices for a population of 24
+    for function in ("smooth", "crisp"):
+        assert experiment._block_runs(ExperimentConfig(function=function)) == 14
+    for function in ("ridge", "sinusoid"):
+        assert experiment._block_runs(ExperimentConfig(function=function)) == 74
     assert experiment._block_runs(ExperimentConfig(generations=10_000)) == 1
+
+
+@pytest.mark.parametrize("function", ["crisp", "smooth", "ridge", "sinusoid"])
+def test_run_batch_memory_stays_flat_in_the_runs(function):
+    """Beyond the batch's own measures, a batch's peak of traced allocations
+    stays under two blocks' worth at 40 runs and at 400, however many blocks
+    it takes."""
+    run_batch(ExperimentConfig(function=function, runs=2))  # load what a batch loads once
+    for runs in (40, 400):
+        cfg = ExperimentConfig(function=function, runs=runs)
+        tracemalloc.start()
+        try:
+            run_batch(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        measures = runs * (cfg.generations + 1) * len(POPULATIONS) * len(MEASURES) * 8
+        assert peak - measures < 2 * experiment._BLOCK_BYTES, runs
 
 
 @settings(max_examples=40, deadline=None)
@@ -373,7 +398,8 @@ def test_run_batch_blocks_move_no_number(function, with_replacement, runs, gener
     kind = cfg.objective_kind()
     for r in range(runs):
         traj = run_trajectory(cfg, [trajectory_seed(master_seed, r)])
-        alone = measure_generation(run_profiles(traj, cfg.grid(), kind), kind)
+        alone = measure_generation(objective_side(kind, cfg.grid(), traj.tasks),
+                                   run_profiles(traj, cfg.grid(), kind)[..., 2:, :])
         assert np.array_equal(series.values[r], alone[0])
 
 
@@ -393,8 +419,9 @@ def test_run_batch_hook_gets_the_measured_profiles():
         traj = run_trajectory(cfg, [trajectory_seed(cfg.master_seed, r)])
         assert profiles.shape == (cfg.generations + 1, 4, cfg.grid_points)
         assert np.array_equal(profiles, run_profiles(traj, cfg.grid(), kind)[0])
+        objective = objective_side(kind, cfg.grid(), traj.tasks)
         for k in range(cfg.generations + 1):
-            t1, t2 = measure_generation(profiles[k], kind)
+            t1, t2 = measure_generation(objective, profiles[k, 2:])
             assert series.values[r, k, 0, 0] == t1[0]
             assert series.values[r, k, 1, 2] == t2[2]
 
@@ -421,13 +448,17 @@ def fail_runs(failing, error=ValueError("boom")):
     return run
 
 
+# runs to a block at the defaults: run BLOCK + 1 is in the second block
+BLOCK = experiment._block_runs(ExperimentConfig())
+
+
 @pytest.mark.parametrize("runs, failing, workers", [
     pytest.param(4, 2, 1, id="1"),
-    # 9 runs to a block at the defaults: run 10 is in the second block
-    pytest.param(12, 10, 1, id="second-block"),
-    # slices (0-1, 2-3) and (0-5, 6-11): the failing run is the child's
+    pytest.param(BLOCK + 3, BLOCK + 1, 1, id="second-block"),
+    # slices (0-1, 2-3) and the two halves of BLOCK + 3 runs: the failing
+    # run is the child's
     pytest.param(4, 2, 2, id="1-forked"),
-    pytest.param(12, 10, 2, id="second-block-forked"),
+    pytest.param(BLOCK + 3, BLOCK + 1, 2, id="second-block-forked"),
 ])
 def test_run_batch_names_failing_run_and_seed(monkeypatch, two_cpus, runs, failing, workers):
     monkeypatch.setattr(experiment, "run_trajectory", fail_runs({failing}))
@@ -577,17 +608,18 @@ def test_run_batch_calls_hook_once_per_run_up_to_the_failure():
 
 
 def test_run_batch_numeric_failure_leaves_one_hook_call_per_earlier_run(monkeypatch):
+    failing = BLOCK + 1  # the second run of the second block
     monkeypatch.setattr(experiment, "run_trajectory",
-                        fail_runs({10}, FloatingPointError("overflow encountered in multiply")))
-    cfg = ExperimentConfig(runs=12)
-    assert experiment._block_runs(cfg) == 9  # run 10 is in the second block
+                        fail_runs({failing}, FloatingPointError("overflow encountered in multiply")))
+    cfg = ExperimentConfig(runs=BLOCK + 3)
+    assert experiment._block_runs(cfg) == BLOCK
     seen = []
-    expected = ("run 10 failed (seed = SeedSequence(1, spawn_key=(10,))): "
+    expected = (f"run {failing} failed (seed = SeedSequence(1, spawn_key=({failing},))): "
                 "overflow encountered in multiply")
     with pytest.raises(RuntimeError, match=re.escape(expected)):
         run_batch(cfg, per_run=lambda r, profiles: seen.append(r))
-    # the first block's runs once each, then run 9, found good by the retry
-    assert seen == list(range(10))
+    # the first block's runs once each, then run BLOCK, found good by the retry
+    assert seen == list(range(failing))
 
 
 def test_run_batch_validates_config_first():

@@ -17,11 +17,14 @@ from coevoscape.landscape import (
     dist,
     kld,
     make_grid,
+    ObjectiveSide,
     measure_generation,
     objective_profile,
+    objective_side,
     run_profiles,
     subjective_profile_comp,
     subjective_profile_test,
+    subjective_profiles,
     to_distribution,
 )
 from coevoscape.substrate import (
@@ -279,7 +282,8 @@ def test_bhatt_verbatim_mode():
 def _measures(traj, cfg):
     """(P1, P2) measures of every generation of the block's first run."""
     kind = cfg.objective_kind()
-    return measure_generation(run_profiles(traj, cfg.grid(), kind), kind)[0]
+    return measure_generation(objective_side(kind, cfg.grid(), traj.tasks),
+                              run_profiles(traj, cfg.grid(), kind)[0, :, 2:])
 
 
 def test_measure_generation_zero_dist_at_reference_partner():
@@ -323,6 +327,27 @@ def test_run_profiles_shapes_and_slice():
         assert np.array_equal(obj2, objective_profile(SIN, grid, traj.tasks[1]))
         assert np.array_equal(sub1, eval_objective_shared(SIN, grid, traj.partners[r, k, 0]))
         assert np.array_equal(sub2, eval_objective_shared(SIN, grid, traj.partners[r, k, 1]))
+
+
+@pytest.mark.parametrize("function", ["crisp", "smooth", "ridge", "sinusoid"])
+@pytest.mark.parametrize("grid_factor, mode", [(True, "hellinger"), (False, "verbatim")])
+def test_batch_objective_side_measures_like_each_generations_rows(function, grid_factor,
+                                                                   mode):
+    """Measures against the batch's objective side, built once, equal those
+    of each generation's own objective rows, bit for bit."""
+    cfg = ExperimentConfig(function=function, generations=3, task_p1="maximize")
+    traj = run_trajectory(cfg, [91, 92])
+    kind, grid = cfg.objective_kind(), cfg.grid()
+    objective = objective_side(kind, grid, traj.tasks, grid_factor=grid_factor)
+    profiles = run_profiles(traj, grid, kind)
+    assert np.array_equal(np.broadcast_to(objective.profiles, profiles[:, :, :2].shape),
+                          profiles[:, :, :2])
+    for r in range(2):
+        sub = subjective_profiles(traj, r, grid, kind)
+        assert np.array_equal(sub, profiles[r, :, 2:])
+        per_generation = ObjectiveSide.of(profiles[r, :, :2], kind, grid_factor=grid_factor)
+        assert np.array_equal(measure_generation(objective, sub, bhatt_mode=mode),
+                              measure_generation(per_generation, sub, bhatt_mode=mode))
 
 
 def test_run_profiles_test_based_uses_retained_samples():
@@ -418,7 +443,8 @@ def test_measures_of_a_run_equal_per_state_expressions(profiles, kind, grid_fact
          for i in (0, 1)]
         for state in profiles
     ])
-    measured = measure_generation(profiles, kind, grid_factor=grid_factor, bhatt_mode=mode)
+    objective = ObjectiveSide.of(profiles[:, :2], kind, grid_factor=grid_factor)
+    measured = measure_generation(objective, profiles[:, 2:], bhatt_mode=mode)
     assert measured.shape == (len(profiles), 2, 3)
     assert np.array_equal(measured, reference)
     obj, sub = profiles[:, :2], profiles[:, 2:]
