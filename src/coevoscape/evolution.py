@@ -4,9 +4,10 @@ Both populations run an ordinary generational loop (fitness evaluation,
 tournament selection, Gaussian mutation, no recombination) and are coupled
 only through fitness: the populations of generation k+1 are evaluated
 against the opposing population as it stood, evaluated, at the end of
-generation k. A run keeps the evaluator samples (test-based) or the partner
-representative (compositional) actually used, so any fitness value can be
-recomputed afterwards.
+generation k. A run keeps which opposing members each individual was scored
+against (test-based: the indices of its evaluator sample) or the partner
+representative (compositional), so any fitness value can be recomputed
+afterwards from those and the genotypes.
 
 Runs are independent, so a block of them advances together: each generation
 is one numpy pass over `(runs, 2, pop_size)` arrays. Only the random draws
@@ -41,13 +42,17 @@ class Trajectories:
 
     Arrays are indexed [run, generation, population, ...], populations in
     (P1, P2) order; `tasks` holds their tasks. `fitnesses` are subjective.
-    Test-based runs keep each individual's evaluator sample in `samples`;
-    compositional runs keep the opposing representative each population was
-    scored against in `partners`. The other of the two is None.
+    Test-based runs keep each individual's evaluator sample in `picks`, as
+    indices into the opposing population of generation max(k-1, 0): member
+    j of population i at generation k was scored against
+    `genotypes[r, max(k-1, 0), 1-i][picks[r, k, i, j]]`. The indices are
+    held in the smallest unsigned type that fits pop_size - 1. Compositional
+    runs keep the opposing representative each population was scored
+    against in `partners`. The other of the two is None.
 
         genotypes, fitnesses   (runs, generations+1, 2, pop_size)
         best                   (runs, generations+1, 2)
-        samples                (runs, generations+1, 2, pop_size, sample_size)
+        picks                  (runs, generations+1, 2, pop_size, sample_size)
         partners               (runs, generations+1, 2)
     """
 
@@ -55,7 +60,7 @@ class Trajectories:
     genotypes: np.ndarray
     fitnesses: np.ndarray
     best: np.ndarray
-    samples: np.ndarray | None = None
+    picks: np.ndarray | None = None
     partners: np.ndarray | None = None
 
 
@@ -69,7 +74,7 @@ def _layout(config: ExperimentConfig, runs: int) -> dict[str, tuple[tuple[int, .
     index = np.min_scalar_type(n - 1).type
     shape = (runs, gens + 1, 2)
     if config.objective_kind().test_based:
-        used = {"samples": (shape + (n, m), float), "picks": (shape + (n, m), index)}
+        used = {"picks": (shape + (n, m), index)}
     else:
         used = {"partners": (shape, float), "picks": ((runs, 2), index)}
     return {"genotypes": (shape + (n,), float), "fitnesses": (shape + (n,), float),
@@ -117,7 +122,7 @@ def run_trajectory(config: ExperimentConfig, seeds) -> Trajectories:
     arrays = {name: np.empty(shape, dtype)
               for name, (shape, dtype) in _layout(config, len(rngs)).items()}
     traj = Trajectories(tasks, arrays["genotypes"], arrays["fitnesses"], arrays["best"],
-                        arrays.get("samples"), arrays.get("partners"))
+                        arrays["picks"] if kind.test_based else None, arrays.get("partners"))
     picks, contests = arrays["picks"], arrays["contests"]
     mutated, noise = arrays["mutated"], arrays["noise"]
     intervals = [config.init_interval(p) for p in ("P1", "P2")]
@@ -142,7 +147,6 @@ def run_trajectory(config: ExperimentConfig, seeds) -> Trajectories:
             opponents = traj.genotypes[:, max(k - 1, 0), ::-1]
             if kind.test_based:
                 samples = np.take_along_axis(opponents[:, :, None], picks[:, k], axis=-1)
-                traj.samples[:, k] = samples
                 traj.fitnesses[:, k] = subjective_test(genotypes, samples, kind)
             else:
                 if k == 0:

@@ -345,7 +345,7 @@ class MeasureSeries:
 
 
 # A block of runs is one `run_trajectory` pass. It holds about this many bytes
-# in the arrays that pass keeps for its runs (`run_bytes`: 14 test-based or 74
+# in the arrays that pass keeps for its runs (`run_bytes`: 51 test-based or 74
 # compositional runs at the defaults), and profiles and measures go one run at
 # a time, so memory stays flat however many runs a batch has.
 _BLOCK_BYTES = 1 << 20

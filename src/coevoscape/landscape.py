@@ -3,13 +3,14 @@
 A landscape profile is a plain array of fitness values over a fixed grid of
 search-space points (one grid per batch, `ExperimentConfig.grid()`). Per
 generation, the objective profile is static while the subjective profile is
-rebuilt from what the run actually used: the retained evaluator samples
-(test-based, averaged into an ensemble mean) or the opposing representative
-(compositional, an exact slice of the shared landscape). A batch builds its
-objective side once (`objective_side`: both objective profiles and what the
-measures derive from them) and each run's subjective profiles on their own
-(`subjective_profiles`); `run_profiles` puts both sides of a block of runs
-in one array, as the landscape snapshots read them.
+rebuilt from what the run actually used: the evaluators it picked from the
+opposing population (test-based, averaged into an ensemble mean) or the
+opposing representative (compositional, an exact slice of the shared
+landscape). A batch builds its objective side once (`objective_side`: both
+objective profiles and what the measures derive from them) and each run's
+subjective profiles on their own (`subjective_profiles`); `run_profiles`
+puts both sides of a block of runs in one array, as the landscape snapshots
+read them.
 
 Three measures compare an objective profile against a subjective one of the
 same shape:
@@ -28,6 +29,7 @@ same shape:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,33 +74,59 @@ def objective_profile(kind: ObjectiveKind, grid: np.ndarray,
     return eval_objective_shared(kind, grid, reference_partner(kind, task))
 
 
-def subjective_profile_test(grid: np.ndarray, samples: np.ndarray,
-                            kind: ObjectiveKind) -> np.ndarray:
+def subjective_profile_test(grid: np.ndarray, samples: np.ndarray, kind: ObjectiveKind,
+                            picks: np.ndarray | None = None) -> np.ndarray:
     """Mean subjective landscape over one generation's evaluator samples.
 
-    `samples` is the (pop_size, sample_size) array retained by the
-    generation's evaluation, or a stack of them, shape (..., pop_size,
+    `samples` is the (pop_size, sample_size) array of evaluators a
+    generation was scored against, or a stack of them, shape (..., pop_size,
     sample_size); the profile at each grid point is the mean over all
     per-individual landscapes, i.e. the subjective fitness of the point
     against all drawn evaluators pooled (`subjective_test` against the
     flattened sample). Gives one profile per generation, (..., grid points).
 
-    Each generation's pooled evaluator values are sorted on their own, and a
-    point's wins are its left insertion point among them; the count over the
-    pooled size is the same float the mean of strict wins gives.
+    With `picks`, `samples` is instead the population each sample was drawn
+    from, shape (..., members), and `picks` (..., pop_size, sample_size)
+    holds the drawn members' indices into it, as `Trajectories.picks` does:
+    the pooled sample is `samples[..., picks]`, never built.
+
+    A point's wins are counted, not compared one by one: each evaluator's
+    value is placed among the grid's ascending objective values, weighted by
+    how often it was picked, and a cumulative sum gives each point's count
+    of strictly smaller pooled values. The count over the pooled size is
+    the same float the mean of strict wins gives.
     """
-    samples = np.asarray(samples, dtype=float)
-    if samples.size == 0:
+    values = eval_objective_test(kind, np.asarray(samples, dtype=float))
+    if picks is None:
+        values = values.reshape(*values.shape[:-2], -1)  # every value picked once
+        pooled = values.shape[-1]
+    else:
+        picks = np.asarray(picks)
+        if picks.shape[:-2] != values.shape[:-1]:
+            raise ValueError(f"picks of shape {picks.shape} do not match populations of "
+                             f"shape {values.shape}")
+        pooled = math.prod(picks.shape[-2:])
+    if values.size == 0 or pooled == 0:
         raise ValueError("empty evaluator sample: evaluation is disengaged")
-    pooled = eval_objective_test(kind, samples.reshape(*samples.shape[:-2], -1))
-    pooled.sort(axis=-1)
     fx = eval_objective_test(kind, np.asarray(grid, dtype=float))
-    rows = pooled.reshape(-1, pooled.shape[-1])
-    wins = np.empty(pooled.shape[:-1] + fx.shape)
-    for row, out in zip(rows, wins.reshape(len(rows), fx.size)):
-        out[:] = np.searchsorted(row, fx, side="left")
-    wins /= pooled.shape[-1]
-    return wins
+    lead, members, points = values.shape[:-1], values.shape[-1], fx.size
+    rows = math.prod(lead)
+    weights = None
+    if picks is not None:
+        if picks.min(initial=0) < 0 or picks.max(initial=0) >= members:
+            raise IndexError(f"evaluator picks must index the {members} members they are "
+                             f"drawn from")
+        # how often each member of each row was picked
+        picked = picks.reshape(rows, -1) + np.arange(0, rows * members, members)[:, None]
+        weights = np.bincount(picked.ravel(), minlength=rows * members)
+    order = np.argsort(fx, axis=None, kind="stable")
+    # bin b of row r counts the values, times their picks, that b grid values do not beat
+    at = np.searchsorted(fx.ravel()[order], values.reshape(rows, members), side="right")
+    at += np.arange(0, rows * (points + 1), points + 1)[:, None]
+    counts = np.bincount(at.ravel(), weights, minlength=rows * (points + 1))
+    wins = np.empty((rows, points))
+    wins[:, order] = np.cumsum(counts.reshape(rows, points + 1)[:, :-1], axis=-1) / pooled
+    return wins.reshape(lead + fx.shape)
 
 
 def subjective_profile_comp(grid: np.ndarray, partner_best,
@@ -241,9 +269,12 @@ def subjective_profiles(traj: Trajectories, run: int, grid: np.ndarray,
                         kind: ObjectiveKind) -> np.ndarray:
     """Subjective profiles of run `run` of a block, shape (generations+1, 2,
     grid points): per generation, P1's and P2's, rebuilt from what their
-    fitnesses were computed with (retained samples or partner value)."""
+    fitnesses were computed with (evaluator picks or partner value)."""
     if kind.test_based:
-        return subjective_profile_test(grid, traj.samples[run], kind)
+        genotypes = traj.genotypes[run]
+        # generation k was scored against the opponent's generation max(k-1, 0)
+        opponents = genotypes[np.maximum(np.arange(len(genotypes)) - 1, 0), ::-1]
+        return subjective_profile_test(grid, opponents, kind, traj.picks[run])
     return subjective_profile_comp(grid, traj.partners[run], kind)
 
 

@@ -202,7 +202,8 @@ def subjective_test(x, samples, kind: ObjectiveKind):
     1-D sample gives a float; a population (pop,) against its per-individual
     rows (pop, sample) gives one fitness each; a grid against the pooled
     samples of a generation gives its subjective profile (which
-    `landscape.subjective_profile_test` counts from one sort of the sample).
+    `landscape.subjective_profile_test` counts from the evaluator picks,
+    weighting each opponent by how often it was picked).
 
     Raises:
         ValueError: empty sample (nothing to evaluate against).

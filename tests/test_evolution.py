@@ -24,6 +24,12 @@ RIDGE8 = Ridge(8.0)
 SIN = Sinusoid()
 
 
+def _sample(traj, r, k, i):
+    """The evaluators member by member of population i at generation k of run
+    r was scored against: its picks from the opponent's generation k - 1."""
+    return traj.genotypes[r, max(k - 1, 0), 1 - i][traj.picks[r, k, i]]
+
+
 def test_init_population_within_interval():
     config = ExperimentConfig(pop_size=24, init_interval_p1=(0.0, 1.0), generations=0)
     genotypes = run_trajectory(config, [0]).genotypes[0, 0, 0]
@@ -52,9 +58,9 @@ def test_evaluate_test_forced_full_sample():
     config = ExperimentConfig(function="crisp", pop_size=3, sample_size=3, generations=0,
                               init_interval_p1=(0.0, 1.0), init_interval_p2=(0.0, 1.0))
     traj = run_trajectory(config, [0])
-    assert traj.samples.shape == (1, 1, 2, 3, 3)
+    assert traj.picks.shape == (1, 1, 2, 3, 3)
     opponents = traj.genotypes[0, 0, 1]
-    for x, sample, fitness in zip(traj.genotypes[0, 0, 0], traj.samples[0, 0, 0],
+    for x, sample, fitness in zip(traj.genotypes[0, 0, 0], _sample(traj, 0, 0, 0),
                                   traj.fitnesses[0, 0, 0]):
         assert sorted(sample.tolist()) == sorted(opponents.tolist())
         assert fitness == np.count_nonzero(x > opponents) / 3
@@ -200,8 +206,8 @@ def _assert_replays(config, seed):
         for i, task in enumerate(traj.tasks):
             # generation k is scored against the opponent's generation k - 1
             opponent = genotypes[max(k - 1, 0), 1 - i]
-            if traj.samples is not None:
-                assert np.array_equal(traj.samples[0, k, i], opponent[picks[k, i]])
+            if traj.picks is not None:
+                assert np.array_equal(_sample(traj, 0, k, i), opponent[picks[k, i]])
             elif k == 0:
                 assert traj.partners[0, 0, i] == opponent[picks[i]]
             if k > 0:
@@ -288,17 +294,23 @@ def test_step_generation_increments_and_keeps_size():
     traj = run_trajectory(ExperimentConfig(generations=1), [9])
     assert traj.genotypes.shape == traj.fitnesses.shape == (1, 2, 2, 24)
     assert traj.best.shape == (1, 2, 2)
-    assert traj.samples.shape == (1, 2, 2, 24, 12)
+    assert traj.picks.shape == (1, 2, 2, 24, 12)
+    assert traj.picks.dtype == np.uint8
     assert traj.partners is None
+    # no float copy of the evaluator samples: they are rebuilt from the picks
+    floats = {name for name, value in vars(traj).items()
+              if isinstance(value, np.ndarray) and value.dtype.kind == "f"}
+    assert floats == {"genotypes", "fitnesses", "best"}
 
 
 def test_fitness_recomputable_from_logged_samples():
     """Causality: every stored test-based fitness equals a recomputation
     from the genotype and its logged evaluator sample."""
     traj = run_trajectory(ExperimentConfig(generations=5), [123])
-    for index in np.ndindex(traj.fitnesses.shape):
-        x = float(traj.genotypes[index])
-        assert traj.fitnesses[index] == subjective_test(x, traj.samples[index], SMOOTH)
+    for r, k, i, j in np.ndindex(traj.fitnesses.shape):
+        x = float(traj.genotypes[r, k, i, j])
+        assert traj.fitnesses[r, k, i, j] == subjective_test(x, _sample(traj, r, k, i)[j],
+                                                             SMOOTH)
 
 
 def test_compositional_fitness_is_slice_at_opponent_best():
@@ -334,7 +346,7 @@ def test_run_trajectory_deterministic():
     b = run_trajectory(cfg, [77])
     assert np.array_equal(a.genotypes, b.genotypes)
     assert np.array_equal(a.fitnesses, b.fitnesses)
-    assert np.array_equal(a.samples, b.samples)
+    assert np.array_equal(a.picks, b.picks)
     assert np.array_equal(a.best, b.best)
 
 
@@ -348,7 +360,7 @@ def test_block_equals_one_run_blocks(function, with_replacement):
     block = run_trajectory(cfg, seeds)
     for r, seed in enumerate(seeds):
         one = run_trajectory(cfg, [seed])
-        for name in ("genotypes", "fitnesses", "best", "samples", "partners"):
+        for name in ("genotypes", "fitnesses", "best", "picks", "partners"):
             whole, alone = getattr(block, name), getattr(one, name)
             assert (whole is None) == (alone is None)
             if whole is not None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import importlib.resources
 import importlib.util
 import json
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import stdtrit
 
-from coevoscape import experiment
+from coevoscape import evolution, experiment, landscape
 from coevoscape.evolution import run_trajectory
 from coevoscape.experiment import (
     MEASURES,
@@ -353,14 +354,43 @@ def test_run_batch_blocks_do_not_change_results():
 
 
 def test_block_size_at_the_defaults():
-    # about 1 MiB of evolution arrays per block: 70,928 bytes a test-based run
-    # holds at the defaults (retained samples 50,688 of them), 14,082 a
+    # about 1 MiB of evolution arrays per block: 20,240 bytes a test-based run
+    # holds at the defaults (its evaluator picks 6,336 of them), 14,082 a
     # compositional one, with one-byte indices for a population of 24
     for function in ("smooth", "crisp"):
-        assert experiment._block_runs(ExperimentConfig(function=function)) == 14
+        assert experiment._block_runs(ExperimentConfig(function=function)) == 51
     for function in ("ridge", "sinusoid"):
         assert experiment._block_runs(ExperimentConfig(function=function)) == 74
     assert experiment._block_runs(ExperimentConfig(generations=10_000)) == 1
+
+
+# each layer a batch calls, by the module-global name the call looks up, so a
+# tracer that wraps a function under that name sees every call
+BATCH_CALLS = ((experiment, "run_trajectory"), (experiment, "measure_generation"),
+               (landscape, "subjective_profile_test"), (landscape, "subjective_profile_comp"),
+               (evolution, "draw_sample"), (evolution, "subjective_test"))
+
+
+@pytest.mark.parametrize("function", ["smooth", "ridge"])
+def test_run_batch_calls_each_layer_by_its_module_global_name(function):
+    """Over two blocks: one evolution pass per block, one subjective profile
+    and one measures call per run; a test-based run draws its evaluators once
+    and its block scores them once per generation."""
+    block = experiment._block_runs(ExperimentConfig(function=function))
+    cfg = ExperimentConfig(function=function, runs=block + 1)
+    with contextlib.ExitStack() as stack:
+        mocks = {name: stack.enter_context(mock.patch.object(module, name,
+                                                             wraps=getattr(module, name)))
+                 for module, name in BATCH_CALLS}
+        run_batch(cfg)
+    test_based = cfg.objective_kind().test_based
+    blocks, runs = 2, cfg.runs
+    assert {name: m.call_count for name, m in mocks.items()} == {
+        "run_trajectory": blocks, "measure_generation": runs,
+        "subjective_profile_test": runs if test_based else 0,
+        "subjective_profile_comp": 0 if test_based else runs,
+        "draw_sample": runs if test_based else 0,
+        "subjective_test": blocks * (cfg.generations + 1) if test_based else 0}
 
 
 @pytest.mark.parametrize("function", ["crisp", "smooth", "ridge", "sinusoid"])

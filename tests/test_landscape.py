@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -33,6 +33,7 @@ from coevoscape.substrate import (
     Sinusoid,
     SmoothUnimodalPair,
     Task,
+    draw_sample,
     eval_objective_shared,
     eval_objective_test,
     objective_min,
@@ -158,6 +159,54 @@ def test_subjective_profile_stack_equals_per_generation_calls(grid, samples):
     assert stacked.shape == samples.shape[:2] + grid.shape
     for index in np.ndindex(samples.shape[:2]):
         assert np.array_equal(stacked[index], subjective_profile_test(grid, samples[index], CRISP))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from([CRISP, SMOOTH]),
+       sizes=st.integers(1, 300).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+       generations=st.integers(1, 3), with_replacement=st.booleans(),
+       pool=st.lists(TIED_GENOTYPES, min_size=1, max_size=8),
+       grid=arrays(float, st.integers(1, 30), elements=TIED_GENOTYPES),
+       seed=st.integers(0, 2**32 - 1))
+@example(kind=CRISP, sizes=(1, 1), generations=1, with_replacement=False, pool=[0.5],
+         grid=np.array([0.5]), seed=0)
+@example(kind=CRISP, sizes=(256, 256), generations=1, with_replacement=False,
+         pool=[-1.0, 0.5, 2.0], grid=np.array([0.25, 0.5]), seed=1)
+@example(kind=CRISP, sizes=(257, 3), generations=2, with_replacement=True,
+         pool=[0.0, 0.25, 1.0], grid=np.array([-1.0, 0.25, 0.5, 1.0]), seed=2)
+def test_counted_profile_equals_subjective_test_of_the_picked_sample(
+        kind, sizes, generations, with_replacement, pool, grid, seed):
+    """Counted from picks into the opposing populations, each generation's
+    profile equals `subjective_test` of the grid against its pooled picked
+    sample bit for bit, and so does the same sample passed explicitly:
+    crisp ties, duplicate opponents, either sampling, uint8 and uint16 picks."""
+    pop_size, sample_size = sizes
+    rng = np.random.default_rng(seed)
+    # a few distinct values only: duplicate opponents, and on crisp many ties
+    opponents = rng.choice(pool, size=(generations, 2, pop_size))
+    grid = np.concatenate([grid, pool])
+    picks = draw_sample(pop_size, generations * 2 * pop_size, sample_size, rng, with_replacement)
+    picks = picks.astype(np.min_scalar_type(pop_size - 1)).reshape(
+        generations, 2, pop_size, sample_size)
+    counted = subjective_profile_test(grid, opponents, kind, picks)
+    assert counted.shape == (generations, 2, grid.size)
+    samples = np.take_along_axis(opponents[..., None, :], picks, axis=-1)
+    assert np.array_equal(counted, subjective_profile_test(grid, samples, kind))
+    for index in np.ndindex(generations, 2):
+        assert np.array_equal(counted[index], subjective_test(grid, samples[index].ravel(), kind))
+
+
+@pytest.mark.parametrize("pick", [-1, 3])
+def test_counted_profile_rejects_picks_outside_the_population(pick):
+    picks = np.array([[[0, 1], [2, pick]], [[0, 0], [1, 1]]])
+    with pytest.raises(IndexError):
+        subjective_profile_test(make_grid(0, 1, 5), np.zeros((2, 3)), CRISP, picks)
+
+
+def test_counted_profile_rejects_picks_for_other_populations():
+    with pytest.raises(ValueError, match="do not match"):
+        subjective_profile_test(make_grid(0, 1, 5), np.zeros((2, 3)), CRISP,
+                                np.zeros((4, 2, 2), dtype=np.uint8))
 
 
 def test_subjective_profile_comp_is_bit_exact_slice():
@@ -299,8 +348,9 @@ def test_measure_generation_zero_dist_at_reference_partner():
 def test_measure_generation_symmetric_state():
     cfg = ExperimentConfig(task_p1="maximize", task_p2="maximize", generations=2)
     traj = run_trajectory(cfg, [66])
-    # mirror P1's retained samples onto P2
-    traj.samples[:, :, 1] = traj.samples[:, :, 0]
+    # mirror P1's evaluators onto P2: the same picks from the same genotypes
+    traj.genotypes[:, :, 0] = traj.genotypes[:, :, 1]
+    traj.picks[:, :, 1] = traj.picks[:, :, 0]
     t1, t2 = _measures(traj, cfg)[-1]
     assert np.array_equal(t1, t2)
 
@@ -360,7 +410,7 @@ def test_run_profiles_test_based_uses_retained_samples():
         assert np.array_equal(obj1, eval_objective_test(SMOOTH, grid))
         assert np.array_equal(obj2, obj1)
         for i, sub in ((0, sub1), (1, sub2)):
-            samples = traj.samples[r, k, i]
+            samples = traj.genotypes[r, max(k - 1, 0), 1 - i][traj.picks[r, k, i]]
             assert np.array_equal(sub, subjective_profile_test(grid, samples, SMOOTH))
             assert np.array_equal(sub, subjective_test(grid, samples.ravel(), SMOOTH))
 
