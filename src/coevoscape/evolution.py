@@ -28,6 +28,7 @@ from .substrate import (
     Task,
     best_of,
     draw_sample,
+    flat_index,
     subjective_compositional,
     subjective_test,
 )
@@ -146,12 +147,11 @@ def run_trajectory(config: ExperimentConfig, seeds) -> Trajectories:
             # P1 is scored against P2's previous generation, P2 against P1's
             opponents = traj.genotypes[:, max(k - 1, 0), ::-1]
             if kind.test_based:
-                samples = np.take_along_axis(opponents[:, :, None], picks[:, k], axis=-1)
-                traj.fitnesses[:, k] = subjective_test(genotypes, samples, kind)
+                traj.fitnesses[:, k] = subjective_test(genotypes, opponents, kind, picks[:, k])
             else:
                 if k == 0:
                     # no fitness yet to pick a best member by
-                    partners = np.take_along_axis(opponents, picks[..., None], axis=-1)[..., 0]
+                    partners = opponents.take(flat_index(picks, opponents))
                 else:
                     partners = traj.best[:, k - 1, ::-1]
                 traj.partners[:, k] = partners
@@ -174,11 +174,11 @@ def _breed(traj: Trajectories, k: int, contests: np.ndarray, mutated: np.ndarray
     task, ties going to the first drawn. Each winner then gains its noise
     where `mutated`, else passes through bit-exactly.
     """
-    runs, _, n, t = contests.shape
-    flat = contests.reshape(runs, 2, n * t)
-    genotypes = np.take_along_axis(traj.genotypes[:, k - 1], flat, axis=-1).reshape(contests.shape)
-    fitnesses = np.take_along_axis(traj.fitnesses[:, k - 1], flat, axis=-1).reshape(contests.shape)
-    children = traj.genotypes[:, k]
-    for i, task in enumerate(traj.tasks):
-        children[:, i] = best_of(genotypes[:, i], fitnesses[:, i], task)
+    contests = flat_index(contests, traj.genotypes[:, k - 1])
+    genotypes = traj.genotypes[:, k - 1].take(contests)
+    fitnesses = traj.fitnesses[:, k - 1].take(contests)
+    # mutated in a contiguous array: a masked add is slow on the strided slice
+    children = np.stack([best_of(genotypes[:, i], fitnesses[:, i], task)
+                         for i, task in enumerate(traj.tasks)], axis=1)
     np.add(children, noise, out=children, where=mutated)
+    traj.genotypes[:, k] = children

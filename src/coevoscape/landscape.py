@@ -40,6 +40,7 @@ from .substrate import (
     Task,
     eval_objective_shared,
     eval_objective_test,
+    flat_picks,
     objective_min,
     reference_partner,
 )
@@ -97,36 +98,32 @@ def subjective_profile_test(grid: np.ndarray, samples: np.ndarray, kind: Objecti
     the same float the mean of strict wins gives.
     """
     values = eval_objective_test(kind, np.asarray(samples, dtype=float))
+    weights = None
     if picks is None:
         values = values.reshape(*values.shape[:-2], -1)  # every value picked once
         pooled = values.shape[-1]
     else:
-        picks = np.asarray(picks)
-        if picks.shape[:-2] != values.shape[:-1]:
-            raise ValueError(f"picks of shape {picks.shape} do not match populations of "
-                             f"shape {values.shape}")
-        pooled = math.prod(picks.shape[-2:])
+        picked = flat_picks(picks, values)
+        pooled = math.prod(picked.shape[-2:])
+        # how often each member of each row was picked
+        weights = np.bincount(picked.ravel(), minlength=values.size)
     if values.size == 0 or pooled == 0:
         raise ValueError("empty evaluator sample: evaluation is disengaged")
     fx = eval_objective_test(kind, np.asarray(grid, dtype=float))
     lead, members, points = values.shape[:-1], values.shape[-1], fx.size
     rows = math.prod(lead)
-    weights = None
-    if picks is not None:
-        if picks.min(initial=0) < 0 or picks.max(initial=0) >= members:
-            raise IndexError(f"evaluator picks must index the {members} members they are "
-                             f"drawn from")
-        # how often each member of each row was picked
-        picked = picks.reshape(rows, -1) + np.arange(0, rows * members, members)[:, None]
-        weights = np.bincount(picked.ravel(), minlength=rows * members)
     order = np.argsort(fx, axis=None, kind="stable")
     # bin b of row r counts the values, times their picks, that b grid values do not beat
     at = np.searchsorted(fx.ravel()[order], values.reshape(rows, members), side="right")
     at += np.arange(0, rows * (points + 1), points + 1)[:, None]
     counts = np.bincount(at.ravel(), weights, minlength=rows * (points + 1))
-    wins = np.empty((rows, points))
-    wins[:, order] = np.cumsum(counts.reshape(rows, points + 1)[:, :-1], axis=-1) / pooled
-    return wins.reshape(lead + fx.shape)
+    # below[r, b]: the values, times their picks, that the grid value of rank b beats
+    below = np.cumsum(counts.reshape(rows, points + 1), axis=-1)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(points)
+    # gathered, not scattered: the profile stays C-contiguous, which the
+    # measures' sums along it depend on bit for bit
+    return (below.take(rank, axis=-1) / pooled).reshape(lead + fx.shape)
 
 
 def subjective_profile_comp(grid: np.ndarray, partner_best,
@@ -175,35 +172,52 @@ def dist(obj: np.ndarray, sub: np.ndarray, *, grid_factor: bool = True,
     if scale is None:
         _check_same_shape(obj, sub)
         scale = _dist_scale(obj, grid_factor=grid_factor)
-    d = obj - sub
+    out = _dist(obj - sub, scale)
+    return float(out) if out.ndim == 0 else out
+
+
+def _dist(d: np.ndarray, scale: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # each row's sum of squares as a dot product, as np.linalg.norm takes it
     # for one row, so a run's distances equal the per-row norms bit for bit
-    out = np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0]) / scale
-    return float(out) if out.ndim == 0 else out
+    norms = np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0], out=out)
+    return np.divide(norms, scale, out=out)
 
 
 def to_distribution(values: np.ndarray, fitness_min: float = 0.0) -> np.ndarray:
     """Turn a profile into a distribution over grid points: shift by the
     objective function's global minimum, floor at a tiny epsilon, normalize.
     Each row of a (..., grid points) array is normalized on its own."""
-    w = np.maximum(np.asarray(values, dtype=float) - fitness_min, DISTRIBUTION_EPS)
-    return w / w.sum(axis=-1, keepdims=True)
+    w = np.asarray(values, dtype=float) - fitness_min
+    np.maximum(w, DISTRIBUTION_EPS, out=w)
+    return np.divide(w, w.sum(axis=-1, keepdims=True), out=w)
 
 
-def _kld(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    return np.maximum(0.0, np.sum(p * np.log2(p / q), axis=-1))
+# The row-wise kernels below take `out` for their (...,) results and `work`
+# for one (..., grid points) temporary, so `measure_generation` can reuse
+# both; given neither, they allocate, as `kld` and `bhatt` let them.
+def _kld(p: np.ndarray, q: np.ndarray, out: np.ndarray | None = None,
+         work: np.ndarray | None = None) -> np.ndarray:
+    work = np.divide(p, q, out=work)
+    np.log2(work, out=work)
+    np.multiply(p, work, out=work)
+    return np.maximum(0.0, work.sum(axis=-1, out=out), out=out)
 
 
-def _bhatt(p: np.ndarray, q: np.ndarray, mode: str,
-           sqrt_p: np.ndarray | None = None) -> np.ndarray:
+def _bhatt(p: np.ndarray, q: np.ndarray, mode: str, sqrt_p: np.ndarray | None = None,
+           out: np.ndarray | None = None, work: np.ndarray | None = None) -> np.ndarray:
     if mode not in BHATT_MODES:
         raise ValueError(f"bhatt mode must be one of {BHATT_MODES}, got {mode!r}")
     if mode == "verbatim":
-        return np.sqrt(np.maximum(0.0, 1.0 - np.sum(p * q, axis=-1)))
+        work = np.multiply(p, q, out=work)
+        radicand = np.subtract(1.0, work.sum(axis=-1, out=out), out=out)
+        return np.sqrt(np.maximum(0.0, radicand, out=out), out=out)
     if sqrt_p is None:
         sqrt_p = np.sqrt(p)
-    h = np.sqrt(0.5 * np.sum((sqrt_p - np.sqrt(q)) ** 2, axis=-1))
-    return np.minimum(1.0, h)
+    work = np.sqrt(q, out=work)
+    np.subtract(sqrt_p, work, out=work)
+    np.square(work, out=work)
+    h = np.multiply(0.5, work.sum(axis=-1, out=out), out=out)
+    return np.minimum(1.0, np.sqrt(h, out=out), out=out)
 
 
 def kld(obj: np.ndarray, sub: np.ndarray, *, fitness_min: float = 0.0):
@@ -303,9 +317,14 @@ def measure_generation(objective: ObjectiveSide, sub: np.ndarray, *,
     which `sub` repeats along its leading axes. Returns (..., 2, 3), so a
     run (generations+1, 2, grid points) gives (generations+1, 2, 3).
 
-    The subjective rows are normalized once and shared by kld and bhatt.
+    The subjective rows are normalized once and shared by kld and bhatt,
+    and the three measures are written straight into the result through one
+    reused temporary.
     """
     q = to_distribution(sub, objective.fitness_min)
-    return np.stack([dist(objective.profiles, sub, scale=objective.scale),
-                     _kld(objective.distribution, q),
-                     _bhatt(objective.distribution, q, bhatt_mode, objective.sqrt)], axis=-1)
+    work = np.subtract(objective.profiles, sub)
+    out = np.empty(work.shape[:-1] + (3,))
+    _dist(work, objective.scale, out=out[..., 0])
+    _kld(objective.distribution, q, out=out[..., 1], work=work)
+    _bhatt(objective.distribution, q, bhatt_mode, objective.sqrt, out=out[..., 2], work=work)
+    return out

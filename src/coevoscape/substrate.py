@@ -194,7 +194,7 @@ def reference_partner(kind: ObjectiveKind, task: Task) -> float:
     return SINUSOID_OPT_COORD if task is Task.MAXIMIZE else -SINUSOID_OPT_COORD
 
 
-def subjective_test(x, samples, kind: ObjectiveKind):
+def subjective_test(x, samples, kind: ObjectiveKind, picks=None):
     """Subjective fitness of x: the fraction of evaluators it strictly beats.
 
     The mean of f(x)[..., None] > f(samples) over the last axis, so every
@@ -205,15 +205,70 @@ def subjective_test(x, samples, kind: ObjectiveKind):
     `landscape.subjective_profile_test` counts from the evaluator picks,
     weighting each opponent by how often it was picked).
 
+    With `picks`, `samples` is instead the opposing population each sample
+    was drawn from, shape (..., members), and `picks` (..., pop_size,
+    sample_size) holds the drawn members' indices into it, as
+    `Trajectories.picks` does: the objective is evaluated once per member
+    and each sample's values are gathered from those (`flat_picks`), so
+    the sample `samples[..., picks]` is never built. The result is the same
+    float as against that sample.
+
     Raises:
-        ValueError: empty sample (nothing to evaluate against).
+        ValueError: empty sample (nothing to evaluate against), or picks
+            whose leading shape does not match the populations'.
+        IndexError: a pick outside the population it indexes.
     """
-    samples = np.asarray(samples, dtype=float)
-    if samples.size == 0:
+    values = np.asarray(eval_objective_test(kind, np.asarray(samples, dtype=float)))
+    if picks is not None:
+        values = values.take(flat_picks(picks, values))
+    if values.size == 0:
         raise ValueError("empty evaluator sample: evaluation is disengaged")
     fx = np.asarray(eval_objective_test(kind, x))
-    out = (fx[..., None] > eval_objective_test(kind, samples)).mean(axis=-1)
+    out = (fx[..., None] > values).mean(axis=-1)
     return float(out) if out.ndim == 0 else out
+
+
+def flat_picks(picks, populations: np.ndarray) -> np.ndarray:
+    """Evaluator picks as flat indices into a stack of populations.
+
+    `populations` has shape (..., members) and `picks` (..., pop_size,
+    sample_size) indexes the population with the same leading index, as
+    `Trajectories.picks` indexes each generation's opponents. Returns
+    `flat_index(picks, populations)`, np.intp indices into
+    `populations.ravel()` of the same shape as `picks`.
+
+    Raises:
+        ValueError: the picks' leading shape is not the populations'.
+        IndexError: a pick outside the population it indexes, which a flat
+            index would otherwise read from the next row.
+    """
+    picks = np.asarray(picks)
+    lead, members = populations.shape[:-1], populations.shape[-1]
+    if picks.ndim < 2 or picks.shape[:-2] != lead:
+        raise ValueError(f"picks of shape {picks.shape} do not match populations of "
+                         f"shape {populations.shape}")
+    if not picks.size:
+        return picks.astype(np.intp)
+    if picks.max() >= members or (picks.dtype.kind != "u" and picks.min() < 0):
+        raise IndexError(f"evaluator picks must index the {members} members they are "
+                         f"drawn from")
+    return flat_index(picks, populations)
+
+
+def flat_index(index, stack: np.ndarray) -> np.ndarray:
+    """Indices along the last axis of a non-empty `stack` (..., members) as
+    np.intp indices into `stack.ravel()`.
+
+    `index` has the stack's leading shape, then any trailing axes, and each
+    entry indexes the row with the same leading index. The result is that
+    entry plus its row's offset, row * members, added in np.intp, never in
+    the index's own (possibly narrow) type. Nothing is range-checked: an
+    entry of `members` or more reads the next row.
+    """
+    index = np.asarray(index)
+    lead, members = stack.shape[:-1], stack.shape[-1]
+    rows = np.arange(0, stack.size, members, dtype=np.intp)
+    return np.add(index, rows.reshape(lead + (1,) * (index.ndim - len(lead))), dtype=np.intp)
 
 
 def subjective_compositional(x, partner_best: float, kind: ObjectiveKind):
@@ -236,8 +291,8 @@ def best_of(genotypes, fitnesses, task: Task):
         raise ValueError("empty population has no best member")
     if genotypes.shape != fitnesses.shape:
         raise ValueError("genotypes and fitnesses must have equal length")
-    pick = np.argmax if task is Task.MAXIMIZE else np.argmin
-    out = np.take_along_axis(genotypes, pick(fitnesses, axis=-1)[..., None], axis=-1)[..., 0]
+    pick = fitnesses.argmax(axis=-1) if task is Task.MAXIMIZE else fitnesses.argmin(axis=-1)
+    out = genotypes.take(flat_index(pick, genotypes))
     return float(out) if out.ndim == 0 else out
 
 

@@ -8,8 +8,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from coevoscape import experiment
 from coevoscape.evolution import run_trajectory
-from coevoscape.experiment import ExperimentConfig
+from coevoscape.experiment import ExperimentConfig, run_batch
 from coevoscape.landscape import (
     BHATT_MODES,
     DISTRIBUTION_EPS,
@@ -194,6 +195,26 @@ def test_counted_profile_equals_subjective_test_of_the_picked_sample(
     assert np.array_equal(counted, subjective_profile_test(grid, samples, kind))
     for index in np.ndindex(generations, 2):
         assert np.array_equal(counted[index], subjective_test(grid, samples[index].ravel(), kind))
+
+
+@pytest.mark.parametrize("function", ["smooth", "ridge"])
+def test_profiles_are_c_contiguous(function, monkeypatch):
+    """`measure_generation` sums each profile along the grid, and numpy
+    rounds such a sum differently over strided rows than over contiguous
+    ones, so its bytes hold only while the profiles it is given, directly
+    and by a batch, stay C-contiguous."""
+    cfg = ExperimentConfig(function=function, generations=3, runs=2)
+    traj = run_trajectory(cfg, [1, 2])
+    assert subjective_profiles(traj, 1, cfg.grid(), cfg.objective_kind()).flags.c_contiguous
+    layouts = []
+
+    def measure(objective, sub, **kwargs):
+        layouts.append(sub.flags.c_contiguous)
+        return measure_generation(objective, sub, **kwargs)
+
+    monkeypatch.setattr(experiment, "measure_generation", measure)
+    run_batch(cfg)
+    assert layouts == [True, True]
 
 
 @pytest.mark.parametrize("pick", [-1, 3])

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -142,6 +142,52 @@ def test_subjective_test_population_equals_per_row_calls(pop_and_samples):
                                   for x, row in zip(genotypes, samples)]
 
 
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from([CRISP, SMOOTH]),
+       sizes=st.integers(1, 300).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+       runs=st.integers(1, 3), with_replacement=st.booleans(),
+       pool=st.lists(TIED_GENOTYPES, min_size=1, max_size=8),
+       seed=st.integers(0, 2**32 - 1))
+@example(kind=CRISP, sizes=(1, 1), runs=1, with_replacement=False, pool=[0.5], seed=0)
+@example(kind=CRISP, sizes=(256, 256), runs=1, with_replacement=False,
+         pool=[-1.0, 0.5, 2.0], seed=1)
+@example(kind=CRISP, sizes=(257, 3), runs=2, with_replacement=True,
+         pool=[0.0, 0.25, 1.0], seed=2)
+def test_scoring_from_picks_equals_scoring_the_gathered_sample(
+        kind, sizes, runs, with_replacement, pool, seed):
+    """A stack (runs, 2, pop_size) of populations scored from its opponents
+    and evaluator picks gets bit for bit the fitnesses `subjective_test`
+    gives against the gathered samples `opponents[..., picks]`: crisp ties,
+    duplicate opponents, either sampling, uint8 and uint16 picks, and the
+    reversed view of the generation the engine passes as opponents."""
+    pop_size, sample_size = sizes
+    rng = np.random.default_rng(seed)
+    # a few distinct values only: duplicate opponents, and on crisp many ties
+    genotypes = rng.choice(pool, size=(runs, 2, pop_size))
+    opponents = rng.choice(pool, size=(runs, 2, pop_size))[:, ::-1]
+    picks = draw_sample(pop_size, runs * 2 * pop_size, sample_size, rng, with_replacement)
+    picks = picks.astype(np.min_scalar_type(pop_size - 1)).reshape(
+        runs, 2, pop_size, sample_size)
+    scored = subjective_test(genotypes, opponents, kind, picks)
+    assert scored.shape == genotypes.shape
+    samples = np.take_along_axis(opponents[..., None, :], picks, axis=-1)
+    assert np.array_equal(scored, subjective_test(genotypes, samples, kind))
+
+
+@pytest.mark.parametrize("pick", [-1, 3])
+def test_scoring_from_picks_rejects_picks_outside_the_population(pick):
+    # a pick of 3 would read the next population's first member as a flat index
+    picks = np.array([[[0, 1], [2, pick]], [[0, 0], [1, 1]]])
+    with pytest.raises(IndexError):
+        subjective_test(np.zeros((2, 2)), np.zeros((2, 3)), CRISP, picks)
+
+
+def test_scoring_from_picks_rejects_picks_for_other_populations():
+    with pytest.raises(ValueError, match="do not match"):
+        subjective_test(np.zeros((4, 2)), np.zeros((2, 3)), CRISP,
+                        np.zeros((4, 2, 2), dtype=np.uint8))
+
+
 @given(arrays(float, st.integers(0, 30), elements=TIED_GENOTYPES),
        arrays(float, st.integers(1, 40), elements=TIED_GENOTYPES))
 def test_subjective_test_sorted_count_equals_broadcast_mean(x, sample):
@@ -212,6 +258,17 @@ def test_best_of_directions_and_ties():
     # tie broken by lowest index
     assert best_of([1.0, 2.0], [0.7, 0.7], Task.MAXIMIZE) == 1.0
     assert best_of([1.0, 2.0], [0.7, 0.7], Task.MINIMIZE) == 1.0
+    # a stack (runs, 2, n), as a block of runs holds its populations, with
+    # ties under both tasks: each row's best is the 1-D call's
+    genotypes = np.arange(12.0).reshape(2, 2, 3)
+    fitnesses = np.array([[[0.1, 0.9, 0.5], [0.7, 0.7, 0.2]],
+                          [[0.3, 0.3, 0.3], [0.0, 0.8, 0.0]]])
+    assert best_of(genotypes, fitnesses, Task.MAXIMIZE).tolist() == [[1.0, 3.0], [6.0, 10.0]]
+    assert best_of(genotypes, fitnesses, Task.MINIMIZE).tolist() == [[0.0, 5.0], [6.0, 9.0]]
+    for task in Task:
+        best = best_of(genotypes, fitnesses, task)
+        for index in np.ndindex(2, 2):
+            assert best[index] == best_of(genotypes[index], fitnesses[index], task)
 
 
 @given(arrays(float, st.tuples(st.integers(1, 4), st.integers(1, 3), st.integers(1, 6)),
