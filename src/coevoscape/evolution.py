@@ -126,6 +126,9 @@ def run_trajectory(config: ExperimentConfig, seeds) -> Trajectories:
                         arrays["picks"] if kind.test_based else None, arrays.get("partners"))
     picks, contests = arrays["picks"], arrays["contests"]
     mutated, noise = arrays["mutated"], arrays["noise"]
+    if kind.test_based:
+        # one generation's flat picks and gathered values, rewritten by each
+        work = (np.empty(picks[:, 0].shape, np.intp), np.empty(picks[:, 0].shape))
     intervals = [config.init_interval(p) for p in ("P1", "P2")]
     for b, rng in enumerate(rngs):
         for i, (lo, hi) in enumerate(intervals):
@@ -147,7 +150,8 @@ def run_trajectory(config: ExperimentConfig, seeds) -> Trajectories:
             # P1 is scored against P2's previous generation, P2 against P1's
             opponents = traj.genotypes[:, max(k - 1, 0), ::-1]
             if kind.test_based:
-                traj.fitnesses[:, k] = subjective_test(genotypes, opponents, kind, picks[:, k])
+                traj.fitnesses[:, k] = subjective_test(genotypes, opponents, kind, picks[:, k],
+                                                       work=work)
             else:
                 if k == 0:
                     # no fitness yet to pick a best member by

@@ -346,13 +346,21 @@ class MeasureSeries:
 
 # A block of runs is one `run_trajectory` pass. It holds about this many bytes
 # in the arrays that pass keeps for its runs (`run_bytes`: 51 test-based or 74
-# compositional runs at the defaults), and profiles and measures go one run at
-# a time, so memory stays flat however many runs a batch has.
+# compositional runs at the defaults). Its runs' profiles and measures go a
+# chunk of runs at a time, about _CHUNK_BYTES of subjective profiles (4 runs at
+# the defaults), so a chunk's temporaries stay small next to the block and
+# memory stays flat however many runs a batch has.
 _BLOCK_BYTES = 1 << 20
+_CHUNK_BYTES = 1 << 18
 
 
 def _block_runs(config: ExperimentConfig) -> int:
     return max(1, _BLOCK_BYTES // run_bytes(config))
+
+
+def _chunk_runs(config: ExperimentConfig) -> int:
+    profile_bytes = (config.generations + 1) * len(POPULATIONS) * config.grid_points * 8
+    return max(1, _CHUNK_BYTES // profile_bytes)
 
 
 def _run_failed(config: ExperimentConfig, r: int, error: Exception) -> RuntimeError:
@@ -360,26 +368,39 @@ def _run_failed(config: ExperimentConfig, r: int, error: Exception) -> RuntimeEr
                         f"{config.master_seed}, spawn_key=({r},))): {error}")
 
 
-def _evolve(config: ExperimentConfig, runs: range) -> Iterator[tuple[int, Trajectories, int]]:
-    """(r, trajectories, i) for each run r of a block, in run order, where run
-    r is run i of `trajectories`.
+def _in_one_pass(config: ExperimentConfig, runs: range,
+                 compute: Callable[[range], object]) -> Iterator[tuple[range, object]]:
+    """(part, compute(part)) for parts of `runs` that cover it in run order.
 
-    The block is evolved in one `run_trajectory` pass. That pass has no side
-    effects, so if it fails the block is evolved again one run at a time, up
-    to the run that fails, which is then named.
+    `runs` is computed in one pass, which is the only part. `compute` has no
+    side effects, so if that pass fails the runs are computed again one at a
+    time, up to the run that fails, which is then named.
     """
     try:
-        traj = run_trajectory(config, [trajectory_seed(config.master_seed, r) for r in runs])
+        result = compute(runs)
     except Exception:
         for r in runs:
+            part = range(r, r + 1)
             try:
-                traj = run_trajectory(config, [trajectory_seed(config.master_seed, r)])
+                result = compute(part)
             except Exception as e:
                 raise _run_failed(config, r, e) from e
-            yield r, traj, 0
+            yield part, result
     else:
-        for i, r in enumerate(runs):
-            yield r, traj, i
+        yield runs, result
+
+
+def _evolve(config: ExperimentConfig, runs: range) -> Trajectories:
+    return run_trajectory(config, [trajectory_seed(config.master_seed, r) for r in runs])
+
+
+def _measure_chunk(config: ExperimentConfig, objective: ObjectiveSide, grid: np.ndarray,
+                   traj: Trajectories, first: int, runs: range) -> tuple[np.ndarray, np.ndarray]:
+    """Subjective profiles and measures of `runs`, which `traj` holds from
+    its run `first` on."""
+    sub = subjective_profiles(traj, slice(runs.start - first, runs.stop - first), grid,
+                              config.objective_kind())
+    return sub, measure_generation(objective, sub, bhatt_mode=config.bhatt_mode)
 
 
 def _measure_block(config: ExperimentConfig, objective: ObjectiveSide, runs: range,
@@ -388,22 +409,30 @@ def _measure_block(config: ExperimentConfig, objective: ObjectiveSide, runs: ran
     """Measures of each run of a block into `out`, shape (len(runs),
     generations+1, 2, 3).
 
-    Each run's subjective profiles are built, measured against `objective`
-    and, with their objective rows, handed to `per_run` in turn, so a
-    failure there names its run directly.
+    The block is evolved in one pass, and its runs' subjective profiles are
+    built and measured against `objective` a chunk of runs at a time, each
+    chunk in one pass; a failing pass is done again one run at a time to
+    name the failing run. Each measured run's profiles, with their objective
+    rows, are then handed to `per_run` in run order, so a failure there
+    names its run directly.
     """
-    grid, kind = config.grid(), config.objective_kind()
-    for r, traj, i in _evolve(config, runs):
-        try:
-            sub = subjective_profiles(traj, i, grid, kind)
-            out[r - runs.start] = measure_generation(objective, sub,
-                                                     bhatt_mode=config.bhatt_mode)
-            if per_run is not None:
-                profiles = np.empty((len(sub), 4, len(grid)))
-                profiles[:, :2], profiles[:, 2:] = objective.profiles, sub
-                per_run(r, profiles)
-        except Exception as e:
-            raise _run_failed(config, r, e) from e
+    grid, size = config.grid(), _chunk_runs(config)
+    for evolved, traj in _in_one_pass(config, runs, functools.partial(_evolve, config)):
+        measure = functools.partial(_measure_chunk, config, objective, grid, traj,
+                                    evolved.start)
+        for start in range(0, len(evolved), size):
+            for part, (sub, values) in _in_one_pass(config, evolved[start:start + size],
+                                                    measure):
+                out[part.start - runs.start:part.stop - runs.start] = values
+                if per_run is None:
+                    continue
+                for r, rows in zip(part, sub):
+                    try:
+                        profiles = np.empty((len(rows), 4, len(grid)))
+                        profiles[:, :2], profiles[:, 2:] = objective.profiles, rows
+                        per_run(r, profiles)
+                    except Exception as e:
+                        raise _run_failed(config, r, e) from e
 
 
 def _measure_slice(config: ExperimentConfig, objective: ObjectiveSide, runs: range,
@@ -515,8 +544,9 @@ def run_batch(config: ExperimentConfig,
     Runs evolve in blocks, one `run_trajectory` pass each, sized by the
     arrays that pass holds per run; every run draws from its own generator,
     so the series does not depend on the blocks. The objective side is built
-    once per batch, and each run's subjective profiles are built and measured
-    against it one run at a time. `per_run(r, profiles)` is an optional hook
+    once per batch, and the runs' subjective profiles are built and measured
+    against it a chunk of a few runs at a time, each run's the same bytes as
+    on its own. `per_run(r, profiles)` is an optional hook
     (e.g. snapshot writing) that receives run r's profiles, shape
     (generations+1, 4, grid points) as `run_profiles` lays them out: exactly
     once for each run before the first failure, in run order, after that
@@ -530,10 +560,10 @@ def run_batch(config: ExperimentConfig,
     `os.fork` runs in this process.
 
     Any failing run aborts the batch with its run index and seed derivation
-    reported; across slices, the first failure in run order. Each run's
-    profiles, measures and hook call go one run at a time, so a failure there
-    names its run directly; a block whose evolution pass fails is evolved
-    again one run at a time to find the run.
+    reported; across slices, the first failure in run order. A block whose
+    evolution pass fails is evolved again, and a chunk whose profiles or
+    measures fail is measured again, one run at a time to find the run; a
+    hook call that fails names its run directly.
     """
     config.validate()
     if workers < 1:

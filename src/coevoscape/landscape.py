@@ -7,8 +7,8 @@ rebuilt from what the run actually used: the evaluators it picked from the
 opposing population (test-based, averaged into an ensemble mean) or the
 opposing representative (compositional, an exact slice of the shared
 landscape). A batch builds its objective side once (`objective_side`: both
-objective profiles and what the measures derive from them) and each run's
-subjective profiles on their own (`subjective_profiles`); `run_profiles`
+objective profiles and what the measures derive from them) and its runs'
+subjective profiles a few runs at a time (`subjective_profiles`); `run_profiles`
 puts both sides of a block of runs in one array, as the landscape snapshots
 read them.
 
@@ -103,10 +103,9 @@ def subjective_profile_test(grid: np.ndarray, samples: np.ndarray, kind: Objecti
         values = values.reshape(*values.shape[:-2], -1)  # every value picked once
         pooled = values.shape[-1]
     else:
-        picked = flat_picks(picks, values)
-        pooled = math.prod(picked.shape[-2:])
         # how often each member of each row was picked
-        weights = np.bincount(picked.ravel(), minlength=values.size)
+        weights = np.bincount(flat_picks(picks, values).ravel(), minlength=values.size)
+        pooled = math.prod(np.shape(picks)[-2:])
     if values.size == 0 or pooled == 0:
         raise ValueError("empty evaluator sample: evaluation is disengaged")
     fx = eval_objective_test(kind, np.asarray(grid, dtype=float))
@@ -117,13 +116,16 @@ def subjective_profile_test(grid: np.ndarray, samples: np.ndarray, kind: Objecti
     at = np.searchsorted(fx.ravel()[order], values.reshape(rows, members), side="right")
     at += np.arange(0, rows * (points + 1), points + 1)[:, None]
     counts = np.bincount(at.ravel(), weights, minlength=rows * (points + 1))
-    # below[r, b]: the values, times their picks, that the grid value of rank b beats
-    below = np.cumsum(counts.reshape(rows, points + 1), axis=-1)
+    # below[r, b]: the values, times their picks, that the grid value of rank b
+    # beats, summed in place (whole numbers, so exact as floats too)
+    below = counts.reshape(rows, points + 1).astype(float, copy=False)
+    np.cumsum(below, axis=-1, out=below)
     rank = np.empty_like(order)
     rank[order] = np.arange(points)
     # gathered, not scattered: the profile stays C-contiguous, which the
     # measures' sums along it depend on bit for bit
-    return (below.take(rank, axis=-1) / pooled).reshape(lead + fx.shape)
+    profile = below.take(rank, axis=-1)
+    return np.divide(profile, pooled, out=profile).reshape(lead + fx.shape)
 
 
 def subjective_profile_comp(grid: np.ndarray, partner_best,
@@ -153,26 +155,21 @@ def _dist_scale(obj: np.ndarray, *, grid_factor: bool = True) -> np.ndarray:
     return value_range * (np.sqrt(obj.shape[-1]) if grid_factor else 1.0)
 
 
-def dist(obj: np.ndarray, sub: np.ndarray, *, grid_factor: bool = True,
-         scale: np.ndarray | None = None):
+def dist(obj: np.ndarray, sub: np.ndarray, *, grid_factor: bool = True):
     """Normalized Euclidean distance between two profiles on one grid.
 
     The norm of the pointwise difference is divided by the objective
     profile's value range times sqrt(grid size), making the result a
     unitary quantity independent of grid resolution. Set grid_factor=False
     for the plain range normalization. Profiles of shape (..., grid points)
-    give one distance per row; a single pair gives a float. `scale`, if
-    given, is that normaliser computed beforehand (an `ObjectiveSide`'s),
-    and `obj` may then be rows that `sub` repeats along its leading axes.
+    give one distance per row; a single pair gives a float.
 
     Raises:
         ValueError: the profiles differ in shape, or an objective profile
             is flat (zero range).
     """
-    if scale is None:
-        _check_same_shape(obj, sub)
-        scale = _dist_scale(obj, grid_factor=grid_factor)
-    out = _dist(obj - sub, scale)
+    _check_same_shape(obj, sub)
+    out = _dist(obj - sub, _dist_scale(obj, grid_factor=grid_factor))
     return float(out) if out.ndim == 0 else out
 
 
@@ -279,15 +276,18 @@ def objective_side(kind: ObjectiveKind, grid: np.ndarray, tasks: tuple[Task, Tas
     return ObjectiveSide.of(profiles, kind, grid_factor=grid_factor)
 
 
-def subjective_profiles(traj: Trajectories, run: int, grid: np.ndarray,
+def subjective_profiles(traj: Trajectories, run: int | slice, grid: np.ndarray,
                         kind: ObjectiveKind) -> np.ndarray:
     """Subjective profiles of run `run` of a block, shape (generations+1, 2,
     grid points): per generation, P1's and P2's, rebuilt from what their
-    fitnesses were computed with (evaluator picks or partner value)."""
+    fitnesses were computed with (evaluator picks or partner value). A slice
+    of runs gives theirs in one call, shape (runs, generations+1, 2, grid
+    points), each run's the same bytes as on its own."""
     if kind.test_based:
         genotypes = traj.genotypes[run]
         # generation k was scored against the opponent's generation max(k-1, 0)
-        opponents = genotypes[np.maximum(np.arange(len(genotypes)) - 1, 0), ::-1]
+        previous = np.maximum(np.arange(genotypes.shape[-3]) - 1, 0)
+        opponents = genotypes[..., previous, ::-1, :]
         return subjective_profile_test(grid, opponents, kind, traj.picks[run])
     return subjective_profile_comp(grid, traj.partners[run], kind)
 

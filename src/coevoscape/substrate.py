@@ -194,11 +194,14 @@ def reference_partner(kind: ObjectiveKind, task: Task) -> float:
     return SINUSOID_OPT_COORD if task is Task.MAXIMIZE else -SINUSOID_OPT_COORD
 
 
-def subjective_test(x, samples, kind: ObjectiveKind, picks=None):
+def subjective_test(x, samples, kind: ObjectiveKind, picks=None, *,
+                    work: tuple[np.ndarray, np.ndarray] | None = None):
     """Subjective fitness of x: the fraction of evaluators it strictly beats.
 
     The mean of f(x)[..., None] > f(samples) over the last axis, so every
-    value is a multiple of 1/samples.shape[-1] in [0, 1]. A scalar against a
+    value is a multiple of 1/samples.shape[-1] in [0, 1]; the wins are
+    counted as a sum of zeros and ones, which is exact, and divided by the
+    sample size, so the floats are the mean's. A scalar against a
     1-D sample gives a float; a population (pop,) against its per-individual
     rows (pop, sample) gives one fitness each; a grid against the pooled
     samples of a generation gives its subjective profile (which
@@ -211,7 +214,10 @@ def subjective_test(x, samples, kind: ObjectiveKind, picks=None):
     `Trajectories.picks` does: the objective is evaluated once per member
     and each sample's values are gathered from those (`flat_picks`), so
     the sample `samples[..., picks]` is never built. The result is the same
-    float as against that sample.
+    float as against that sample. With picks, `work`, for a caller that
+    scores many generations, is an (np.intp, float64) pair of arrays of the
+    picks' shape that the flat index and the gathered values are written
+    into.
 
     Raises:
         ValueError: empty sample (nothing to evaluate against), or picks
@@ -219,22 +225,26 @@ def subjective_test(x, samples, kind: ObjectiveKind, picks=None):
         IndexError: a pick outside the population it indexes.
     """
     values = np.asarray(eval_objective_test(kind, np.asarray(samples, dtype=float)))
+    index, gathered = (None, None) if work is None else work
     if picks is not None:
-        values = values.take(flat_picks(picks, values))
+        # flat_picks has range-checked the index; "clip" writes to `out` unbuffered
+        values = values.take(flat_picks(picks, values, out=index), out=gathered, mode="clip")
     if values.size == 0:
         raise ValueError("empty evaluator sample: evaluation is disengaged")
     fx = np.asarray(eval_objective_test(kind, x))
-    out = (fx[..., None] > values).mean(axis=-1)
+    # with `work`, the wins overwrite the gathered values they are compared with
+    wins = np.greater(fx[..., None], values, out=gathered)
+    out = (wins @ np.ones(values.shape[-1])) / values.shape[-1]
     return float(out) if out.ndim == 0 else out
 
 
-def flat_picks(picks, populations: np.ndarray) -> np.ndarray:
+def flat_picks(picks, populations: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Evaluator picks as flat indices into a stack of populations.
 
     `populations` has shape (..., members) and `picks` (..., pop_size,
     sample_size) indexes the population with the same leading index, as
     `Trajectories.picks` indexes each generation's opponents. Returns
-    `flat_index(picks, populations)`, np.intp indices into
+    `flat_index(picks, populations, out)`, np.intp indices into
     `populations.ravel()` of the same shape as `picks`.
 
     Raises:
@@ -252,12 +262,12 @@ def flat_picks(picks, populations: np.ndarray) -> np.ndarray:
     if picks.max() >= members or (picks.dtype.kind != "u" and picks.min() < 0):
         raise IndexError(f"evaluator picks must index the {members} members they are "
                          f"drawn from")
-    return flat_index(picks, populations)
+    return flat_index(picks, populations, out)
 
 
-def flat_index(index, stack: np.ndarray) -> np.ndarray:
+def flat_index(index, stack: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Indices along the last axis of a non-empty `stack` (..., members) as
-    np.intp indices into `stack.ravel()`.
+    np.intp indices into `stack.ravel()`, written into `out` if given.
 
     `index` has the stack's leading shape, then any trailing axes, and each
     entry indexes the row with the same leading index. The result is that
@@ -268,7 +278,8 @@ def flat_index(index, stack: np.ndarray) -> np.ndarray:
     index = np.asarray(index)
     lead, members = stack.shape[:-1], stack.shape[-1]
     rows = np.arange(0, stack.size, members, dtype=np.intp)
-    return np.add(index, rows.reshape(lead + (1,) * (index.ndim - len(lead))), dtype=np.intp)
+    return np.add(index, rows.reshape(lead + (1,) * (index.ndim - len(lead))), out=out,
+                  dtype=np.intp)
 
 
 def subjective_compositional(x, partner_best: float, kind: ObjectiveKind):

@@ -34,7 +34,8 @@ from coevoscape.experiment import (
     run_batch,
     trajectory_seed,
 )
-from coevoscape.landscape import measure_generation, objective_side, run_profiles
+from coevoscape.landscape import (measure_generation, objective_side, run_profiles,
+                                  subjective_profiles)
 
 # t(0.975, df=1) * std({0,1}, ddof=1) / sqrt(2): the df=1 t quantile is
 # tan(pi*(0.975 - 0.5)) and std({0,1}) = 1/sqrt(2), so the half width is tan(0.475*pi)/2
@@ -374,8 +375,8 @@ BATCH_CALLS = ((experiment, "run_trajectory"), (experiment, "measure_generation"
 @pytest.mark.parametrize("function", ["smooth", "ridge"])
 def test_run_batch_calls_each_layer_by_its_module_global_name(function):
     """Over two blocks: one evolution pass per block, one subjective profile
-    and one measures call per run; a test-based run draws its evaluators once
-    and its block scores them once per generation."""
+    and one measures call per chunk of a block's runs; a test-based run draws
+    its evaluators once and its block scores them once per generation."""
     block = experiment._block_runs(ExperimentConfig(function=function))
     cfg = ExperimentConfig(function=function, runs=block + 1)
     with contextlib.ExitStack() as stack:
@@ -385,10 +386,12 @@ def test_run_batch_calls_each_layer_by_its_module_global_name(function):
         run_batch(cfg)
     test_based = cfg.objective_kind().test_based
     blocks, runs = 2, cfg.runs
+    # the first block in whole chunks and a partial one, the second block's one run
+    chunks = -(-block // experiment._chunk_runs(cfg)) + 1
     assert {name: m.call_count for name, m in mocks.items()} == {
-        "run_trajectory": blocks, "measure_generation": runs,
-        "subjective_profile_test": runs if test_based else 0,
-        "subjective_profile_comp": 0 if test_based else runs,
+        "run_trajectory": blocks, "measure_generation": chunks,
+        "subjective_profile_test": chunks if test_based else 0,
+        "subjective_profile_comp": 0 if test_based else chunks,
         "draw_sample": runs if test_based else 0,
         "subjective_test": blocks * (cfg.generations + 1) if test_based else 0}
 
@@ -415,15 +418,20 @@ def test_run_batch_memory_stays_flat_in_the_runs(function):
 @given(function=st.sampled_from(["crisp", "smooth", "ridge", "sinusoid"]),
        with_replacement=st.booleans(), runs=st.integers(1, 20),
        generations=st.integers(0, 3), block=st.none() | st.integers(1, 8),
-       master_seed=st.integers(0, 2**32 - 1))
+       master_seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_run_batch_blocks_move_no_number(function, with_replacement, runs, generations,
-                                         block, master_seed):
+                                         block, master_seed, data):
     """Run r's measures equal its one-run pipeline bit for bit, whatever the
-    blocks (None: the derived size, else a forced one)."""
+    blocks and the chunks of runs whose profiles and measures are taken in
+    one call (None: the derived size, else a forced one, from one run to the
+    whole block)."""
     cfg = ExperimentConfig(function=function, sample_with_replacement=with_replacement,
                            runs=runs, generations=generations, master_seed=master_seed)
     size = experiment._block_runs(cfg) if block is None else block
-    with mock.patch.object(experiment, "_block_runs", lambda config: size):
+    chunk = data.draw(st.none() | st.integers(1, size), label="chunk")
+    chunk = experiment._chunk_runs(cfg) if chunk is None else chunk
+    with mock.patch.object(experiment, "_block_runs", lambda config: size), \
+            mock.patch.object(experiment, "_chunk_runs", lambda config: chunk):
         series = run_batch(cfg)
     kind = cfg.objective_kind()
     for r in range(runs):
@@ -649,6 +657,56 @@ def test_run_batch_numeric_failure_leaves_one_hook_call_per_earlier_run(monkeypa
     with pytest.raises(RuntimeError, match=re.escape(expected)):
         run_batch(cfg, per_run=lambda r, profiles: seen.append(r))
     # the first block's runs once each, then run BLOCK, found good by the retry
+    assert seen == list(range(failing))
+
+
+@pytest.mark.parametrize("module, name", [(experiment, "run_trajectory"),
+                                          (experiment, "measure_generation")])
+def test_run_batch_keeps_going_when_only_the_whole_pass_fails(monkeypatch, module, name):
+    """A block or chunk whose one pass fails but whose runs succeed one at a
+    time, as when only the larger pass runs out of memory, gives the same
+    series and hook calls as a batch whose passes succeed."""
+    cfg = ExperimentConfig(function="ridge", runs=9, generations=2)
+    seen = []
+    expected = run_batch(cfg, per_run=lambda r, profiles: seen.append(r))
+    assert seen == list(range(cfg.runs))
+    original = getattr(module, name)
+
+    def fail_when_many(config_or_objective, runs, **kwargs):
+        if len(runs) > 1:
+            raise MemoryError
+        return original(config_or_objective, runs, **kwargs)
+
+    monkeypatch.setattr(module, name, fail_when_many)
+    seen.clear()
+    series = run_batch(cfg, per_run=lambda r, profiles: seen.append(r))
+    assert np.array_equal(series.values, expected.values)
+    assert seen == list(range(cfg.runs))
+
+
+def test_run_batch_names_the_mid_chunk_run_whose_measures_fail(monkeypatch):
+    """A chunk is measured in one call; when that call fails, its runs are
+    measured again one at a time, so the error names the failing run and the
+    hook has seen each earlier run once."""
+    cfg = ExperimentConfig(function="ridge", runs=12)
+    assert experiment._chunk_runs(cfg) == 4  # chunks 0-3, 4-7 and 8-11
+    failing, kind = 6, cfg.objective_kind()
+    bad = subjective_profiles(run_trajectory(cfg, [trajectory_seed(1, failing)]), 0,
+                              cfg.grid(), kind)
+    calls = []
+
+    def measure(objective, sub, **kwargs):
+        calls.append(len(sub))
+        if any(np.array_equal(rows, bad) for rows in sub):
+            raise ValueError("boom")
+        return measure_generation(objective, sub, **kwargs)
+
+    monkeypatch.setattr(experiment, "measure_generation", measure)
+    seen = []
+    expected = f"run {failing} failed (seed = SeedSequence(1, spawn_key=({failing},))): boom"
+    with pytest.raises(RuntimeError, match=f"^{re.escape(expected)}$"):
+        run_batch(cfg, per_run=lambda r, profiles: seen.append(r))
+    assert calls == [4, 4, 1, 1, 1]
     assert seen == list(range(failing))
 
 

@@ -202,19 +202,23 @@ def test_profiles_are_c_contiguous(function, monkeypatch):
     """`measure_generation` sums each profile along the grid, and numpy
     rounds such a sum differently over strided rows than over contiguous
     ones, so its bytes hold only while the profiles it is given, directly
-    and by a batch, stay C-contiguous."""
-    cfg = ExperimentConfig(function=function, generations=3, runs=2)
-    traj = run_trajectory(cfg, [1, 2])
-    assert subjective_profiles(traj, 1, cfg.grid(), cfg.objective_kind()).flags.c_contiguous
+    and by a batch a chunk of runs at a time, stay C-contiguous."""
+    cfg = ExperimentConfig(function=function, generations=3, runs=30)
+    traj = run_trajectory(cfg, [1, 2, 3])
+    for run in (1, slice(1, 3)):
+        assert subjective_profiles(traj, run, cfg.grid(),
+                                   cfg.objective_kind()).flags.c_contiguous
     layouts = []
 
     def measure(objective, sub, **kwargs):
-        layouts.append(sub.flags.c_contiguous)
+        layouts.append((sub.flags.c_contiguous, len(sub)))
         return measure_generation(objective, sub, **kwargs)
 
     monkeypatch.setattr(experiment, "measure_generation", measure)
     run_batch(cfg)
-    assert layouts == [True, True]
+    assert len(layouts) > 1  # chunks of 13 runs at these sizes
+    assert all(contiguous for contiguous, _ in layouts)
+    assert sum(runs for _, runs in layouts) == cfg.runs
 
 
 @pytest.mark.parametrize("pick", [-1, 3])

@@ -172,6 +172,30 @@ def test_scoring_from_picks_equals_scoring_the_gathered_sample(
     assert scored.shape == genotypes.shape
     samples = np.take_along_axis(opponents[..., None, :], picks, axis=-1)
     assert np.array_equal(scored, subjective_test(genotypes, samples, kind))
+    # into reused buffers, whatever they held before
+    work = (np.full(picks.shape, -1, np.intp), np.full(picks.shape, np.nan))
+    for _ in range(2):
+        assert np.array_equal(subjective_test(genotypes, opponents, kind, picks, work=work),
+                              scored)
+    wins = eval_objective_test(kind, genotypes)[..., None] > eval_objective_test(kind, samples)
+    assert np.array_equal(scored, wins.mean(axis=-1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(st.integers(1, 8), st.integers(1, 300)).flatmap(
+    lambda shape: st.tuples(arrays(float, shape[0], elements=TIED_GENOTYPES),
+                            arrays(float, shape, elements=TIED_GENOTYPES))))
+def test_subjective_test_counted_wins_equal_their_mean(pop_and_samples):
+    """Wins counted as a sum of zeros and ones, over samples of 1 to 300 crisp
+    genotypes with many ties, give bit for bit the mean of the strict-win
+    matrix: a float for a scalar, one value per row for a 1-D population."""
+    genotypes, samples = pop_and_samples
+    wins = eval_objective_test(CRISP, genotypes)[:, None] > eval_objective_test(CRISP, samples)
+    fitnesses = subjective_test(genotypes, samples, CRISP)
+    assert type(fitnesses) is np.ndarray and fitnesses.shape == genotypes.shape
+    assert np.array_equal(fitnesses, wins.mean(axis=-1))
+    scalar = subjective_test(float(genotypes[0]), samples[0], CRISP)
+    assert type(scalar) is float and scalar == wins[0].mean()
 
 
 @pytest.mark.parametrize("pick", [-1, 3])
