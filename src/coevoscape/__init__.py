@@ -29,7 +29,6 @@ from .landscape import (
     measure_generation,
     objective_profile,
     objective_side,
-    run_profiles,
     subjective_profiles,
 )
 from .experiment import (
@@ -62,7 +61,6 @@ __all__ = [
     "objective_profile",
     "objective_side",
     "subjective_profiles",
-    "run_profiles",
     "dist",
     "kld",
     "bhatt",

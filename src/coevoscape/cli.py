@@ -34,7 +34,7 @@ from . import _writer
 from ._writer import write_file
 from .evolution import Trajectories, run_trajectory
 from .experiment import ConfigError, ExperimentConfig, run_batch, trajectory_seed
-from .landscape import run_profiles
+from .landscape import objective_profile, subjective_profiles
 from .substrate import Task
 
 TRAJECTORY_HEADER = ("generation", "best_p1", "fitness_p1", "best_p2", "fitness_p2")
@@ -150,23 +150,38 @@ def _repr_text(values: np.ndarray, cache: dict[int, str] | None = None) -> np.nd
     return np.array(texts, dtype=object)[inverse.ravel()].reshape(values.shape)
 
 
-def write_snapshots(directory: Path, grid: np.ndarray, profiles: np.ndarray,
+def write_snapshots(directory: Path, grid: np.ndarray, obj: np.ndarray, sub: np.ndarray,
                     generations, json_mirror: bool, write=write_file,
                     cache: dict[int, str] | None = None) -> None:
-    """landscape_k<k>.csv for each generation k of one run's `run_profiles`:
-    the objective profile for P1's task next to both subjective profiles.
+    """landscape_k<k>.csv for each generation k of one run: P1's objective
+    profile `obj` (grid points,), the same in every generation, next to the
+    run's subjective profiles `sub` (generations+1, 2, grid points).
 
-    The run's snapshot values repeat heavily across cells and generations, so
-    they are rendered to text in one block and each file takes its slice.
-    Runs of a batch share `cache`: the grid and the objective profile, and
-    test-based subjective values, repeat from run to run."""
-    generations = list(generations)
-    obj1, sub1, sub2 = (profiles[generations, i] for i in (0, 2, 3))
-    block = np.stack((np.broadcast_to(grid, obj1.shape), obj1, sub1, sub2), axis=-1)
+    The values repeat heavily across cells and generations, so they are
+    rendered to text in one block and each file takes its slice. Runs of a
+    batch share `cache`: the grid, `obj` and test-based subjective values
+    repeat from run to run."""
+    fixed = np.broadcast_to((grid, obj), (len(generations), 2, len(grid)))
+    # (generation, point, column), the columns in SNAPSHOT_HEADER's order
+    block = np.concatenate((fixed, sub[generations]), axis=1).transpose(0, 2, 1)
     text = _repr_text(block, cache)
     for i, k in enumerate(generations):
         write_table(directory / f"landscape_k{k}.csv", SNAPSHOT_HEADER, block[i],
                     json_mirror, text[i], write)
+
+
+def _p1_objective(config: ExperimentConfig) -> np.ndarray:
+    """Every snapshot's f_obj column: P1's row of the batch's `objective_side`."""
+    return objective_profile(config.objective_kind(), config.grid(),
+                             config.interaction_mode().task_p1)
+
+
+def _write_run_zero_snapshots(config: ExperimentConfig, traj: Trajectories, directory: Path,
+                              generations, json_mirror: bool) -> None:
+    """Snapshots of `traj`'s run 0, the same bytes as `measures` writes for run 0."""
+    grid, kind = config.grid(), config.objective_kind()
+    write_snapshots(directory, grid, _p1_objective(config),
+                    subjective_profiles(traj, 0, grid, kind), generations, json_mirror)
 
 
 class WriterProcess:
@@ -223,19 +238,15 @@ def _parse_generations(text: str, last: int) -> list[int]:
 
 def cmd_simulate(args) -> int:
     config = _load_config(args)
-    wanted = None
+    wanted = range(config.generations + 1) if config.snapshots else None
     if args.generations is not None:
         wanted = _parse_generations(args.generations, config.generations)
-    elif config.snapshots:
-        wanted = range(config.generations + 1)
     traj = run_trajectory(config, [trajectory_seed(config.master_seed, 0)])
     json_mirror = args.fmt == "json"
     write_table(args.out / "trajectory.csv", TRAJECTORY_HEADER,
                 trajectory_rows(traj), json_mirror)
     if wanted is not None:
-        grid = config.grid()
-        write_snapshots(args.out / "snapshots", grid,
-                        run_profiles(traj, grid, config.objective_kind())[0], wanted, json_mirror)
+        _write_run_zero_snapshots(config, traj, args.out / "snapshots", wanted, json_mirror)
     return 0
 
 
@@ -243,9 +254,7 @@ def cmd_landscape(args) -> int:
     config = _load_config(args)
     wanted = _parse_generations(args.generations, config.generations)
     traj = run_trajectory(config, [trajectory_seed(config.master_seed, 0)])
-    grid = config.grid()
-    write_snapshots(args.out, grid, run_profiles(traj, grid, config.objective_kind())[0],
-                    wanted, args.fmt == "json")
+    _write_run_zero_snapshots(config, traj, args.out, wanted, args.fmt == "json")
     return 0
 
 
@@ -253,11 +262,11 @@ def cmd_measures(args) -> int:
     config = _load_config(args)
     json_mirror = args.fmt == "json"
     if config.snapshots:
-        grid, cache = config.grid(), {}
+        grid, obj, cache = config.grid(), _p1_objective(config), {}
         with WriterProcess() as write:
-            def per_run(r: int, profiles: np.ndarray) -> None:
-                write_snapshots(args.out / "snapshots" / f"run_{r:03d}", grid, profiles,
-                                range(len(profiles)), json_mirror, write, cache)
+            def per_run(r: int, sub: np.ndarray) -> None:
+                write_snapshots(args.out / "snapshots" / f"run_{r:03d}", grid, obj, sub,
+                                range(len(sub)), json_mirror, write, cache)
 
             series = run_batch(config, per_run=per_run, workers=args.workers)
     else:

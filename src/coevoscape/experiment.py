@@ -412,9 +412,9 @@ def _measure_block(config: ExperimentConfig, objective: ObjectiveSide, runs: ran
     The block is evolved in one pass, and its runs' subjective profiles are
     built and measured against `objective` a chunk of runs at a time, each
     chunk in one pass; a failing pass is done again one run at a time to
-    name the failing run. Each measured run's profiles, with their objective
-    rows, are then handed to `per_run` in run order, so a failure there
-    names its run directly.
+    name the failing run. Each measured run's subjective profiles, its row
+    of the chunk's, are then handed to `per_run` in run order, so a failure
+    there names its run directly.
     """
     grid, size = config.grid(), _chunk_runs(config)
     for evolved, traj in _in_one_pass(config, runs, functools.partial(_evolve, config)):
@@ -424,15 +424,12 @@ def _measure_block(config: ExperimentConfig, objective: ObjectiveSide, runs: ran
             for part, (sub, values) in _in_one_pass(config, evolved[start:start + size],
                                                     measure):
                 out[part.start - runs.start:part.stop - runs.start] = values
-                if per_run is None:
-                    continue
-                for r, rows in zip(part, sub):
-                    try:
-                        profiles = np.empty((len(rows), 4, len(grid)))
-                        profiles[:, :2], profiles[:, 2:] = objective.profiles, rows
-                        per_run(r, profiles)
-                    except Exception as e:
-                        raise _run_failed(config, r, e) from e
+                if per_run is not None:
+                    for r, run_sub in zip(part, sub):
+                        try:
+                            per_run(r, run_sub)
+                        except Exception as e:
+                            raise _run_failed(config, r, e) from e
 
 
 def _measure_slice(config: ExperimentConfig, objective: ObjectiveSide, runs: range,
@@ -546,11 +543,11 @@ def run_batch(config: ExperimentConfig,
     so the series does not depend on the blocks. The objective side is built
     once per batch, and the runs' subjective profiles are built and measured
     against it a chunk of a few runs at a time, each run's the same bytes as
-    on its own. `per_run(r, profiles)` is an optional hook
-    (e.g. snapshot writing) that receives run r's profiles, shape
-    (generations+1, 4, grid points) as `run_profiles` lays them out: exactly
-    once for each run before the first failure, in run order, after that
-    run's measures succeed.
+    on its own. `per_run(r, sub)` is an optional hook (e.g. snapshot
+    writing) that receives run r's measured subjective profiles, shape
+    (generations+1, 2, grid points) as `subjective_profiles` gives them:
+    exactly once for each run before the first failure, in run order, after
+    that run's measures succeed.
 
     With `workers` > 1 and no hook, the runs are cut into
     `min(workers, runs, usable CPUs)` contiguous slices: the first is

@@ -8,9 +8,8 @@ opposing population (test-based, averaged into an ensemble mean) or the
 opposing representative (compositional, an exact slice of the shared
 landscape). A batch builds its objective side once (`objective_side`: both
 objective profiles and what the measures derive from them) and its runs'
-subjective profiles a few runs at a time (`subjective_profiles`); `run_profiles`
-puts both sides of a block of runs in one array, as the landscape snapshots
-read them.
+subjective profiles a few runs at a time (`subjective_profiles`); the
+landscape snapshots write P1's objective row next to those same arrays.
 
 Three measures compare an objective profile against a subjective one of the
 same shape:
@@ -290,23 +289,6 @@ def subjective_profiles(traj: Trajectories, run: int | slice, grid: np.ndarray,
         opponents = genotypes[..., previous, ::-1, :]
         return subjective_profile_test(grid, opponents, kind, traj.picks[run])
     return subjective_profile_comp(grid, traj.partners[run], kind)
-
-
-def run_profiles(traj: Trajectories, grid: np.ndarray,
-                 kind: ObjectiveKind) -> np.ndarray:
-    """All profiles of a block of runs, shape (runs, generations+1, 4, grid
-    points): per run and generation the rows (obj_p1, obj_p2, sub_p1, sub_p2).
-
-    Each population's objective profile is the static reference for its own
-    task, built once per call; the subjective profiles are built one run at
-    a time (`subjective_profiles`), so the temporaries stay one run's size.
-    """
-    profiles = np.empty(traj.best.shape[:2] + (4, len(grid)))
-    for i, task in enumerate(traj.tasks):
-        profiles[:, :, i] = objective_profile(kind, grid, task)
-    for r, rows in enumerate(profiles):
-        rows[:, 2:] = subjective_profiles(traj, r, grid, kind)
-    return profiles
 
 
 def measure_generation(objective: ObjectiveSide, sub: np.ndarray, *,

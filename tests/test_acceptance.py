@@ -21,8 +21,8 @@ from coevoscape import cli
 from coevoscape.evolution import run_trajectory
 from coevoscape.experiment import (POPULATIONS, ExperimentConfig, run_batch,
                                    trajectory_seed)
-from coevoscape.landscape import (bhatt, dist, kld, run_profiles,
-                                  subjective_profile_test)
+from coevoscape.landscape import (bhatt, dist, kld, subjective_profile_test,
+                                  subjective_profiles)
 from coevoscape.substrate import (eval_objective_shared, eval_objective_test,
                                   kind_from_name, subjective_test)
 
@@ -134,13 +134,13 @@ def profile_mismatches(seed: int) -> int:
         kind = config.objective_kind()
         grid = config.grid()
         traj = run_trajectory(config, [trajectory_seed(seed, 0)])
-        profiles = run_profiles(traj, grid, kind)[0]
+        sub = subjective_profiles(traj, 0, grid, kind)
         partners, best = traj.partners[0], traj.best[0]
         for k in range(config.generations + 1):
             if k > 0:
                 assert partners[k, 0] == best[k - 1, 1]
                 assert partners[k, 1] == best[k - 1, 0]
-            _, _, sub1, sub2 = profiles[k]
+            sub1, sub2 = sub[k]
             # the population's own coordinate is always the first argument
             want1 = np.array([eval_objective_shared(kind, float(x), partners[k, 0])
                               for x in grid])

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from coevoscape import cli, experiment
 from coevoscape.evolution import run_trajectory
 from coevoscape.experiment import ExperimentConfig, run_batch, trajectory_seed
-from coevoscape.landscape import run_profiles
+from coevoscape.landscape import objective_side, subjective_profiles
 from coevoscape.substrate import kind_from_name
 
 SMOOTH_SMALL = {
@@ -26,6 +26,7 @@ SMOOTH_SMALL = {
     "evolution": {"generations": 10},
     "experiment": {"runs": 2, "master_seed": 11},
 }
+SUBSTRATES = ["crisp", "smooth", "ridge", "sinusoid"]
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -136,8 +137,9 @@ def test_landscape_matches_library_values(tmp_path):
 
     config = ExperimentConfig.from_dict(data)
     traj = run_trajectory(config, [trajectory_seed(7, 0)])
-    grid = config.grid()
-    obj1, _, sub1, sub2 = run_profiles(traj, grid, kind_from_name("sinusoid"))[0, 3]
+    grid, kind = config.grid(), kind_from_name("sinusoid")
+    obj1 = objective_side(kind, grid, traj.tasks).profiles[0]
+    sub1, sub2 = subjective_profiles(traj, 0, grid, kind)[3]
     _, rows = read_rows(out / "landscape_k3.csv")
     parsed = np.array([[float(v) for v in row] for row in rows])
     # repr round-trips floats, so the file reproduces the values bit-exactly
@@ -439,19 +441,32 @@ def test_import_and_config_load_leave_scipy_out(tmp_path):
             assert (tmp_path / out / name).read_bytes() == (tmp_path / "free" / name).read_bytes()
 
 
-def test_simulate_reproduces_run_zero_of_a_batch(tmp_path):
+@pytest.mark.parametrize("function, task_p1", [
+    *((function, "minimize") for function in SUBSTRATES),
+    pytest.param("ridge", "maximize", id="ridge-cooperative"),
+])
+def test_simulate_reproduces_run_zero_of_a_batch(tmp_path, function, task_p1):
     """`simulate --seed S` writes run 0's snapshots of `measures --seed S`,
-    here a batch of two blocks."""
-    data = dict(SMOOTH_SMALL, experiment={"runs": 12, "snapshots": True})
+    here a batch of two blocks, and `landscape --seed S` the same bytes: all
+    three commands write P1's objective row for its task, which a
+    compositional kind slices at that task's reference partner."""
+    data = dict(SMOOTH_SMALL, substrate={"function": function},
+                interaction={"task_p1": task_p1, "task_p2": "maximize"},
+                experiment={"runs": 12, "snapshots": True})
     cfg = write_config(tmp_path, data)
-    batch, single = tmp_path / "batch", tmp_path / "single"
-    assert cli.main(["measures", "--config", str(cfg), "--out", str(batch), "--seed", "21"]) == 0
-    assert cli.main(["simulate", "--config", str(cfg), "--out", str(single), "--seed", "21",
-                     "--generations", ",".join(str(k) for k in range(11))]) == 0
+    batch, single, land = tmp_path / "batch", tmp_path / "single", tmp_path / "land"
+    generations = ",".join(str(k) for k in range(11))
+    with mock.patch.object(experiment, "_block_runs", lambda config: 7):
+        assert cli.main(["measures", "--config", str(cfg), "--out", str(batch),
+                         "--seed", "21"]) == 0
+    for command, out in (("simulate", single), ("landscape", land)):
+        assert cli.main([command, "--config", str(cfg), "--out", str(out), "--seed", "21",
+                         "--generations", generations]) == 0
     for k in range(11):
         name = f"landscape_k{k}.csv"
-        assert ((single / "snapshots" / name).read_bytes()
-                == (batch / "snapshots" / "run_000" / name).read_bytes())
+        expected = (batch / "snapshots" / "run_000" / name).read_bytes()
+        assert (single / "snapshots" / name).read_bytes() == expected
+        assert (land / name).read_bytes() == expected
 
 
 def test_invalid_config_key_reports_error(tmp_path, capsys):
@@ -655,16 +670,14 @@ def test_snapshot_text_reuse_stays_bounded_as_runs_grow(tmp_path, monkeypatch):
     assert len(seen) > 10 * run_cells  # a batch-wide cache would have held all of them
 
 
-SUBSTRATES = ["crisp", "smooth", "ridge", "sinusoid"]
-
-
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("function", SUBSTRATES)
 def test_measures_snapshot_files_match_per_value_text(tmp_path, function, fmt):
     """Every per-run snapshot file, and its JSON mirror, equals the text built
-    cell by cell from `run_profiles` with the plain per-value expressions,
-    across the two blocks (a full one, then 1 run) of a batch at the
-    defaults, whose text the renderer reuses from run to run."""
+    cell by cell from P1's row of `objective_side` and `subjective_profiles`
+    with the plain per-value expressions, across the two blocks (a full one,
+    then 1 run) of a batch at the defaults, whose text the renderer reuses
+    from run to run."""
     runs = experiment._block_runs(ExperimentConfig(function=function)) + 1
     data = {"substrate": {"function": function},
             "experiment": {"runs": runs, "master_seed": 8, "snapshots": True}}
@@ -680,9 +693,11 @@ def test_measures_snapshot_files_match_per_value_text(tmp_path, function, fmt):
     expected = {}
     for r in range(runs):
         traj = run_trajectory(config, [trajectory_seed(8, r)])
-        profiles = run_profiles(traj, grid, config.objective_kind())[0]
+        kind = config.objective_kind()
+        obj1 = objective_side(kind, grid, traj.tasks).profiles[0].tolist()
+        sub = subjective_profiles(traj, 0, grid, kind)
         for k in range(config.generations + 1):
-            obj1, _, sub1, sub2 = profiles[k].tolist()
+            sub1, sub2 = sub[k].tolist()
             rows = list(zip(grid.tolist(), obj1, sub1, sub2))
             name = f"run_{r:03d}/landscape_k{k}"
             expected[f"{name}.csv"] = "\n".join(

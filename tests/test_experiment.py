@@ -34,8 +34,7 @@ from coevoscape.experiment import (
     run_batch,
     trajectory_seed,
 )
-from coevoscape.landscape import (measure_generation, objective_side, run_profiles,
-                                  subjective_profiles)
+from coevoscape.landscape import measure_generation, objective_side, subjective_profiles
 
 # t(0.975, df=1) * std({0,1}, ddof=1) / sqrt(2): the df=1 t quantile is
 # tan(pi*(0.975 - 0.5)) and std({0,1}) = 1/sqrt(2), so the half width is tan(0.475*pi)/2
@@ -330,7 +329,7 @@ def test_run_batch_single_run_has_zero_width_ci():
     traj = run_trajectory(cfg, [trajectory_seed(cfg.master_seed, 0)])
     kind = cfg.objective_kind()
     objective = objective_side(kind, cfg.grid(), traj.tasks)
-    sub = run_profiles(traj, cfg.grid(), kind)[0, :, 2:]
+    sub = subjective_profiles(traj, 0, cfg.grid(), kind)
     t1, _ = measure_generation(objective, sub[2])
     assert series.mean[2, 0, 0] == t1[0]
     assert series.mean[2, 0, 2] == t1[2]
@@ -437,8 +436,8 @@ def test_run_batch_blocks_move_no_number(function, with_replacement, runs, gener
     for r in range(runs):
         traj = run_trajectory(cfg, [trajectory_seed(master_seed, r)])
         alone = measure_generation(objective_side(kind, cfg.grid(), traj.tasks),
-                                   run_profiles(traj, cfg.grid(), kind)[..., 2:, :])
-        assert np.array_equal(series.values[r], alone[0])
+                                   subjective_profiles(traj, 0, cfg.grid(), kind))
+        assert np.array_equal(series.values[r], alone)
 
 
 def test_run_batch_per_run_hook_sees_runs_in_order():
@@ -451,17 +450,16 @@ def test_run_batch_per_run_hook_sees_runs_in_order():
 def test_run_batch_hook_gets_the_measured_profiles():
     cfg = ExperimentConfig(function="ridge", runs=2, generations=2)
     seen = {}
-    series = run_batch(cfg, per_run=lambda r, profiles: seen.setdefault(r, profiles))
+    series = run_batch(cfg, per_run=lambda r, sub: seen.setdefault(r, sub))
     kind = cfg.objective_kind()
-    for r, profiles in seen.items():
+    assert sorted(seen) == [0, 1]
+    for r, sub in seen.items():
         traj = run_trajectory(cfg, [trajectory_seed(cfg.master_seed, r)])
-        assert profiles.shape == (cfg.generations + 1, 4, cfg.grid_points)
-        assert np.array_equal(profiles, run_profiles(traj, cfg.grid(), kind)[0])
+        assert sub.shape == (cfg.generations + 1, 2, cfg.grid_points)
+        assert np.array_equal(sub, subjective_profiles(traj, 0, cfg.grid(), kind))
         objective = objective_side(kind, cfg.grid(), traj.tasks)
-        for k in range(cfg.generations + 1):
-            t1, t2 = measure_generation(objective, profiles[k, 2:])
-            assert series.values[r, k, 0, 0] == t1[0]
-            assert series.values[r, k, 1, 2] == t2[2]
+        # every measure of every generation, bit for bit
+        assert np.array_equal(measure_generation(objective, sub), series.values[r])
 
 
 @pytest.fixture

@@ -22,7 +22,6 @@ from coevoscape.landscape import (
     measure_generation,
     objective_profile,
     objective_side,
-    run_profiles,
     subjective_profile_comp,
     subjective_profile_test,
     subjective_profiles,
@@ -357,7 +356,7 @@ def _measures(traj, cfg):
     """(P1, P2) measures of every generation of the block's first run."""
     kind = cfg.objective_kind()
     return measure_generation(objective_side(kind, cfg.grid(), traj.tasks),
-                              run_profiles(traj, cfg.grid(), kind)[0, :, 2:])
+                              subjective_profiles(traj, 0, cfg.grid(), kind))
 
 
 def test_measure_generation_zero_dist_at_reference_partner():
@@ -390,16 +389,19 @@ def test_measure_generation_all_finite_in_range():
                 assert 0.0 <= b <= 1.0
 
 
-def test_run_profiles_shapes_and_slice():
+def test_subjective_profiles_shapes_and_slice():
     cfg = ExperimentConfig(function="sinusoid", generations=2)
     traj = run_trajectory(cfg, [88, 89])
     grid = cfg.grid()
-    profiles = run_profiles(traj, grid, SIN)
-    assert profiles.shape == (2, 3, 4, grid.size)
+    profiles = subjective_profiles(traj, slice(0, 2), grid, SIN)
+    assert profiles.shape == (2, 3, 2, grid.size)
+    obj1, obj2 = objective_side(SIN, grid, traj.tasks).profiles
+    assert np.array_equal(obj1, objective_profile(SIN, grid, traj.tasks[0]))
+    assert np.array_equal(obj2, objective_profile(SIN, grid, traj.tasks[1]))
+    for r in range(2):
+        assert np.array_equal(profiles[r], subjective_profiles(traj, r, grid, SIN))
     for r, k in np.ndindex(2, 3):
-        obj1, obj2, sub1, sub2 = profiles[r, k]
-        assert np.array_equal(obj1, objective_profile(SIN, grid, traj.tasks[0]))
-        assert np.array_equal(obj2, objective_profile(SIN, grid, traj.tasks[1]))
+        sub1, sub2 = profiles[r, k]
         assert np.array_equal(sub1, eval_objective_shared(SIN, grid, traj.partners[r, k, 0]))
         assert np.array_equal(sub2, eval_objective_shared(SIN, grid, traj.partners[r, k, 1]))
 
@@ -414,27 +416,29 @@ def test_batch_objective_side_measures_like_each_generations_rows(function, grid
     traj = run_trajectory(cfg, [91, 92])
     kind, grid = cfg.objective_kind(), cfg.grid()
     objective = objective_side(kind, grid, traj.tasks, grid_factor=grid_factor)
-    profiles = run_profiles(traj, grid, kind)
-    assert np.array_equal(np.broadcast_to(objective.profiles, profiles[:, :, :2].shape),
-                          profiles[:, :, :2])
+    # each generation's own objective rows: each population's for its task
+    rows = np.array([[objective_profile(kind, grid, task) for task in traj.tasks]
+                     for _ in range(cfg.generations + 1)])
+    assert np.array_equal(np.broadcast_to(objective.profiles, rows.shape), rows)
+    per_generation = ObjectiveSide.of(rows, kind, grid_factor=grid_factor)
+    profiles = subjective_profiles(traj, slice(0, 2), grid, kind)
     for r in range(2):
         sub = subjective_profiles(traj, r, grid, kind)
-        assert np.array_equal(sub, profiles[r, :, 2:])
-        per_generation = ObjectiveSide.of(profiles[r, :, :2], kind, grid_factor=grid_factor)
+        assert np.array_equal(sub, profiles[r])
         assert np.array_equal(measure_generation(objective, sub, bhatt_mode=mode),
                               measure_generation(per_generation, sub, bhatt_mode=mode))
 
 
-def test_run_profiles_test_based_uses_retained_samples():
+def test_subjective_profiles_test_based_uses_retained_samples():
     cfg = ExperimentConfig(function="smooth", generations=1)
     traj = run_trajectory(cfg, [89, 90])
     grid = cfg.grid()
-    profiles = run_profiles(traj, grid, SMOOTH)
+    profiles = subjective_profiles(traj, slice(0, 2), grid, SMOOTH)
+    obj1, obj2 = objective_side(SMOOTH, grid, traj.tasks).profiles
+    assert np.array_equal(obj1, eval_objective_test(SMOOTH, grid))
+    assert np.array_equal(obj2, obj1)
     for r, k in np.ndindex(2, 2):
-        obj1, obj2, sub1, sub2 = profiles[r, k]
-        assert np.array_equal(obj1, eval_objective_test(SMOOTH, grid))
-        assert np.array_equal(obj2, obj1)
-        for i, sub in ((0, sub1), (1, sub2)):
+        for i, sub in enumerate(profiles[r, k]):
             samples = traj.genotypes[r, max(k - 1, 0), 1 - i][traj.picks[r, k, i]]
             assert np.array_equal(sub, subjective_profile_test(grid, samples, SMOOTH))
             assert np.array_equal(sub, subjective_test(grid, samples.ravel(), SMOOTH))
