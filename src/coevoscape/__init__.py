@@ -8,7 +8,6 @@ and quantifies their divergence with three profile measures.
 
 from .substrate import (
     CrispLinear,
-    InteractionMode,
     ObjectiveKind,
     Ridge,
     Sinusoid,
@@ -49,7 +48,6 @@ __all__ = [
     "Sinusoid",
     "ObjectiveKind",
     "Task",
-    "InteractionMode",
     "kind_from_name",
     "eval_objective_test",
     "eval_objective_shared",

@@ -172,8 +172,7 @@ def write_snapshots(directory: Path, grid: np.ndarray, obj: np.ndarray, sub: np.
 
 def _p1_objective(config: ExperimentConfig) -> np.ndarray:
     """Every snapshot's f_obj column: P1's row of the batch's `objective_side`."""
-    return objective_profile(config.objective_kind(), config.grid(),
-                             config.interaction_mode().task_p1)
+    return objective_profile(config.objective_kind(), config.grid(), config.tasks()[0])
 
 
 def _write_run_zero_snapshots(config: ExperimentConfig, traj: Trajectories, directory: Path,
@@ -321,7 +320,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, OSError, RuntimeError, FloatingPointError) as e:
+    except (ConfigError, ValueError, OSError, RuntimeError, FloatingPointError,
+            MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

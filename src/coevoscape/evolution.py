@@ -68,8 +68,8 @@ class Trajectories:
 def _layout(config: ExperimentConfig, runs: int) -> dict[str, tuple[tuple[int, ...], type]]:
     """Shape and dtype of every array `run_trajectory` holds for a block of
     `runs` runs: the `Trajectories` fields and the up-front draws. Indices
-    into a population (tournament contestants, evaluator picks, generation-0
-    partners) are held in the smallest unsigned type that fits pop_size - 1."""
+    into a population (tournament contestants, evaluator picks) are held in
+    the smallest unsigned type that fits pop_size - 1."""
     gens, n = config.generations, config.pop_size
     m, t = config.sample_size, config.tournament_size
     index = np.min_scalar_type(n - 1).type
@@ -77,7 +77,7 @@ def _layout(config: ExperimentConfig, runs: int) -> dict[str, tuple[tuple[int, .
     if config.objective_kind().test_based:
         used = {"picks": (shape + (n, m), index)}
     else:
-        used = {"partners": (shape, float), "picks": ((runs, 2), index)}
+        used = {"partners": (shape, float)}
     return {"genotypes": (shape + (n,), float), "fitnesses": (shape + (n,), float),
             "best": (shape, float), **used,
             "contests": ((runs, gens, 2, n, t), index),
@@ -115,20 +115,15 @@ def run_trajectory(config: ExperimentConfig, seeds) -> Trajectories:
     """
     config.validate()
     kind = config.objective_kind()
-    mode = config.interaction_mode()
-    tasks = (mode.task_p1, mode.task_p2)
+    tasks = config.tasks()
     rngs = [np.random.default_rng(seed) for seed in seeds]
     gens, n, m, t = (config.generations, config.pop_size, config.sample_size,
                      config.tournament_size)
     arrays = {name: np.empty(shape, dtype)
               for name, (shape, dtype) in _layout(config, len(rngs)).items()}
     traj = Trajectories(tasks, arrays["genotypes"], arrays["fitnesses"], arrays["best"],
-                        arrays["picks"] if kind.test_based else None, arrays.get("partners"))
-    picks, contests = arrays["picks"], arrays["contests"]
-    mutated, noise = arrays["mutated"], arrays["noise"]
-    if kind.test_based:
-        # one generation's flat picks and gathered values, rewritten by each
-        work = (np.empty(picks[:, 0].shape, np.intp), np.empty(picks[:, 0].shape))
+                        arrays.get("picks"), arrays.get("partners"))
+    contests, mutated, noise = arrays["contests"], arrays["mutated"], arrays["noise"]
     intervals = [config.init_interval(p) for p in ("P1", "P2")]
     for b, rng in enumerate(rngs):
         for i, (lo, hi) in enumerate(intervals):
@@ -138,29 +133,27 @@ def run_trajectory(config: ExperimentConfig, seeds) -> Trajectories:
         mutated[b] = rng.random((gens, 2, n)) < config.mutation_prob
         noise[b] = rng.normal(0.0, config.mutation_sigma, (gens, 2, n))
         if kind.test_based:
-            picks[b] = draw_sample(n, (gens + 1) * 2 * n, m, rng,
-                                   config.sample_with_replacement).reshape(picks.shape[1:])
+            sample = draw_sample(n, (gens + 1) * 2 * n, m, rng, config.sample_with_replacement)
+            traj.picks[b] = sample.reshape(traj.picks.shape[1:])
         else:
-            picks[b] = rng.integers(0, n, 2)
+            # no fitness yet to pick a best member by: P1's partner is a member
+            # of P2's initial population, P2's one of P1's
+            traj.partners[b, 0] = traj.genotypes[b, 0, (1, 0), rng.integers(0, n, 2)]
     with np.errstate(over="raise", invalid="raise"):
         for k in range(gens + 1):
             genotypes = traj.genotypes[:, k]
             if k > 0:
                 _breed(traj, k, contests[:, k - 1], mutated[:, k - 1], noise[:, k - 1])
             # P1 is scored against P2's previous generation, P2 against P1's
-            opponents = traj.genotypes[:, max(k - 1, 0), ::-1]
             if kind.test_based:
-                traj.fitnesses[:, k] = subjective_test(genotypes, opponents, kind, picks[:, k],
-                                                       work=work)
+                opponents = traj.genotypes[:, max(k - 1, 0), ::-1]
+                traj.fitnesses[:, k] = subjective_test(genotypes, opponents, kind,
+                                                       traj.picks[:, k])
             else:
-                if k == 0:
-                    # no fitness yet to pick a best member by
-                    partners = opponents.take(flat_index(picks, opponents))
-                else:
-                    partners = traj.best[:, k - 1, ::-1]
-                traj.partners[:, k] = partners
-                traj.fitnesses[:, k] = subjective_compositional(genotypes, partners[..., None],
-                                                                kind)
+                if k > 0:
+                    traj.partners[:, k] = traj.best[:, k - 1, ::-1]
+                traj.fitnesses[:, k] = subjective_compositional(
+                    genotypes, traj.partners[:, k, :, None], kind)
             for i, task in enumerate(tasks):
                 traj.best[:, k, i] = best_of(genotypes[:, i], traj.fitnesses[:, k, i], task)
     return traj

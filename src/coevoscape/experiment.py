@@ -24,7 +24,7 @@ import numpy as np
 from .evolution import Trajectories, run_bytes, run_trajectory
 from .landscape import (BHATT_MODES, ObjectiveSide, make_grid, measure_generation,
                         objective_profile, objective_side, subjective_profiles)
-from .substrate import (InteractionMode, ObjectiveKind, Task, eval_objective_shared,
+from .substrate import (ObjectiveKind, Task, eval_objective_shared,
                         eval_objective_test, kind_from_name)
 
 POPULATIONS = ("P1", "P2")
@@ -216,11 +216,11 @@ class ExperimentConfig:
         objective profiles finite and not flat on the grid (the measures
         normalize by their range), and finite fitness at the init intervals'
         endpoints (paired with the other interval's, for compositional kinds)."""
-        kind, mode, grid = self.objective_kind(), self.interaction_mode(), self.grid()
+        kind, grid = self.objective_kind(), self.grid()
         where = f"on the grid ({grid[0]}, {grid[-1]})"
         problems = []
         with np.errstate(over="raise", invalid="raise"):
-            for p, q, task in (("P1", "P2", mode.task_p1), ("P2", "P1", mode.task_p2)):
+            for (p, q), task in zip((("P1", "P2"), ("P2", "P1")), self.tasks()):
                 profile = _finite(objective_profile, kind, grid, task)
                 if profile is None:
                     problems.append(f"objective profile for {p} overflows {where}")
@@ -237,8 +237,9 @@ class ExperimentConfig:
     def objective_kind(self) -> ObjectiveKind:
         return kind_from_name(self.function, self.ridge_n)
 
-    def interaction_mode(self) -> InteractionMode:
-        return InteractionMode(_TASK_NAMES[self.task_p1], _TASK_NAMES[self.task_p2])
+    def tasks(self) -> tuple[Task, Task]:
+        """The tasks of P1 and P2."""
+        return _TASK_NAMES[self.task_p1], _TASK_NAMES[self.task_p2]
 
     def init_interval(self, population: str) -> tuple[float, float]:
         """Initialization interval of population "P1" or "P2", with the
@@ -566,9 +567,8 @@ def run_batch(config: ExperimentConfig,
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     # every run of the batch is measured against the same objective side
-    mode = config.interaction_mode()
-    objective = objective_side(config.objective_kind(), config.grid(),
-                               (mode.task_p1, mode.task_p2), grid_factor=config.dist_grid_factor)
+    objective = objective_side(config.objective_kind(), config.grid(), config.tasks(),
+                               grid_factor=config.dist_grid_factor)
     slices = _slices(config.runs, workers)
     if len(slices) == 1 or per_run is not None or not hasattr(os, "fork"):
         values = _measure_slice(config, objective, range(config.runs), per_run)

@@ -172,11 +172,10 @@ def dist(obj: np.ndarray, sub: np.ndarray, *, grid_factor: bool = True):
     return float(out) if out.ndim == 0 else out
 
 
-def _dist(d: np.ndarray, scale: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _dist(d: np.ndarray, scale: np.ndarray) -> np.ndarray:
     # each row's sum of squares as a dot product, as np.linalg.norm takes it
     # for one row, so a run's distances equal the per-row norms bit for bit
-    norms = np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0], out=out)
-    return np.divide(norms, scale, out=out)
+    return np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0]) / scale
 
 
 def to_distribution(values: np.ndarray, fitness_min: float = 0.0) -> np.ndarray:
@@ -188,32 +187,22 @@ def to_distribution(values: np.ndarray, fitness_min: float = 0.0) -> np.ndarray:
     return np.divide(w, w.sum(axis=-1, keepdims=True), out=w)
 
 
-# The row-wise kernels below take `out` for their (...,) results and `work`
-# for one (..., grid points) temporary, so `measure_generation` can reuse
-# both; given neither, they allocate, as `kld` and `bhatt` let them.
-def _kld(p: np.ndarray, q: np.ndarray, out: np.ndarray | None = None,
-         work: np.ndarray | None = None) -> np.ndarray:
-    work = np.divide(p, q, out=work)
+def _kld(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    work = np.divide(p, q)
     np.log2(work, out=work)
     np.multiply(p, work, out=work)
-    return np.maximum(0.0, work.sum(axis=-1, out=out), out=out)
+    return np.maximum(0.0, work.sum(axis=-1))
 
 
-def _bhatt(p: np.ndarray, q: np.ndarray, mode: str, sqrt_p: np.ndarray | None = None,
-           out: np.ndarray | None = None, work: np.ndarray | None = None) -> np.ndarray:
+def _bhatt(p: np.ndarray, q: np.ndarray, mode: str) -> np.ndarray:
     if mode not in BHATT_MODES:
         raise ValueError(f"bhatt mode must be one of {BHATT_MODES}, got {mode!r}")
     if mode == "verbatim":
-        work = np.multiply(p, q, out=work)
-        radicand = np.subtract(1.0, work.sum(axis=-1, out=out), out=out)
-        return np.sqrt(np.maximum(0.0, radicand, out=out), out=out)
-    if sqrt_p is None:
-        sqrt_p = np.sqrt(p)
-    work = np.sqrt(q, out=work)
-    np.subtract(sqrt_p, work, out=work)
+        return np.sqrt(np.maximum(0.0, 1.0 - (p * q).sum(axis=-1)))
+    work = np.sqrt(q)
+    np.subtract(np.sqrt(p), work, out=work)
     np.square(work, out=work)
-    h = np.multiply(0.5, work.sum(axis=-1, out=out), out=out)
-    return np.minimum(1.0, np.sqrt(h, out=out), out=out)
+    return np.minimum(1.0, np.sqrt(0.5 * work.sum(axis=-1)))
 
 
 def kld(obj: np.ndarray, sub: np.ndarray, *, fitness_min: float = 0.0):
@@ -247,14 +236,12 @@ class ObjectiveSide:
     `measure_generation` derives from them.
 
         distribution   to_distribution(profiles, fitness_min)
-        sqrt           its square root, for bhatt's hellinger form
         scale          dist's normaliser of each row
     """
 
     profiles: np.ndarray
     fitness_min: float
     distribution: np.ndarray
-    sqrt: np.ndarray
     scale: np.ndarray
 
     @classmethod
@@ -263,7 +250,7 @@ class ObjectiveSide:
         """The objective side of the given objective profiles."""
         fitness_min = objective_min(kind)
         distribution = to_distribution(profiles, fitness_min)
-        return cls(profiles, fitness_min, distribution, np.sqrt(distribution),
+        return cls(profiles, fitness_min, distribution,
                    _dist_scale(profiles, grid_factor=grid_factor))
 
 
@@ -299,14 +286,8 @@ def measure_generation(objective: ObjectiveSide, sub: np.ndarray, *,
     which `sub` repeats along its leading axes. Returns (..., 2, 3), so a
     run (generations+1, 2, grid points) gives (generations+1, 2, 3).
 
-    The subjective rows are normalized once and shared by kld and bhatt,
-    and the three measures are written straight into the result through one
-    reused temporary.
+    The subjective rows are normalized once and shared by kld and bhatt.
     """
-    q = to_distribution(sub, objective.fitness_min)
-    work = np.subtract(objective.profiles, sub)
-    out = np.empty(work.shape[:-1] + (3,))
-    _dist(work, objective.scale, out=out[..., 0])
-    _kld(objective.distribution, q, out=out[..., 1], work=work)
-    _bhatt(objective.distribution, q, bhatt_mode, objective.sqrt, out=out[..., 2], work=work)
-    return out
+    p, q = objective.distribution, to_distribution(sub, objective.fitness_min)
+    return np.stack([_dist(objective.profiles - sub, objective.scale), _kld(p, q),
+                     _bhatt(p, q, bhatt_mode)], axis=-1)

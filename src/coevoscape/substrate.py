@@ -118,22 +118,6 @@ def kind_from_name(name: str, ridge_n: float = 8.0) -> ObjectiveKind:
     return cls(ridge_n) if cls is Ridge else cls()
 
 
-@dataclass(frozen=True)
-class InteractionMode:
-    """Pair of tasks, one per population.
-
-    The interaction is cooperative exactly when both tasks agree; this is
-    derived, never stored separately.
-    """
-
-    task_p1: Task
-    task_p2: Task
-
-    @property
-    def cooperative(self) -> bool:
-        return self.task_p1 == self.task_p2
-
-
 def eval_objective_test(kind: ObjectiveKind, x):
     """Objective fitness of a test-based function at x.
 
@@ -194,8 +178,7 @@ def reference_partner(kind: ObjectiveKind, task: Task) -> float:
     return SINUSOID_OPT_COORD if task is Task.MAXIMIZE else -SINUSOID_OPT_COORD
 
 
-def subjective_test(x, samples, kind: ObjectiveKind, picks=None, *,
-                    work: tuple[np.ndarray, np.ndarray] | None = None):
+def subjective_test(x, samples, kind: ObjectiveKind, picks=None):
     """Subjective fitness of x: the fraction of evaluators it strictly beats.
 
     The mean of f(x)[..., None] > f(samples) over the last axis, so every
@@ -214,10 +197,7 @@ def subjective_test(x, samples, kind: ObjectiveKind, picks=None, *,
     `Trajectories.picks` does: the objective is evaluated once per member
     and each sample's values are gathered from those (`flat_picks`), so
     the sample `samples[..., picks]` is never built. The result is the same
-    float as against that sample. With picks, `work`, for a caller that
-    scores many generations, is an (np.intp, float64) pair of arrays of the
-    picks' shape that the flat index and the gathered values are written
-    into.
+    float as against that sample.
 
     Raises:
         ValueError: empty sample (nothing to evaluate against), or picks
@@ -225,26 +205,22 @@ def subjective_test(x, samples, kind: ObjectiveKind, picks=None, *,
         IndexError: a pick outside the population it indexes.
     """
     values = np.asarray(eval_objective_test(kind, np.asarray(samples, dtype=float)))
-    index, gathered = (None, None) if work is None else work
     if picks is not None:
-        # flat_picks has range-checked the index; "clip" writes to `out` unbuffered
-        values = values.take(flat_picks(picks, values, out=index), out=gathered, mode="clip")
+        values = values.take(flat_picks(picks, values))
     if values.size == 0:
         raise ValueError("empty evaluator sample: evaluation is disengaged")
     fx = np.asarray(eval_objective_test(kind, x))
-    # with `work`, the wins overwrite the gathered values they are compared with
-    wins = np.greater(fx[..., None], values, out=gathered)
-    out = (wins @ np.ones(values.shape[-1])) / values.shape[-1]
+    out = ((fx[..., None] > values) @ np.ones(values.shape[-1])) / values.shape[-1]
     return float(out) if out.ndim == 0 else out
 
 
-def flat_picks(picks, populations: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def flat_picks(picks, populations: np.ndarray) -> np.ndarray:
     """Evaluator picks as flat indices into a stack of populations.
 
     `populations` has shape (..., members) and `picks` (..., pop_size,
     sample_size) indexes the population with the same leading index, as
     `Trajectories.picks` indexes each generation's opponents. Returns
-    `flat_index(picks, populations, out)`, np.intp indices into
+    `flat_index(picks, populations)`, np.intp indices into
     `populations.ravel()` of the same shape as `picks`.
 
     Raises:
@@ -262,12 +238,12 @@ def flat_picks(picks, populations: np.ndarray, out: np.ndarray | None = None) ->
     if picks.max() >= members or (picks.dtype.kind != "u" and picks.min() < 0):
         raise IndexError(f"evaluator picks must index the {members} members they are "
                          f"drawn from")
-    return flat_index(picks, populations, out)
+    return flat_index(picks, populations)
 
 
-def flat_index(index, stack: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def flat_index(index, stack: np.ndarray) -> np.ndarray:
     """Indices along the last axis of a non-empty `stack` (..., members) as
-    np.intp indices into `stack.ravel()`, written into `out` if given.
+    np.intp indices into `stack.ravel()`.
 
     `index` has the stack's leading shape, then any trailing axes, and each
     entry indexes the row with the same leading index. The result is that
@@ -278,8 +254,7 @@ def flat_index(index, stack: np.ndarray, out: np.ndarray | None = None) -> np.nd
     index = np.asarray(index)
     lead, members = stack.shape[:-1], stack.shape[-1]
     rows = np.arange(0, stack.size, members, dtype=np.intp)
-    return np.add(index, rows.reshape(lead + (1,) * (index.ndim - len(lead))), out=out,
-                  dtype=np.intp)
+    return np.add(index, rows.reshape(lead + (1,) * (index.ndim - len(lead))), dtype=np.intp)
 
 
 def subjective_compositional(x, partner_best: float, kind: ObjectiveKind):

@@ -603,6 +603,25 @@ def test_measures_overflow_fails_the_run(tmp_path, capsys):
     assert "overflow" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, key, size", [
+    pytest.param("landscape", "grid_points", 10**15, id="grid-at-load"),
+    pytest.param("experiment", "runs", 10**13, id="runs-at-measure"),
+])
+def test_unallocatable_arrays_fail_with_an_error_line(tmp_path, capsys, section, key, size):
+    """An array larger than a 64-bit user address space (the grid at config
+    load, or every run's measures, allocated before the first run) cannot be
+    allocated under any overcommit setting; the command reports it and
+    writes nothing."""
+    data = dict(SMOOTH_SMALL, **{section: dict(SMOOTH_SMALL.get(section, {}), **{key: size})})
+    cfg = write_config(tmp_path, data)
+    out = tmp_path / "out"
+    rc = cli.main(["measures", "--config", str(cfg), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Unable to allocate" in err
+    assert not out.exists()
+
+
 # float64 values around repr's notation switches (1e-4, 1e16), signed zeros,
 # subnormals, the extremes and the non-finite values
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,

@@ -35,6 +35,7 @@ from coevoscape.experiment import (
     trajectory_seed,
 )
 from coevoscape.landscape import measure_generation, objective_side, subjective_profiles
+from coevoscape.substrate import Task
 
 # t(0.975, df=1) * std({0,1}, ddof=1) / sqrt(2): the df=1 t quantile is
 # tan(pi*(0.975 - 0.5)) and std({0,1}) = 1/sqrt(2), so the half width is tan(0.475*pi)/2
@@ -103,7 +104,7 @@ def test_config_defaults_match_standard_setup():
     assert (cfg.mutation_prob, cfg.mutation_sigma) == (0.5, 0.1)
     assert (cfg.runs, cfg.generations) == (100, 10)
     assert cfg.task_p1 == "minimize" and cfg.task_p2 == "maximize"
-    assert not cfg.interaction_mode().cooperative
+    assert cfg.tasks() == (Task.MINIMIZE, Task.MAXIMIZE)
 
 
 def test_config_grid_and_interval_defaults():
@@ -135,7 +136,7 @@ def test_config_from_dict_sections():
     })
     assert cfg.ridge_n == 4.0
     assert cfg.init_interval_p1 == (0.0, 4.0)
-    assert cfg.interaction_mode().cooperative
+    assert cfg.tasks() == (Task.MAXIMIZE, Task.MAXIMIZE)
     assert cfg.bhatt_mode == "verbatim"
 
 

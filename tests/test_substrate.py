@@ -13,7 +13,6 @@ from hypothesis.extra.numpy import arrays
 from coevoscape.landscape import subjective_profile_test
 from coevoscape.substrate import (
     CrispLinear,
-    InteractionMode,
     Ridge,
     Sinusoid,
     SmoothUnimodalPair,
@@ -172,11 +171,6 @@ def test_scoring_from_picks_equals_scoring_the_gathered_sample(
     assert scored.shape == genotypes.shape
     samples = np.take_along_axis(opponents[..., None, :], picks, axis=-1)
     assert np.array_equal(scored, subjective_test(genotypes, samples, kind))
-    # into reused buffers, whatever they held before
-    work = (np.full(picks.shape, -1, np.intp), np.full(picks.shape, np.nan))
-    for _ in range(2):
-        assert np.array_equal(subjective_test(genotypes, opponents, kind, picks, work=work),
-                              scored)
     wins = eval_objective_test(kind, genotypes)[..., None] > eval_objective_test(kind, samples)
     assert np.array_equal(scored, wins.mean(axis=-1))
 
@@ -374,13 +368,6 @@ def test_draw_sample_members_are_drawn_uniformly(with_replacement):
     frequency = counts / (draws * pop)
     # five standard deviations of a member's mean count per row
     assert np.abs(frequency - size / pop).max() < 0.04
-
-
-def test_interaction_mode_flags():
-    coop = InteractionMode(Task.MAXIMIZE, Task.MAXIMIZE)
-    comp = InteractionMode(Task.MINIMIZE, Task.MAXIMIZE)
-    assert coop.cooperative
-    assert not comp.cooperative
 
 
 def test_reference_partner():
