@@ -56,8 +56,8 @@ def write_table(path: Path, header: tuple[str, ...], rows, json_mirror: bool,
 
     `rows` holds one sequence of str, int or float cells per row. `text`, if
     given, holds the same rows already rendered to all-number CSV cells, as a
-    (rows, columns) object array of str (`_repr_text` renders a whole run's
-    snapshots); otherwise each cell is rendered here. The JSON mirror carries
+    (rows, columns) object array of str (`write_snapshots` passes the same
+    array as both); otherwise each cell is rendered here. The JSON mirror carries
     the CSV cells' text, str cells quoted. The CSV text's header, row count
     and cell count are checked before it is written.
     """
@@ -130,57 +130,47 @@ def trajectory_rows(traj: Trajectories) -> list[tuple]:
     return [(k, *row) for k, row in enumerate(zip(*columns))]
 
 
-def _repr_text(values: np.ndarray, cache: dict[int, str] | None = None) -> np.ndarray:
+def _repr_text(values: np.ndarray) -> np.ndarray:
     """`repr(float(v))` of every float64 in `values`, as an object array of the
     same shape. Each distinct bit pattern is formatted once (so 0.0 and -0.0
-    stay apart); the text is shared by every cell that holds it.
-
-    `cache`, if given, maps bit patterns to the text an earlier call made;
-    that text is reused, and the cache is left holding this call's values
-    only, so it never outgrows one call however many calls share it."""
+    stay apart); the text is shared by every cell that holds it."""
     values = np.ascontiguousarray(values, dtype=np.float64)
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    keys = bits.tolist()
-    known = (cache or {}).get
-    texts = [known(b) or repr(v) for b, v in zip(keys, bits.view(np.float64).tolist())]
-    if cache is not None:
-        cache.clear()
-        cache.update(zip(keys, texts))
+    texts = [repr(v) for v in bits.view(np.float64).tolist()]
     # the inverse's shape differs across numpy versions
     return np.array(texts, dtype=object)[inverse.ravel()].reshape(values.shape)
 
 
-def write_snapshots(directory: Path, grid: np.ndarray, obj: np.ndarray, sub: np.ndarray,
-                    generations, json_mirror: bool, write=write_file,
-                    cache: dict[int, str] | None = None) -> None:
-    """landscape_k<k>.csv for each generation k of one run: P1's objective
-    profile `obj` (grid points,), the same in every generation, next to the
-    run's subjective profiles `sub` (generations+1, 2, grid points).
+def write_snapshots(directory: Path, fixed: np.ndarray, sub: np.ndarray, generations,
+                    json_mirror: bool, write=write_file) -> None:
+    """landscape_k<k>.csv for each generation k of one run: the batch's x and
+    f_obj text `fixed` (`_fixed_columns`), the same in every file, next to
+    the run's subjective profiles `sub` (generations+1, 2, grid points).
 
-    The values repeat heavily across cells and generations, so they are
-    rendered to text in one block and each file takes its slice. Runs of a
-    batch share `cache`: the grid, `obj` and test-based subjective values
-    repeat from run to run."""
-    fixed = np.broadcast_to((grid, obj), (len(generations), 2, len(grid)))
-    # (generation, point, column), the columns in SNAPSHOT_HEADER's order
-    block = np.concatenate((fixed, sub[generations]), axis=1).transpose(0, 2, 1)
-    text = _repr_text(block, cache)
+    The subjective values repeat heavily across cells and generations, so
+    they are rendered to text in one block and each file takes its slice."""
+    # (generation, point, population): f_sub_p1 and f_sub_p2 in each file's rows
+    text = _repr_text(sub[generations].transpose(0, 2, 1))
     for i, k in enumerate(generations):
-        write_table(directory / f"landscape_k{k}.csv", SNAPSHOT_HEADER, block[i],
-                    json_mirror, text[i], write)
+        rows = np.concatenate((fixed, text[i]), axis=1)
+        write_table(directory / f"landscape_k{k}.csv", SNAPSHOT_HEADER, rows,
+                    json_mirror, rows, write)
 
 
-def _p1_objective(config: ExperimentConfig) -> np.ndarray:
-    """Every snapshot's f_obj column: P1's row of the batch's `objective_side`."""
-    return objective_profile(config.objective_kind(), config.grid(), config.tasks()[0])
+def _fixed_columns(config: ExperimentConfig) -> np.ndarray:
+    """The x and f_obj columns every snapshot file of a batch shares, as a
+    (grid points, 2) text array rendered once: the grid, and P1's row of the
+    batch's `objective_side`."""
+    grid = config.grid()
+    obj = objective_profile(config.objective_kind(), grid, config.tasks()[0])
+    return _repr_text(np.stack((grid, obj), axis=-1))
 
 
 def _write_run_zero_snapshots(config: ExperimentConfig, traj: Trajectories, directory: Path,
                               generations, json_mirror: bool) -> None:
     """Snapshots of `traj`'s run 0, the same bytes as `measures` writes for run 0."""
-    grid, kind = config.grid(), config.objective_kind()
-    write_snapshots(directory, grid, _p1_objective(config),
-                    subjective_profiles(traj, 0, grid, kind), generations, json_mirror)
+    sub = subjective_profiles(traj, 0, config.grid(), config.objective_kind())
+    write_snapshots(directory, _fixed_columns(config), sub, generations, json_mirror)
 
 
 class WriterProcess:
@@ -261,11 +251,11 @@ def cmd_measures(args) -> int:
     config = _load_config(args)
     json_mirror = args.fmt == "json"
     if config.snapshots:
-        grid, obj, cache = config.grid(), _p1_objective(config), {}
+        fixed = _fixed_columns(config)
         with WriterProcess() as write:
             def per_run(r: int, sub: np.ndarray) -> None:
-                write_snapshots(args.out / "snapshots" / f"run_{r:03d}", grid, obj, sub,
-                                range(len(sub)), json_mirror, write, cache)
+                write_snapshots(args.out / "snapshots" / f"run_{r:03d}", fixed, sub,
+                                range(len(sub)), json_mirror, write)
 
             series = run_batch(config, per_run=per_run, workers=args.workers)
     else:

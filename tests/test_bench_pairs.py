@@ -85,3 +85,42 @@ def test_bound_verdicts():
     assert bench_pairs.bound_verdict(PARENT, [200.0, 300.0], "higher", 0.05) == "better"
     wide = [80.0, 90.0, 100.0, 110.0, 120.0, 100.0, 95.0, 105.0, 85.0, 115.0]
     assert bench_pairs.bound_verdict(PARENT, wide, "lower", 0.05) == "unresolved"
+
+
+def _fake_pairs(monkeypatch, batch_wall_s):
+    """main's benchmark runs replaced by records whose batch_wall_s is
+    `batch_wall_s(side, pair)` and whose other metrics are the same on both
+    sides."""
+    monkeypatch.setattr(bench_pairs, "extract", lambda rev, into: None)
+
+    def run_bench(tree, workload, seed, seconds):
+        side = "change" if tree == bench_pairs.ROOT else "parent"
+        values = {"setup_s": 0.2, "batch_wall_s": batch_wall_s(side, seed - 1),
+                  "runs_per_s": PARENT[seed - 1], "peak_rss_mb": 60.0}
+        return {"metrics": {name: {"value": v} for name, v in values.items()},
+                "failed": 0, "attempted": 10}
+
+    monkeypatch.setattr(bench_pairs, "run_bench", run_bench)
+
+
+def test_a_lower_is_better_claim_is_judged_in_its_direction(monkeypatch, capsys):
+    # the change's batches take 10 % of the parent's time in every pair
+    _fake_pairs(monkeypatch, lambda side, i: PARENT[i] / (1 if side == "parent" else 10))
+    argv = ["--parent", "HEAD", "--workload", "w", "--seconds", "1"]
+    assert bench_pairs.main([*argv, "--claim", "batch_wall_s"]) == 0
+    claim = capsys.readouterr().out.splitlines()[-1]
+    assert claim.startswith("claim batch_wall_s: won 10/10") and "gain may be claimed" in claim
+    # the default claim, runs_per_s, reads the same on both sides
+    assert bench_pairs.main(argv) == 0
+    claim = capsys.readouterr().out.splitlines()[-1]
+    assert claim.startswith("claim runs_per_s: won 0/10") and "NOT MET" in claim
+
+
+@pytest.mark.parametrize("name", ["import.total_s", "nonesuch"])
+def test_a_claim_outside_the_end_to_end_metrics_is_an_argument_error(monkeypatch, capsys, name):
+    _fake_pairs(monkeypatch, lambda side, i: 1.0)
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(["--parent", "HEAD", "--workload", "w", "--seconds", "1",
+                          "--claim", name])
+    assert exit_info.value.code == 2
+    assert "--claim" in capsys.readouterr().err

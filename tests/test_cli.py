@@ -646,47 +646,29 @@ def test_repr_text_matches_per_value_repr(pool, picks):
         assert text.ravel().tolist() == [repr(float(v)) for v in values.ravel()]
 
 
-@settings(max_examples=200, deadline=None)
-@given(pool=st.lists(FLOATS, min_size=1, max_size=8),
-       calls=st.lists(st.lists(st.integers(0, 7), min_size=1, max_size=24),
-                      min_size=1, max_size=5))
-@example(pool=[0.0, -0.0, 5e-324, 1.0], calls=[[0, 2, 0, 3], [1, 0, 1], [2, 1, 2, 2], [0]])
-def test_repr_text_reuses_text_across_calls(pool, calls):
-    """With a shared cache, each call still gives `repr(float(v))` cell by cell:
-    a value repeated from an earlier call reuses that call's text, 0.0 and -0.0
-    never share one, and the cache keeps only the last call's bit patterns."""
-    cache = {}
-    for picks in calls:
-        a = np.array([pool[i % len(pool)] for i in picks], dtype=np.float64)
-        assert cli._repr_text(a, cache).tolist() == [repr(float(v)) for v in a]
-        assert sorted(cache) == sorted(set(a.view(np.int64).tolist()))
-
-
-def test_snapshot_text_reuse_stays_bounded_as_runs_grow(tmp_path, monkeypatch):
-    """A ridge batch formats new values in almost every run; the text the
-    runs share never holds more than one run's cells, however many runs."""
-    sizes, seen = [], set()
+def test_shared_snapshot_columns_are_rendered_once(tmp_path, monkeypatch):
+    """x and f_obj, the same in every snapshot file, are rendered once per
+    command; each run's subjective columns are rendered in one block, and no
+    text is kept from one run to the next."""
+    shapes = []
     real_repr_text = cli._repr_text
 
-    def recording(values, cache=None):
-        text = real_repr_text(values, cache)
-        sizes.append(len(cache))
-        seen.update(np.ascontiguousarray(values).view(np.int64).ravel().tolist())
-        return text
+    def recording(values, *args):
+        shapes.append(np.shape(values))
+        return real_repr_text(values, *args)
 
     monkeypatch.setattr(cli, "_repr_text", recording)
-    run_cells = 5 * 61 * 4
-    for runs in (2, 40):
-        sizes.clear()
-        cfg = write_config(tmp_path, {"substrate": {"function": "ridge"},
-                                      "evolution": {"generations": 4},
-                                      "landscape": {"grid_points": 61},
-                                      "experiment": {"runs": runs, "snapshots": True}})
-        out = tmp_path / f"runs{runs}"
-        assert cli.main(["measures", "--config", str(cfg), "--out", str(out)]) == 0
-        assert len(sizes) == runs
-        assert max(sizes) <= run_cells
-    assert len(seen) > 10 * run_cells  # a batch-wide cache would have held all of them
+    runs = 5
+    cfg = write_config(tmp_path, {"substrate": {"function": "smooth"},
+                                  "evolution": {"generations": 3},
+                                  "landscape": {"grid_points": 41},
+                                  "experiment": {"runs": runs, "snapshots": True}})
+    assert cli.main(["measures", "--config", str(cfg), "--out", str(tmp_path / "meas")]) == 0
+    assert shapes == [(41, 2)] + [(4, 41, 2)] * runs
+    shapes.clear()
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim"),
+                     "--generations", "0,2"]) == 0
+    assert shapes == [(41, 2), (2, 41, 2)]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

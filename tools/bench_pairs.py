@@ -1,6 +1,6 @@
 """Compare a parent revision with the working tree by alternating benchmark pairs.
 
-    python tools/bench_pairs.py --parent REV --workload W --pairs N --seconds S
+    python tools/bench_pairs.py --parent REV --workload W --pairs N --seconds S [--claim M]
 
 Extracts `git archive REV` into a temporary directory and runs
 `bench/run.py --workload W --seed SEED --seconds S --trace 0` N times from
@@ -14,8 +14,9 @@ measures its own code. The working tree's run writes its usual record under
 It prints every pair, each side's median and quartiles of every end-to-end
 metric of BENCHMARK.json, and two verdicts:
 
-- for runs_per_s, the metric a throughput change claims, whether a gain
-  may be claimed: the change wins at least nine tenths of the pairs, ties
+- for the claimed metric M (`--claim`, runs_per_s by default; any
+  end-to-end metric, judged in its `better` direction), whether a gain may
+  be claimed: the change wins at least nine tenths of the pairs, ties
   counting for neither, over at least ten pairs, the medians differ in the
   better direction by more than the parent's interquartile range, and no
   larger share of batches fails;
@@ -41,7 +42,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 MIN_PAIRS = 10
 WIN_SHARE = 0.9
-CLAIM = "runs_per_s"  # the metric whose gain is judged
+CLAIM = "runs_per_s"  # the metric whose gain is judged by default
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -126,16 +127,18 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def main(argv=None) -> int:
+    spec = {m["name"]: m for m in
+            json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]}
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=MIN_PAIRS)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
+    parser.add_argument("--claim", choices=list(spec), default=CLAIM,
+                        help=f"end-to-end metric whose gain is judged (default {CLAIM})")
     args = parser.parse_args(argv)
 
-    spec = {m["name"]: m for m in
-            json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]}
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         parent_tree = Path(tmp) / "parent"
@@ -166,9 +169,9 @@ def main(argv=None) -> int:
               f"[{cq[0]:.6g}, {cq[2]:.6g}]  change better in {wins}/{len(p)}  "
               f"({m['better']} is better, bound {m['bound']:.0%}): "
               f"{bound_verdict(p, c, m['better'], m['bound'])}")
-    v = gain_verdict(values["parent"][CLAIM], values["change"][CLAIM], spec[CLAIM]["better"],
-                     (failed["parent"], failed["change"]))
-    print(f"claim {CLAIM}: won {v['wins']}/{v['pairs']} (ties {v['ties']}), median gap "
+    v = gain_verdict(values["parent"][args.claim], values["change"][args.claim],
+                     spec[args.claim]["better"], (failed["parent"], failed["change"]))
+    print(f"claim {args.claim}: won {v['wins']}/{v['pairs']} (ties {v['ties']}), median gap "
           f"{v['gap']:.6g} vs parent IQR {v['parent_iqr']:.6g}: "
           + ("gain may be claimed" if v["claimed"] else "NOT MET (" + "; ".join(v["reasons"]) + ")"))
     return 0
