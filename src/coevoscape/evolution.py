@@ -110,10 +110,10 @@ def run_trajectory(config: ExperimentConfig, seeds) -> Trajectories:
        compositional kinds, the generation-0 partners of P1 and P2 as
        members of the opponent's initial population, `integers(0, n, 2)`.
 
-    A numeric overflow or invalid operation (e.g. from an enormous
+    `config` was checked when it was made, so nothing is checked here. A
+    numeric overflow or invalid operation (e.g. from an enormous
     mutation_sigma) raises FloatingPointError instead of producing inf or nan.
     """
-    config.validate()
     kind = config.objective_kind()
     tasks = config.tasks()
     rngs = [np.random.default_rng(seed) for seed in seeds]

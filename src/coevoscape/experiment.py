@@ -16,6 +16,7 @@ import json
 import math
 import numbers
 import os
+import signal
 from dataclasses import dataclass, fields
 from typing import BinaryIO, Callable, Iterator
 
@@ -73,13 +74,17 @@ _FIELD_TYPES = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a batch needs, in one serializable record.
 
     None for an init interval or grid bound means "use the substrate's
     default": intervals (0, n) and grid (-n/4, 5n/4) for the ridge function,
     intervals (-3, 3) and grid (-3, 3) for everything else.
+
+    A config is checked when it is made, by the constructor, `from_dict`,
+    `from_file` or `dataclasses.replace` alike, and cannot be changed
+    afterwards: a config that exists is valid.
     """
 
     # substrate
@@ -113,7 +118,7 @@ class ExperimentConfig:
     def from_dict(cls, data: dict, *, master_seed: int | None = None) -> "ExperimentConfig":
         """Build from a sectioned mapping; unknown sections or keys are errors.
         `master_seed`, if given, replaces the mapping's before the one
-        validation."""
+        check."""
         kwargs = {}
         for section, content in data.items():
             if section not in _SECTIONS:
@@ -133,9 +138,7 @@ class ExperimentConfig:
                 kwargs[key] = value
         if master_seed is not None:
             kwargs["master_seed"] = master_seed
-        config = cls(**kwargs)
-        config.validate()
-        return config
+        return cls(**kwargs)
 
     @classmethod
     def from_file(cls, path, *, master_seed: int | None = None) -> "ExperimentConfig":
@@ -161,7 +164,7 @@ class ExperimentConfig:
             }
         return out
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         """Raise one ConfigError naming every problem with the values.
 
         Types are checked first, since the range checks compare values.
@@ -503,20 +506,19 @@ def _slice_result(config: ExperimentConfig, runs: range, report: bytes,
                        f"without a result (exit code {os.waitstatus_to_exitcode(status)})")
 
 
-def _forked_measures(config: ExperimentConfig, objective: ObjectiveSide,
-                     slices: list[range]) -> np.ndarray:
-    """Measures of every run: slice 0 in this process, each other slice in a
-    forked child, joined in run order. The first failure in run order is
-    raised. Every child is reaped before this returns or raises; on any
-    exception here, interrupts included, the children left are killed."""
-    import signal  # loaded by forked batches only
-
+def _forked_measures(config: ExperimentConfig, objective: ObjectiveSide, slices: list[range],
+                     per_run: Callable[[int, np.ndarray], None] | None) -> np.ndarray:
+    """Measures of every run: slice 0 in this process, with the hook
+    `per_run`, each other slice in a forked child, joined in run order, so a
+    one-slice list forks nothing. The first failure in run order is raised.
+    Every child is reaped before this returns or raises; on any exception
+    here, interrupts included, the children left are killed."""
     children = {}  # pid -> (runs, pipe) of each child not yet reaped
     try:
         for runs in slices[1:]:
             pid, pipe = _fork_slice(config, objective, runs)
             children[pid] = (runs, pipe)
-        parts = [_measure_slice(config, objective, slices[0])]
+        parts = [_measure_slice(config, objective, slices[0], per_run)]
         for pid, (runs, pipe) in list(children.items()):
             with pipe:
                 report = pipe.read()
@@ -550,12 +552,12 @@ def run_batch(config: ExperimentConfig,
     exactly once for each run before the first failure, in run order, after
     that run's measures succeed.
 
-    With `workers` > 1 and no hook, the runs are cut into
-    `min(workers, runs, usable CPUs)` contiguous slices: the first is
-    measured in this process and each other one in a forked child (POSIX
-    only), and the slices are joined in run order, so the series is the same
-    bytes for any `workers`. A batch with a hook, a single slice or no
-    `os.fork` runs in this process.
+    The runs are cut into `min(workers, runs, usable CPUs)` contiguous
+    slices, or into one slice when there is a hook or no `os.fork` (POSIX
+    only): the first is measured in this process and each other one in a
+    forked child, and the slices are joined in run order, so the series is
+    the same bytes for any `workers`. `config` was checked when it was made,
+    so the batch checks nothing of it again.
 
     Any failing run aborts the batch with its run index and seed derivation
     reported; across slices, the first failure in run order. A block whose
@@ -563,15 +565,11 @@ def run_batch(config: ExperimentConfig,
     measures fail is measured again, one run at a time to find the run; a
     hook call that fails names its run directly.
     """
-    config.validate()
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     # every run of the batch is measured against the same objective side
     objective = objective_side(config.objective_kind(), config.grid(), config.tasks(),
                                grid_factor=config.dist_grid_factor)
-    slices = _slices(config.runs, workers)
-    if len(slices) == 1 or per_run is not None or not hasattr(os, "fork"):
-        values = _measure_slice(config, objective, range(config.runs), per_run)
-    else:
-        values = _forked_measures(config, objective, slices)
-    return MeasureSeries.from_runs(values)
+    slices = ([range(config.runs)] if per_run is not None or not hasattr(os, "fork")
+              else _slices(config.runs, workers))
+    return MeasureSeries.from_runs(_forked_measures(config, objective, slices, per_run))

@@ -74,21 +74,17 @@ def objective_profile(kind: ObjectiveKind, grid: np.ndarray,
     return eval_objective_shared(kind, grid, reference_partner(kind, task))
 
 
-def subjective_profile_test(grid: np.ndarray, samples: np.ndarray, kind: ObjectiveKind,
-                            picks: np.ndarray | None = None) -> np.ndarray:
+def subjective_profile_test(grid: np.ndarray, opponents: np.ndarray, kind: ObjectiveKind,
+                            picks: np.ndarray) -> np.ndarray:
     """Mean subjective landscape over one generation's evaluator samples.
 
-    `samples` is the (pop_size, sample_size) array of evaluators a
-    generation was scored against, or a stack of them, shape (..., pop_size,
-    sample_size); the profile at each grid point is the mean over all
-    per-individual landscapes, i.e. the subjective fitness of the point
-    against all drawn evaluators pooled (`subjective_test` against the
-    flattened sample). Gives one profile per generation, (..., grid points).
-
-    With `picks`, `samples` is instead the population each sample was drawn
-    from, shape (..., members), and `picks` (..., pop_size, sample_size)
-    holds the drawn members' indices into it, as `Trajectories.picks` does:
-    the pooled sample is `samples[..., picks]`, never built.
+    `opponents` is the population each sample was drawn from, shape
+    (..., members), and `picks` (..., pop_size, sample_size) holds the drawn
+    members' indices into it, as `Trajectories.picks` does. The profile at
+    each grid point is the mean over all per-individual landscapes, i.e. the
+    subjective fitness of the point against all drawn evaluators pooled
+    (`subjective_test` against `opponents[..., picks]` flattened, which is
+    never built). Gives one profile per generation, (..., grid points).
 
     A point's wins are counted, not compared one by one: each evaluator's
     value is placed among the grid's ascending objective values, weighted by
@@ -96,15 +92,10 @@ def subjective_profile_test(grid: np.ndarray, samples: np.ndarray, kind: Objecti
     of strictly smaller pooled values. The count over the pooled size is
     the same float the mean of strict wins gives.
     """
-    values = eval_objective_test(kind, np.asarray(samples, dtype=float))
-    weights = None
-    if picks is None:
-        values = values.reshape(*values.shape[:-2], -1)  # every value picked once
-        pooled = values.shape[-1]
-    else:
-        # how often each member of each row was picked
-        weights = np.bincount(flat_picks(picks, values).ravel(), minlength=values.size)
-        pooled = math.prod(np.shape(picks)[-2:])
+    values = eval_objective_test(kind, np.asarray(opponents, dtype=float))
+    # how often each member of each row was picked
+    weights = np.bincount(flat_picks(picks, values).ravel(), minlength=values.size)
+    pooled = math.prod(np.shape(picks)[-2:])
     if values.size == 0 or pooled == 0:
         raise ValueError("empty evaluator sample: evaluation is disengaged")
     fx = eval_objective_test(kind, np.asarray(grid, dtype=float))

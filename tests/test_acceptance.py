@@ -112,8 +112,8 @@ def subjective_gap(seed: int) -> float:
     rng = np.random.default_rng(seed)
     kind = kind_from_name("crisp")
     grid = np.linspace(0.0, 1.0, 101)
-    samples = rng.uniform(0.0, 1.0, size=(1, 10_000))
-    sub = subjective_profile_test(grid, samples, kind)
+    evaluators = rng.uniform(0.0, 1.0, size=10_000)
+    sub = subjective_profile_test(grid, evaluators, kind, np.arange(evaluators.size)[None])
     return float(np.max(np.abs(sub - eval_objective_test(kind, grid))))
 
 

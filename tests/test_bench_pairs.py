@@ -1,8 +1,10 @@
-"""Unit tests of the verdicts tools/bench_pairs.py prints, on synthetic numbers."""
+"""Unit tests of tools/bench_pairs.py: the verdicts it prints, on synthetic
+numbers, and the copy of the working tree it runs the change from."""
 
 from __future__ import annotations
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -87,14 +89,43 @@ def test_bound_verdicts():
     assert bench_pairs.bound_verdict(PARENT, wide, "lower", 0.05) == "unresolved"
 
 
+def test_change_side_runs_from_a_fresh_copy_of_the_working_tree(tmp_path, monkeypatch):
+    """The copy holds tracked files as the working tree has them, modified
+    ones included, and untracked files git does not ignore, but no ignored
+    benchmark work files."""
+    root = tmp_path / "repo"
+    (root / "src").mkdir(parents=True)
+    (root / ".gitignore").write_text(".bench_work/\n")
+    (root / "src" / "tracked.py").write_text("old\n")
+    (root / "deleted.txt").write_text("gone\n")
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@example.com"]
+    subprocess.run(["git", "init", "-q"], cwd=root, check=True)
+    subprocess.run(["git", "add", "-A"], cwd=root, check=True)
+    subprocess.run([*git, "commit", "-q", "-m", "base"], cwd=root, check=True)
+    (root / "src" / "tracked.py").write_text("new\n")
+    (root / "deleted.txt").unlink()
+    (root / "tools").mkdir()
+    (root / "tools" / "untracked.py").write_text("fresh\n")
+    (root / ".bench_work").mkdir()
+    (root / ".bench_work" / "record.json").write_text("{}")
+    monkeypatch.setattr(bench_pairs, "ROOT", root)
+    copy = tmp_path / "change"
+    bench_pairs.copy_worktree(copy)
+    assert (copy / "src" / "tracked.py").read_text() == "new\n"
+    assert (copy / "tools" / "untracked.py").read_text() == "fresh\n"
+    assert sorted(str(p.relative_to(copy)) for p in copy.rglob("*") if p.is_file()) == [
+        ".gitignore", "src/tracked.py", "tools/untracked.py"]
+
+
 def _fake_pairs(monkeypatch, batch_wall_s):
     """main's benchmark runs replaced by records whose batch_wall_s is
     `batch_wall_s(side, pair)` and whose other metrics are the same on both
     sides."""
     monkeypatch.setattr(bench_pairs, "extract", lambda rev, into: None)
+    monkeypatch.setattr(bench_pairs, "copy_worktree", lambda into: None)
 
     def run_bench(tree, workload, seed, seconds):
-        side = "change" if tree == bench_pairs.ROOT else "parent"
+        side = tree.name
         values = {"setup_s": 0.2, "batch_wall_s": batch_wall_s(side, seed - 1),
                   "runs_per_s": PARENT[seed - 1], "peak_rss_mb": 60.0}
         return {"metrics": {name: {"value": v} for name, v in values.items()},

@@ -320,17 +320,28 @@ def test_non_finite_cell_fails_the_json_mirror(tmp_path, value):
 
 @pytest.mark.parametrize("seed", [None, 12])
 def test_config_is_validated_once_at_load(tmp_path, monkeypatch, seed):
-    """`--seed` replaces the file's seed before the one validation, each of
-    which builds both objective profiles."""
+    """`--seed` replaces the file's seed before the one check, each of which
+    builds both objective profiles."""
     calls = []
-    validate = ExperimentConfig.validate
-    monkeypatch.setattr(ExperimentConfig, "validate",
-                        lambda self: calls.append(self.master_seed) or validate(self))
+    check = ExperimentConfig.__post_init__
+    monkeypatch.setattr(ExperimentConfig, "__post_init__",
+                        lambda self: calls.append(self.master_seed) or check(self))
     cfg = write_config(tmp_path, SMOOTH_SMALL)
     argv = ["measures", "--config", str(cfg)] + ([] if seed is None else ["--seed", str(seed)])
     config = cli._load_config(cli.build_parser().parse_args(argv))
     assert calls == [config.master_seed]
     assert config.master_seed == (11 if seed is None else seed)
+
+
+def test_measures_checks_its_config_once(tmp_path, monkeypatch):
+    """A serial 100-run batch checks its config at load and never again."""
+    calls = []
+    check = ExperimentConfig.__post_init__
+    monkeypatch.setattr(ExperimentConfig, "__post_init__",
+                        lambda self: calls.append(self.runs) or check(self))
+    cfg = write_config(tmp_path, {"experiment": {"runs": 100}})
+    assert cli.main(["measures", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert calls == [100]
 
 
 @pytest.mark.parametrize("command", ["simulate", "landscape", "measures"])

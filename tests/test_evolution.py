@@ -372,9 +372,9 @@ def test_block_equals_one_run_blocks(function, with_replacement):
 
 
 def test_run_trajectory_rejects_bad_config_before_running():
-    cfg = ExperimentConfig(sample_size=30)
+    """The config is checked when it is made, so no bad one reaches a run."""
     with pytest.raises(ValueError):
-        run_trajectory(cfg, [1])
+        run_trajectory(ExperimentConfig(sample_size=30), [1])
 
 
 @pytest.mark.parametrize("function", ["smooth", "sinusoid"])

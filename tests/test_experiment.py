@@ -11,7 +11,7 @@ import os
 import re
 import time
 import tracemalloc
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 from unittest import mock
 
@@ -154,7 +154,7 @@ def _interval(lo=st.floats(-100.0, 100.0)):
 def valid_configs(draw):
     pop_size = draw(st.integers(1, 50))
     grid = draw(st.one_of(st.just((None, None)), _interval()))
-    config = ExperimentConfig(
+    kwargs = dict(
         function=draw(st.sampled_from(["crisp", "smooth", "ridge", "sinusoid"])),
         ridge_n=draw(st.floats(0.5, 20.0)),
         pop_size=pop_size,
@@ -178,13 +178,12 @@ def valid_configs(draw):
         snapshots=draw(st.booleans()),
     )
     try:
-        config.validate()
+        return ExperimentConfig(**kwargs)
     except ConfigError:
         # the drawn grid is too coarse or sits on a flat stretch of the
         # substrate: every function varies on its default grid of 5+ points
-        config = replace(config, grid_lo=None, grid_hi=None,
-                         grid_points=max(config.grid_points, 5))
-    return config
+        return ExperimentConfig(**{**kwargs, "grid_lo": None, "grid_hi": None,
+                                   "grid_points": max(kwargs["grid_points"], 5)})
 
 
 # field annotation -> values of the wrong type, as a JSON file could hold them
@@ -250,8 +249,21 @@ def test_config_validation_errors():
         dict(function=["smooth"]),
     ):
         with pytest.raises(ConfigError):
-            ExperimentConfig(**bad).validate()
-    ExperimentConfig().validate()
+            ExperimentConfig(**bad)
+    ExperimentConfig()
+
+
+def test_replace_checks_the_new_config():
+    with pytest.raises(ConfigError, match=r"^runs must be >= 1, got 0$"):
+        replace(ExperimentConfig(), runs=0)
+    assert replace(ExperimentConfig(), runs=3).runs == 3
+
+
+def test_config_cannot_be_changed():
+    config = ExperimentConfig()
+    with pytest.raises(FrozenInstanceError):
+        config.runs = 0
+    assert config.runs == 100
 
 
 def test_config_from_file(tmp_path):
@@ -709,7 +721,27 @@ def test_run_batch_names_the_mid_chunk_run_whose_measures_fail(monkeypatch):
     assert seen == list(range(failing))
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_batch_checks_no_config(monkeypatch, two_cpus, workers):
+    """A batch takes its config as checked when it was made: neither this
+    process nor a forked child checks it again."""
+    config = ExperimentConfig(runs=100)
+    calls, forks = [], []
+
+    def check(self):
+        calls.append(os.getpid())
+        raise AssertionError("config checked inside the batch")
+
+    fork = os.fork
+    monkeypatch.setattr(ExperimentConfig, "__post_init__", check)
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    assert run_batch(config, workers=workers).values.shape[0] == 100
+    assert calls == [] and len(forks) == workers - 1
+    assert_no_child_process()
+
+
 def test_run_batch_validates_config_first():
+    """The config is checked when it is made, so no bad one reaches a batch."""
     with pytest.raises(ConfigError):
         run_batch(ExperimentConfig(runs=0))
 

@@ -86,27 +86,37 @@ def test_objective_profile_compositional_slices():
     assert np.argmin(prof) == 0
 
 
+def pooled_profile(grid, samples, kind):
+    """The profile of evaluator samples given by value, shape (..., pop_size,
+    sample_size): each generation's samples, flattened, are the population,
+    and every member is picked once, in order."""
+    samples = np.asarray(samples, dtype=float)
+    lead, (pop_size, sample_size) = samples.shape[:-2], samples.shape[-2:]
+    picks = np.arange(pop_size * sample_size).reshape(pop_size, sample_size)
+    return subjective_profile_test(grid, samples.reshape(lead + (pop_size * sample_size,)),
+                                   kind, np.broadcast_to(picks, samples.shape))
+
+
 def test_subjective_profile_single_sample_matches_pointwise():
     grid = make_grid(-3.0, 3.0, 61)
-    sample = np.array([[0.1, 0.5, 0.9]])
-    prof = subjective_profile_test(grid, sample, CRISP)
-    expect = [subjective_test(float(x), sample[0], CRISP) for x in grid]
+    sample = np.array([0.1, 0.5, 0.9])
+    prof = subjective_profile_test(grid, sample, CRISP, [[0, 1, 2]])
+    expect = [subjective_test(float(x), sample, CRISP) for x in grid]
     assert prof.tolist() == expect
 
 
 def test_subjective_profile_identical_samples_average_is_noop():
     grid = make_grid(0.0, 1.0, 11)
-    one = np.array([[0.2, 0.6]])
-    many = np.repeat(one, 5, axis=0)
-    a = subjective_profile_test(grid, one, CRISP)
-    b = subjective_profile_test(grid, many, CRISP)
+    population = np.array([0.2, 0.6])
+    a = subjective_profile_test(grid, population, CRISP, [[0, 1]])
+    b = subjective_profile_test(grid, population, CRISP, [[0, 1]] * 5)
     assert np.array_equal(a, b)
 
 
 def test_subjective_profile_matches_bruteforce_enumeration():
     grid = np.array([0.05, 0.55, 0.95])
     samples = np.array([[0.1, 0.9], [0.4, 0.6]])
-    prof = subjective_profile_test(grid, samples, CRISP)
+    prof = pooled_profile(grid, samples, CRISP)
     for j, x in enumerate(grid):
         fx = eval_objective_test(CRISP, float(x))
         scores = []
@@ -122,14 +132,14 @@ def test_subjective_profile_values_on_lattice():
     rng = np.random.default_rng(20)
     samples = rng.uniform(-3, 3, size=(24, 12))
     grid = make_grid(-3.0, 3.0, 301)
-    prof = subjective_profile_test(grid, samples, SMOOTH)
+    prof = pooled_profile(grid, samples, SMOOTH)
     allowed = {k / 288.0 for k in range(289)}
     assert all(v in allowed for v in prof.tolist())
 
 
 def test_subjective_profile_rejects_empty():
     with pytest.raises(ValueError):
-        subjective_profile_test(make_grid(0, 1, 3), np.empty((0, 0)), CRISP)
+        subjective_profile_test(make_grid(0, 1, 3), np.empty(0), CRISP, np.empty((0, 0), int))
 
 
 # crisp genotypes with many exact objective ties: everything outside [0, 1]
@@ -147,7 +157,7 @@ def test_subjective_profile_equals_grid_pop_sample_tensor(grid, samples):
     f_grid = eval_objective_test(CRISP, grid)
     f_samples = eval_objective_test(CRISP, samples)
     reference = (f_grid[:, None, None] > f_samples[None, :, :]).mean(axis=(1, 2))
-    assert np.array_equal(subjective_profile_test(grid, samples, CRISP), reference)
+    assert np.array_equal(pooled_profile(grid, samples, CRISP), reference)
 
 
 @given(arrays(float, st.integers(1, 30), elements=TIED_GENOTYPES),
@@ -155,10 +165,10 @@ def test_subjective_profile_equals_grid_pop_sample_tensor(grid, samples):
                                st.integers(1, 6)), elements=TIED_GENOTYPES))
 def test_subjective_profile_stack_equals_per_generation_calls(grid, samples):
     """A stack of generations' samples gives each generation's own profile."""
-    stacked = subjective_profile_test(grid, samples, CRISP)
+    stacked = pooled_profile(grid, samples, CRISP)
     assert stacked.shape == samples.shape[:2] + grid.shape
     for index in np.ndindex(samples.shape[:2]):
-        assert np.array_equal(stacked[index], subjective_profile_test(grid, samples[index], CRISP))
+        assert np.array_equal(stacked[index], pooled_profile(grid, samples[index], CRISP))
 
 
 @settings(max_examples=60, deadline=None)
@@ -178,7 +188,7 @@ def test_counted_profile_equals_subjective_test_of_the_picked_sample(
         kind, sizes, generations, with_replacement, pool, grid, seed):
     """Counted from picks into the opposing populations, each generation's
     profile equals `subjective_test` of the grid against its pooled picked
-    sample bit for bit, and so does the same sample passed explicitly:
+    sample bit for bit, and so does the same sample given by value:
     crisp ties, duplicate opponents, either sampling, uint8 and uint16 picks."""
     pop_size, sample_size = sizes
     rng = np.random.default_rng(seed)
@@ -191,7 +201,7 @@ def test_counted_profile_equals_subjective_test_of_the_picked_sample(
     counted = subjective_profile_test(grid, opponents, kind, picks)
     assert counted.shape == (generations, 2, grid.size)
     samples = np.take_along_axis(opponents[..., None, :], picks, axis=-1)
-    assert np.array_equal(counted, subjective_profile_test(grid, samples, kind))
+    assert np.array_equal(counted, pooled_profile(grid, samples, kind))
     for index in np.ndindex(generations, 2):
         assert np.array_equal(counted[index], subjective_test(grid, samples[index].ravel(), kind))
 
@@ -440,7 +450,7 @@ def test_subjective_profiles_test_based_uses_retained_samples():
     for r, k in np.ndindex(2, 2):
         for i, sub in enumerate(profiles[r, k]):
             samples = traj.genotypes[r, max(k - 1, 0), 1 - i][traj.picks[r, k, i]]
-            assert np.array_equal(sub, subjective_profile_test(grid, samples, SMOOTH))
+            assert np.array_equal(sub, pooled_profile(grid, samples, SMOOTH))
             assert np.array_equal(sub, subjective_test(grid, samples.ravel(), SMOOTH))
 
 

@@ -213,7 +213,8 @@ def test_subjective_test_sorted_count_equals_broadcast_mean(x, sample):
     mean of the strict-win matrix, ties included, as do points and scalars."""
     fx = eval_objective_test(CRISP, x)
     reference = (fx[:, None] > eval_objective_test(CRISP, sample)).mean(axis=-1)
-    assert np.array_equal(subjective_profile_test(x, sample[None, :], CRISP), reference)
+    assert np.array_equal(subjective_profile_test(x, sample, CRISP, np.arange(sample.size)[None]),
+                          reference)
     assert np.array_equal(subjective_test(x, sample, CRISP), reference)
     for point, expected in zip(x, reference):
         assert subjective_test(float(point), sample, CRISP) == expected

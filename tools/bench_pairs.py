@@ -2,14 +2,16 @@
 
     python tools/bench_pairs.py --parent REV --workload W --pairs N --seconds S [--claim M]
 
-Extracts `git archive REV` into a temporary directory and runs
+Extracts `git archive REV` into a temporary directory, copies the working
+tree next to it (its tracked files and the untracked ones git does not
+ignore, as they are now), and runs
 `bench/run.py --workload W --seed SEED --seconds S --trace 0` N times from
-it and N times from the working tree, as N pairs: pair i runs both sides at
-seed `--seed` + i, the parent first in even pairs and the change first in odd
-ones, so a drift in the machine's speed falls on both sides alike. Each run
-is the benchmark's own program, started from its own tree, so each side
-measures its own code. The working tree's run writes its usual record under
-`.bench_work/`; nothing else is written outside the temporary directory.
+each copy, as N pairs: pair i runs both sides at seed `--seed` + i, the
+parent first in even pairs and the change first in odd ones, so a drift in
+the machine's speed falls on both sides alike. Each run is the benchmark's
+own program, started from its own fresh tree in the same directory, so each
+side measures its own code and creates its files under the same
+conditions. Nothing is written outside the temporary directory.
 
 It prints every pair, each side's median and quartiles of every end-to-end
 metric of BENCHMARK.json, and two verdicts:
@@ -32,6 +34,7 @@ import argparse
 import io
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -114,6 +117,20 @@ def extract(rev: str, into: Path) -> None:
         tar.extractall(into, filter="data")
 
 
+def copy_worktree(into: Path) -> None:
+    """The working tree's tracked files, and its untracked files that git does
+    not ignore, copied under `into` as they are now; a tracked file deleted
+    from the working tree is left out."""
+    names = subprocess.run(["git", "ls-files", "-z", "--cached", "--others",
+                            "--exclude-standard"], cwd=ROOT, check=True,
+                           capture_output=True).stdout.decode().split("\0")
+    for name in filter(None, names):
+        source = ROOT / name
+        if source.is_file():
+            (into / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, into / name)
+
+
 def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One `bench/run.py --trace 0` from `tree`: its final JSON line."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
@@ -141,9 +158,9 @@ def main(argv=None) -> int:
 
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        parent_tree = Path(tmp) / "parent"
-        extract(args.parent, parent_tree)
-        trees = {"parent": parent_tree, "change": ROOT}
+        trees = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
+        extract(args.parent, trees["parent"])
+        copy_worktree(trees["change"])
         for i in range(args.pairs):
             seed = args.seed + i
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
