@@ -48,29 +48,33 @@ _SECTIONS = {
     "experiment": ("runs", "master_seed", "snapshots"),
 }
 
-_TASK_NAMES = {"maximize": Task.MAXIMIZE, "minimize": Task.MINIMIZE}
-
 
 def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _is_real(value) -> bool:
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
+    try:
+        return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:  # an integer beyond float's range
+        return False
 
 
-# field annotation -> (type check, what the error message asks for)
+# field annotation -> (type check, what the error message asks for, the plain
+# form a value that passes is kept in)
 _FIELD_TYPES = {
-    "str": (lambda v: isinstance(v, str), "a string"),
-    "bool": (lambda v: isinstance(v, bool), "true or false"),
-    "int": (_is_int, "an integer"),
-    "float": (_is_real, "a finite number"),
-    "float | None": (lambda v: v is None or _is_real(v), "a finite number or null"),
+    "str": (lambda v: isinstance(v, str), "a string", str),
+    "bool": (lambda v: isinstance(v, bool), "true or false", bool),
+    "int": (_is_int, "an integer", int),
+    "float": (_is_real, "a finite number", float),
+    "float | None": (lambda v: v is None or _is_real(v), "a finite number or null",
+                     lambda v: None if v is None else float(v)),
     "tuple[float, float] | None": (
         lambda v: v is None or (isinstance(v, (tuple, list)) and len(v) == 2
                                 and all(_is_real(x) for x in v)),
-        "a [lo, hi] pair of finite numbers or null"),
+        "a [lo, hi] pair of finite numbers or null",
+        lambda v: None if v is None else (float(v[0]), float(v[1]))),
 }
 
 
@@ -133,8 +137,6 @@ class ExperimentConfig:
                         f"unknown key {key!r} in section {section!r}; "
                         f"expected one of {sorted(_SECTIONS[section])}"
                     )
-                if key.startswith("init_interval") and isinstance(value, list):
-                    value = tuple(value)
                 kwargs[key] = value
         if master_seed is not None:
             kwargs["master_seed"] = master_seed
@@ -147,7 +149,7 @@ class ExperimentConfig:
         with open(path, "r", encoding="utf-8") as fp:
             try:
                 data = json.load(fp)
-            except json.JSONDecodeError as e:
+            except ValueError as e:  # not UTF-8 (UnicodeDecodeError) or not JSON
                 raise ConfigError(f"config file {path} is not valid JSON: {e}") from e
         if not isinstance(data, dict):
             raise ConfigError(f"config file {path} must contain a JSON object")
@@ -155,25 +157,22 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         """Sectioned mapping mirroring the config file layout."""
-        flat = {f.name: getattr(self, f.name) for f in fields(self)}
-        out = {}
-        for section, keys in _SECTIONS.items():
-            out[section] = {
-                k: (list(flat[k]) if isinstance(flat[k], tuple) else flat[k])
-                for k in keys
-            }
-        return out
+        return {section: {k: getattr(self, k) for k in keys}
+                for section, keys in _SECTIONS.items()}
 
     def __post_init__(self) -> None:
         """Raise one ConfigError naming every problem with the values.
 
-        Types are checked first, since the range checks compare values.
+        Types are checked first, since the range checks compare values, and
+        each value that passes is kept in its plain form from then on.
         """
         problems = []
         for f in fields(self):
-            is_valid, wanted = _FIELD_TYPES[f.type]
+            is_valid, wanted, plain = _FIELD_TYPES[f.type]
             value = getattr(self, f.name)
-            if not is_valid(value):
+            if is_valid(value):
+                object.__setattr__(self, f.name, plain(value))
+            else:
                 problems.append(f"{f.name} must be {wanted}, got {value!r}")
         if problems:
             raise ConfigError("; ".join(problems))
@@ -183,7 +182,7 @@ class ExperimentConfig:
         except ValueError as e:
             problems.append(str(e))
         for name in ("task_p1", "task_p2"):
-            if getattr(self, name) not in _TASK_NAMES:
+            if getattr(self, name) not in [task.value for task in Task]:
                 problems.append(
                     f"{name} must be 'maximize' or 'minimize', got {getattr(self, name)!r}"
                 )
@@ -242,7 +241,7 @@ class ExperimentConfig:
 
     def tasks(self) -> tuple[Task, Task]:
         """The tasks of P1 and P2."""
-        return _TASK_NAMES[self.task_p1], _TASK_NAMES[self.task_p2]
+        return Task(self.task_p1), Task(self.task_p2)
 
     def init_interval(self, population: str) -> tuple[float, float]:
         """Initialization interval of population "P1" or "P2", with the
@@ -402,9 +401,10 @@ def _measure_chunk(config: ExperimentConfig, objective: ObjectiveSide, grid: np.
                    traj: Trajectories, first: int, runs: range) -> tuple[np.ndarray, np.ndarray]:
     """Subjective profiles and measures of `runs`, which `traj` holds from
     its run `first` on."""
-    sub = subjective_profiles(traj, slice(runs.start - first, runs.stop - first), grid,
-                              config.objective_kind())
-    return sub, measure_generation(objective, sub, bhatt_mode=config.bhatt_mode)
+    with np.errstate(over="raise", invalid="raise"):
+        sub = subjective_profiles(traj, slice(runs.start - first, runs.stop - first), grid,
+                                  config.objective_kind())
+        return sub, measure_generation(objective, sub, bhatt_mode=config.bhatt_mode)
 
 
 def _measure_block(config: ExperimentConfig, objective: ObjectiveSide, runs: range,

@@ -614,6 +614,28 @@ def test_measures_overflow_fails_the_run(tmp_path, capsys):
     assert "overflow" in capsys.readouterr().err
 
 
+def test_measures_overflow_in_the_measures_fails_the_run(tmp_path, capsys):
+    data = {"substrate": {"function": "ridge", "ridge_n": 1e200}, "experiment": {"runs": 3}}
+    cfg = write_config(tmp_path, data)
+    out = tmp_path / "meas"
+    rc = cli.main(["measures", "--config", str(cfg), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: run 0 failed (seed = SeedSequence(1, spawn_key=(0,))): "
+        "overflow encountered in matmul\n")
+    assert not (out / "measures.csv").exists()
+
+
+def test_config_file_that_is_not_utf8_is_named(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_bytes(b"\xff\xfe{}")
+    rc = cli.main(["measures", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: config file {cfg} is not valid JSON: 'utf-8' codec can't decode byte 0xff")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("section, key, size", [
     pytest.param("landscape", "grid_points", 10**15, id="grid-at-load"),
     pytest.param("experiment", "runs", 10**13, id="runs-at-measure"),

@@ -151,30 +151,51 @@ def _interval(lo=st.floats(-100.0, 100.0)):
 
 
 @st.composite
+def _scalar(draw, values):
+    """A value of `values`, as a Python number or a numpy scalar that holds it."""
+    value = draw(values)
+    if isinstance(value, float):
+        forms = [float, np.float64, np.float32]
+    else:
+        forms = [int, *(t for t in (np.int32, np.int64, np.uint64)
+                        if np.iinfo(t).min <= value <= np.iinfo(t).max)]
+    return draw(st.sampled_from(forms))(value)
+
+
+@st.composite
+def _drawn_interval(draw):
+    """An interval as a config file or a caller could give it: a list or a
+    tuple of Python or numpy numbers."""
+    lo, hi = draw(_interval())
+    form = draw(st.sampled_from([list, tuple]))
+    return form([draw(_scalar(st.just(lo))), draw(_scalar(st.just(hi)))])
+
+
+@st.composite
 def valid_configs(draw):
     pop_size = draw(st.integers(1, 50))
     grid = draw(st.one_of(st.just((None, None)), _interval()))
     kwargs = dict(
         function=draw(st.sampled_from(["crisp", "smooth", "ridge", "sinusoid"])),
-        ridge_n=draw(st.floats(0.5, 20.0)),
-        pop_size=pop_size,
-        sample_size=draw(st.integers(1, pop_size)),
-        tournament_size=draw(st.integers(1, 5)),
-        mutation_prob=draw(st.floats(0.0, 1.0)),
-        mutation_sigma=draw(st.floats(1e-6, 10.0)),
-        generations=draw(st.integers(0, 30)),
-        init_interval_p1=draw(st.none() | _interval()),
-        init_interval_p2=draw(st.none() | _interval()),
+        ridge_n=draw(_scalar(st.floats(0.5, 20.0))),
+        pop_size=draw(_scalar(st.just(pop_size))),
+        sample_size=draw(_scalar(st.integers(1, pop_size))),
+        tournament_size=draw(_scalar(st.integers(1, 5))),
+        mutation_prob=draw(_scalar(st.floats(0.0, 1.0))),
+        mutation_sigma=draw(_scalar(st.floats(1e-6, 10.0))),
+        generations=draw(_scalar(st.integers(0, 30))),
+        init_interval_p1=draw(st.none() | _drawn_interval()),
+        init_interval_p2=draw(st.none() | _drawn_interval()),
         sample_with_replacement=draw(st.booleans()),
         task_p1=draw(st.sampled_from(["maximize", "minimize"])),
         task_p2=draw(st.sampled_from(["maximize", "minimize"])),
-        grid_lo=grid[0],
-        grid_hi=grid[1],
-        grid_points=draw(st.integers(2, 500)),
+        grid_lo=grid[0] if grid[0] is None else draw(_scalar(st.just(grid[0]))),
+        grid_hi=grid[1] if grid[1] is None else draw(_scalar(st.just(grid[1]))),
+        grid_points=draw(_scalar(st.integers(2, 500))),
         dist_grid_factor=draw(st.booleans()),
         bhatt_mode=draw(st.sampled_from(["hellinger", "verbatim"])),
-        runs=draw(st.integers(1, 1000)),
-        master_seed=draw(st.integers(0, 2**63)),
+        runs=draw(_scalar(st.integers(1, 1000))),
+        master_seed=draw(_scalar(st.integers(0, 2**63))),
         snapshots=draw(st.booleans()),
     )
     try:
@@ -202,10 +223,42 @@ MISTYPED = {
 }
 
 
+# field annotation -> the type its value is kept in
+PLAIN = {"str": str, "bool": bool, "int": int, "float": float, "float | None": float}
+
+
+def is_plain(value, annotation: str) -> bool:
+    if value is None:
+        return annotation.endswith("| None")
+    if annotation.startswith("tuple"):
+        return type(value) is tuple and [type(x) for x in value] == [float, float]
+    return type(value) is PLAIN[annotation]
+
+
 @given(valid_configs())
 def test_config_round_trips_through_dict_and_json(cfg):
+    """However its values were given, a config keeps Python's own types,
+    hashes, and equals its round trips, hash included."""
+    for field in fields(cfg):
+        assert is_plain(getattr(cfg, field.name), field.type), field.name
     assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
-    assert ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+    again = ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
+    assert again == cfg and hash(again) == hash(cfg)
+
+
+def test_list_and_tuple_intervals_give_one_config():
+    as_list = ExperimentConfig(init_interval_p1=[0.0, 1.0])
+    as_tuple = ExperimentConfig(init_interval_p1=(0.0, 1.0))
+    assert as_list == as_tuple and hash(as_list) == hash(as_tuple)
+    assert as_list.init_interval_p1 == (0.0, 1.0)
+    assert replace(as_tuple, init_interval_p1=[0, 1]) == as_tuple
+
+
+def test_numpy_scalars_are_kept_as_python_numbers():
+    cfg = ExperimentConfig(pop_size=np.int64(24), ridge_n=np.float32(8.0), runs=np.uint8(100))
+    assert json.loads(json.dumps(cfg.to_dict())) == ExperimentConfig().to_dict()
+    assert cfg == ExperimentConfig() and hash(cfg) == hash(ExperimentConfig())
+    assert type(cfg.pop_size) is int and type(cfg.ridge_n) is float
 
 
 @given(valid_configs(), st.sampled_from(fields(ExperimentConfig)), st.data())
@@ -247,6 +300,9 @@ def test_config_validation_errors():
         dict(init_interval_p1=(1.0,)),
         dict(mutation_sigma=float("inf")),
         dict(function=["smooth"]),
+        # an integer beyond float's range is not a finite number
+        dict(ridge_n=10**400),
+        dict(init_interval_p1=(0, 10**400)),
     ):
         with pytest.raises(ConfigError):
             ExperimentConfig(**bad)
@@ -275,6 +331,10 @@ def test_config_from_file(tmp_path):
         ExperimentConfig.from_file(path)
     path.write_text("[1, 2]")
     with pytest.raises(ConfigError):
+        ExperimentConfig.from_file(path)
+    path.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(ConfigError, match=f"^config file {re.escape(str(path))} is not "
+                                          f"valid JSON: 'utf-8' codec can't decode"):
         ExperimentConfig.from_file(path)
 
 
@@ -529,6 +589,18 @@ def test_run_batch_names_first_failure_in_run_order(monkeypatch, cpus, failing, 
     expected = f"run {named} failed (seed = SeedSequence(1, spawn_key=({named},))): boom"
     with pytest.raises(RuntimeError, match=f"^{re.escape(expected)}$"):
         run_batch(ExperimentConfig(runs=12), workers=cpus)
+    assert_no_child_process()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_batch_names_the_run_whose_measures_overflow(two_cpus, workers):
+    """A valid config whose subjective profiles are too large for dist's sum
+    of squares: the batch names run 0 instead of measuring inf and nan."""
+    cfg = ExperimentConfig(function="ridge", ridge_n=1e200, runs=3)
+    expected = ("run 0 failed (seed = SeedSequence(1, spawn_key=(0,))): "
+                "overflow encountered in matmul")
+    with pytest.raises(RuntimeError, match=f"^{re.escape(expected)}$"):
+        run_batch(cfg, workers=workers)
     assert_no_child_process()
 
 
