@@ -15,31 +15,61 @@ exactly like run 0 of a batch with the same master seed, so `simulate
 
 Exit code 0 means every requested file was written and read back equal to
 its bytes; any failure prints a message to stderr and exits 1. A `measures`
-batch with snapshots hands its snapshot files to one writer process, so
-creating them overlaps the batch's compute; the command reaps it and
+batch with snapshots hands its snapshot files to one forked writer process,
+so creating them overlaps the batch's compute; the command reaps it and
 reports its first failure before returning.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import pickle
+import signal
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import _writer
-from ._writer import write_file
 from .evolution import Trajectories, run_trajectory
-from .experiment import ConfigError, ExperimentConfig, run_batch, trajectory_seed
+from .experiment import ConfigError, ExperimentConfig, _run_failed, run_batch, trajectory_seed
 from .landscape import objective_profile, subjective_profiles
 from .substrate import Task
 
 TRAJECTORY_HEADER = ("generation", "best_p1", "fitness_p1", "best_p2", "fitness_p2")
 SNAPSHOT_HEADER = ("x", "f_obj", "f_sub_p1", "f_sub_p2")
 MEASURES_HEADER = ("generation", "population", "measure", "mean", "ci_lo", "ci_hi")
+
+
+def write_file(path, data: bytes, records: tuple[tuple[str, ...], int] | None = None) -> None:
+    """Write `data` to `path`, creating its directory if missing, and read the
+    file back: it must equal `data`. `records = (keys, n)` marks a JSON
+    mirror, which must also parse to a list of n objects keyed by `keys` in
+    that order."""
+    try:
+        fp = open(path, "wb")
+    except FileNotFoundError:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        fp = open(path, "wb")
+    with fp:
+        fp.write(data)
+    with open(path, "rb") as fp:
+        back = fp.read()
+    if back != data:
+        raise RuntimeError(f"{path}: read back {len(back)} bytes that differ "
+                           f"from the {len(data)} written")
+    if records is None:
+        return
+    keys, n = records
+    try:
+        parsed = json.loads(back)
+    except ValueError as e:
+        raise RuntimeError(f"{path}: unreadable after write: {e}") from e
+    if not (isinstance(parsed, list) and len(parsed) == n and set(map(type, parsed)) <= {dict}
+            and list(map(tuple, parsed)).count(keys) == n):
+        raise RuntimeError(f"{path}: expected {n} records keyed by {keys}")
 
 
 def _cell(value) -> str:
@@ -171,37 +201,76 @@ def _write_run_zero_snapshots(config: ExperimentConfig, traj: Trajectories, dire
     write_snapshots(directory, _fixed_columns(config), sub, generations, json_mirror)
 
 
+def _serve(frames, report) -> int:
+    """`write_file` each frame pickled on `frames` until it ends: 0, or 1
+    after writing the first failure to `report`."""
+    try:
+        while True:
+            try:
+                path, data, records = pickle.load(frames)
+            except EOFError:
+                return 0
+            write_file(path, data, records)
+    except (OSError, RuntimeError, pickle.UnpicklingError) as e:
+        report.write(f"{e}\n")
+        return 1
+
+
 class WriterProcess:
-    """A `_writer.py` process that writes and re-reads the files sent to it,
-    so creating them overlaps this process's compute. Called like
-    `write_file`. On exit it closes the pipe, reaps the process and raises
-    the first failure it reported."""
+    """A forked child that writes and re-reads the files sent to it, so
+    creating them overlaps this process's compute. Called like `write_file`.
+    On exit it closes the pipe, reaps the child and raises the first failure
+    it reported. POSIX only."""
 
     def __enter__(self) -> WriterProcess:
-        import subprocess  # loaded by snapshot batches only
-
-        # -I -S: the standard library only, no site packages or environment
-        self._proc = subprocess.Popen([sys.executable, "-I", "-S", _writer.__file__],
-                                      stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+        frames_read, frames_write = os.pipe()
+        report_read, report_write = os.pipe()
+        try:
+            self._pid = os.fork()
+        except BaseException:
+            for fd in (frames_read, frames_write, report_read, report_write):
+                os.close(fd)
+            raise
+        if self._pid == 0:  # the child: leaves with os._exit, never returns
+            code = 1
+            try:
+                # a terminal's Ctrl-C reaches the parent too: it closes the
+                # pipe, and the child ends there
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
+                # with the parent's write end open, the frames never end here
+                os.close(frames_write)
+                os.close(report_read)
+                with open(frames_read, "rb") as frames, open(report_write, "w") as report:
+                    code = _serve(frames, report)
+            finally:
+                os._exit(code)
+        os.close(frames_read)
+        os.close(report_write)
+        self._frames, self._report = open(frames_write, "wb"), open(report_read, "rb")
         try:
             # 1 MiB, Linux's default pipe-max-size, holds about 40 default-sized
             # snapshot files: work for the writer while a block computes
             import fcntl
-            fcntl.fcntl(self._proc.stdin, fcntl.F_SETPIPE_SZ, 1 << 20)
+            fcntl.fcntl(self._frames, fcntl.F_SETPIPE_SZ, 1 << 20)
         except (ImportError, AttributeError, OSError):
             pass  # keep the default pipe size
         return self
 
     def __call__(self, path: Path, data: bytes, records=None) -> None:
-        pickle.dump((str(path), data, records), self._proc.stdin, pickle.HIGHEST_PROTOCOL)
+        pickle.dump((str(path), data, records), self._frames, pickle.HIGHEST_PROTOCOL)
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        report, _ = self._proc.communicate()
+        with contextlib.suppress(BrokenPipeError):  # the child has quit; its report says why
+            self._frames.close()
+        with self._report:
+            report = self._report.read()
+        status = os.waitpid(self._pid, 0)[1]
         if exc_type is not None and not issubclass(exc_type, Exception):
             return  # an interrupt or exit goes on as it is
-        if report or self._proc.returncode:
+        if report or status:
             raise RuntimeError(report.decode(errors="replace").strip()
-                               or f"snapshot writer exited with status {self._proc.returncode}")
+                               or "snapshot writer exited with status "
+                                  f"{os.waitstatus_to_exitcode(status)}")
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -223,12 +292,21 @@ def _parse_generations(text: str, last: int) -> list[int]:
     return wanted
 
 
+def _run_zero(config: ExperimentConfig) -> Trajectories:
+    """Run 0 of a batch with `config`'s master seed; a failure names the run
+    and its seed, as the batch would."""
+    try:
+        return run_trajectory(config, [trajectory_seed(config.master_seed, 0)])
+    except Exception as e:
+        raise _run_failed(config, 0, e) from e
+
+
 def cmd_simulate(args) -> int:
     config = _load_config(args)
     wanted = range(config.generations + 1) if config.snapshots else None
     if args.generations is not None:
         wanted = _parse_generations(args.generations, config.generations)
-    traj = run_trajectory(config, [trajectory_seed(config.master_seed, 0)])
+    traj = _run_zero(config)
     json_mirror = args.fmt == "json"
     write_table(args.out / "trajectory.csv", TRAJECTORY_HEADER,
                 trajectory_rows(traj), json_mirror)
@@ -240,7 +318,7 @@ def cmd_simulate(args) -> int:
 def cmd_landscape(args) -> int:
     config = _load_config(args)
     wanted = _parse_generations(args.generations, config.generations)
-    traj = run_trajectory(config, [trajectory_seed(config.master_seed, 0)])
+    traj = _run_zero(config)
     _write_run_zero_snapshots(config, traj, args.out, wanted, args.fmt == "json")
     return 0
 
@@ -250,7 +328,8 @@ def cmd_measures(args) -> int:
     json_mirror = args.fmt == "json"
     if config.snapshots:
         fixed = _fixed_columns(config)
-        with WriterProcess() as write:
+        writer = WriterProcess() if hasattr(os, "fork") else contextlib.nullcontext(write_file)
+        with writer as write:
             def per_run(r: int, sub: np.ndarray) -> None:
                 write_snapshots(args.out / "snapshots" / f"run_{r:03d}", fixed, sub,
                                 range(len(sub)), json_mirror, write)
@@ -281,7 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="measures: split the batch's runs across up to this "
                              "many processes (must be >= 1; capped at the runs and "
                              "the usable CPUs; forked, POSIX only). Snapshot batches "
-                             "run in one process. Results are identical for any value")
+                             "measure their runs in one process. Results are identical "
+                             "for any value")
     common.add_argument("--format", choices=("csv", "json"), default="csv",
                         dest="fmt",
                         help="csv only, or json to mirror every CSV as JSON")
@@ -308,8 +388,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, OSError, RuntimeError, FloatingPointError,
-            MemoryError) as e:
+    except (ValueError, OSError, RuntimeError, FloatingPointError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

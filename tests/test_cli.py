@@ -46,6 +46,15 @@ def assert_no_child_process():
         os.waitpid(-1, os.WNOHANG)
 
 
+def run_python(code, *args):
+    """The finished `python -c code args...`, with this package importable."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 def test_simulate_writes_trajectory(tmp_path):
     cfg = write_config(tmp_path, SMOOTH_SMALL)
     out = tmp_path / "out"
@@ -405,10 +414,13 @@ def test_import_and_config_load_leave_scipy_out(tmp_path):
     """Importing the CLI, loading a config, a `simulate` and a 100-run
     `measures` never import scipy: `ci95` reads its t quantile from a table
     up to 1,001 runs. With scipy blocked, `measures` writes the same bytes.
-    Nor do they import subprocess: only a snapshot batch starts a writer
-    process. A `measures --workers 2` forks its workers, so it imports
-    neither multiprocessing nor concurrent, and writes the same bytes."""
+    Nor do they import subprocess: a snapshot batch forks its writer, and a
+    `measures --workers 2` forks its workers, so neither imports
+    multiprocessing nor concurrent, and the forked batch writes the same bytes."""
     cfg = write_config(tmp_path, SMOOTH_SMALL)
+    snapshots = write_config(tmp_path, dict(SMOOTH_SMALL, experiment={"runs": 3,
+                                                                      "snapshots": True}),
+                             "snapshots.json")
     batch = write_config(tmp_path, dict(SMOOTH_SMALL, experiment={"runs": 100}), "batch.json")
     scipy_modules = ("print(sorted(m for m in sys.modules "
                      "if m.split('.')[0] in ('scipy', 'subprocess', 'multiprocessing', "
@@ -431,21 +443,20 @@ def test_import_and_config_load_leave_scipy_out(tmp_path):
         scipy_modules,
         forked,
         scipy_modules,
+        "assert coevoscape.cli.main(['measures', '--config', sys.argv[5], '--out', "
+        "sys.argv[4] + '-snapshots', '--format', 'json']) == 0",
+        scipy_modules,
     ])
     blocked = "\n".join(["import sys", "sys.modules['scipy'] = None", "import coevoscape.cli",
                          measures])
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
     def printed(code, out):
-        proc = subprocess.run([sys.executable, "-c", code, str(cfg), str(tmp_path / "sim"),
-                               str(batch), str(out)],
-                              capture_output=True, text=True, env=env, timeout=120)
+        proc = run_python(code, cfg, tmp_path / "sim", batch, out, snapshots)
         assert proc.returncode == 0, proc.stderr
         return proc.stdout.splitlines()
 
-    assert printed(free, tmp_path / "free") == ["[]", "[]", "[]", "[]"]
+    assert printed(free, tmp_path / "free") == ["[]", "[]", "[]", "[]", "[]"]
+    assert len(list((tmp_path / "free-snapshots").rglob("landscape_k*.json"))) == 3 * 11
     assert printed(blocked, tmp_path / "blocked") == []
     for name in ("measures.csv", "measures.json"):
         for out in ("blocked", "free-forked"):
@@ -577,6 +588,80 @@ def test_snapshot_batch_leaves_stdout_alone_and_no_process(tmp_path, capfd):
     assert capfd.readouterr() == ("", "")
     assert len(list(out.rglob("landscape_k*.json"))) == 3 * 11
     assert_no_child_process()
+
+
+def test_snapshot_batch_without_fork_writes_in_process(tmp_path, monkeypatch):
+    """Where os.fork is missing, a snapshot batch writes its files in this
+    process: the same bytes as through the forked writer, and no child."""
+    cfg = write_config(tmp_path, dict(SMOOTH_SMALL, experiment={"runs": 3, "snapshots": True}))
+    forked, serial = tmp_path / "forked", tmp_path / "serial"
+    assert cli.main(["measures", "--config", str(cfg), "--out", str(forked),
+                     "--format", "json"]) == 0
+    monkeypatch.delattr(os, "fork")
+    assert cli.main(["measures", "--config", str(cfg), "--out", str(serial),
+                     "--format", "json"]) == 0
+    assert_no_child_process()
+    files = sorted(p.relative_to(forked) for p in forked.rglob("*") if p.is_file())
+    assert len(files) == 2 + 3 * 11 * 2
+    assert files == sorted(p.relative_to(serial) for p in serial.rglob("*") if p.is_file())
+    for name in files:
+        assert (serial / name).read_bytes() == (forked / name).read_bytes()
+
+
+def test_writer_fork_failure_fails_the_command(tmp_path, capsys, monkeypatch):
+    """If the writer cannot be forked, the snapshot batch exits 1 with the
+    error, and the writer's pipes are closed again."""
+    def refuse():
+        raise OSError("fork refused")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    cfg = write_config(tmp_path, dict(SMOOTH_SMALL, experiment={"runs": 3, "snapshots": True}))
+    out = tmp_path / "meas"
+    fds = Path("/proc/self/fd")
+    before = len(list(fds.iterdir())) if fds.is_dir() else None
+    rc = cli.main(["measures", "--config", str(cfg), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: fork refused\n"
+    assert not (out / "measures.csv").exists()
+    if before is not None:
+        assert len(list(fds.iterdir())) == before
+
+
+@pytest.mark.parametrize("snapshots, workers", [
+    pytest.param(True, "1", id="snapshot-writer"),
+    pytest.param(False, "2", id="workers-2"),
+])
+def test_forked_children_leave_unflushed_stdout_alone(tmp_path, snapshots, workers):
+    """A forked child leaves with os._exit, so text this process still holds
+    in sys.stdout's buffer is printed once, by this process."""
+    cfg = write_config(tmp_path, dict(SMOOTH_SMALL, experiment={"runs": 4,
+                                                                "snapshots": snapshots}))
+    code = "\n".join([
+        "import sys",
+        "import coevoscape.cli",
+        "coevoscape.experiment._usable_cpus = lambda: 2",
+        "sys.stdout = open(1, 'w', closefd=False)  # block-buffered even under PYTHONUNBUFFERED",
+        "sys.stdout.write('unflushed\\n')",
+        "assert coevoscape.cli.main(['measures', '--config', sys.argv[1], '--out', sys.argv[2],",
+        "                            '--workers', sys.argv[3]]) == 0",
+    ])
+    proc = run_python(code, cfg, tmp_path / "out", workers)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "unflushed\n"
+    assert (tmp_path / "out" / "measures.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["measures", "simulate", "landscape"])
+def test_run_zero_failure_names_the_run_and_its_seed(tmp_path, capsys, command):
+    """Every command names run 0 and its seed when run 0 fails."""
+    cfg = write_config(tmp_path, {"evolution": {"mutation_sigma": 1e300}})
+    out = tmp_path / "out"
+    rc = cli.main([command, "--config", str(cfg), "--out", str(out), "--seed", "5"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: run 0 failed (seed = SeedSequence(5, spawn_key=(0,))): "
+        "overflow encountered in multiply\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, workers", [
