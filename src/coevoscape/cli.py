@@ -16,25 +16,27 @@ exactly like run 0 of a batch with the same master seed, so `simulate
 Exit code 0 means every requested file was written and read back equal to
 its bytes; any failure prints a message to stderr and exits 1. A `measures`
 batch with snapshots hands its snapshot files to one forked writer process,
-so creating them overlaps the batch's compute; the command reaps it and
-reports its first failure before returning.
+so creating them overlaps the batch's compute. The writer reports back as a
+`--workers` slice does (`experiment._fork_child`): the command reaps it and
+raises its first failure, or its exit code if it left no report.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import pickle
-import signal
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .evolution import Trajectories, run_trajectory
-from .experiment import ConfigError, ExperimentConfig, _run_failed, run_batch, trajectory_seed
+from .experiment import (ConfigError, ExperimentConfig, _fork_child, _reap_child, _run_failed,
+                         run_batch, trajectory_seed)
 from .landscape import objective_profile, subjective_profiles
 from .substrate import Task
 
@@ -201,19 +203,18 @@ def _write_run_zero_snapshots(config: ExperimentConfig, traj: Trajectories, dire
     write_snapshots(directory, _fixed_columns(config), sub, generations, json_mirror)
 
 
-def _serve(frames, report) -> int:
-    """`write_file` each frame pickled on `frames` until it ends: 0, or 1
-    after writing the first failure to `report`."""
-    try:
+def _serve(frames_read: int, frames_write: int) -> bytes:
+    """In the forked writer: `write_file` each frame pickled on the pipe until
+    it ends. The parent's end `frames_write` is closed first: while it is
+    open here, the frames never end."""
+    os.close(frames_write)
+    with open(frames_read, "rb") as frames:
         while True:
             try:
                 path, data, records = pickle.load(frames)
             except EOFError:
-                return 0
+                return b""
             write_file(path, data, records)
-    except (OSError, RuntimeError, pickle.UnpicklingError) as e:
-        report.write(f"{e}\n")
-        return 1
 
 
 class WriterProcess:
@@ -224,29 +225,15 @@ class WriterProcess:
 
     def __enter__(self) -> WriterProcess:
         frames_read, frames_write = os.pipe()
-        report_read, report_write = os.pipe()
         try:
-            self._pid = os.fork()
+            self._pid, self._report = _fork_child(
+                functools.partial(_serve, frames_read, frames_write))
         except BaseException:
-            for fd in (frames_read, frames_write, report_read, report_write):
-                os.close(fd)
+            os.close(frames_write)
             raise
-        if self._pid == 0:  # the child: leaves with os._exit, never returns
-            code = 1
-            try:
-                # a terminal's Ctrl-C reaches the parent too: it closes the
-                # pipe, and the child ends there
-                signal.signal(signal.SIGINT, signal.SIG_IGN)
-                # with the parent's write end open, the frames never end here
-                os.close(frames_write)
-                os.close(report_read)
-                with open(frames_read, "rb") as frames, open(report_write, "w") as report:
-                    code = _serve(frames, report)
-            finally:
-                os._exit(code)
-        os.close(frames_read)
-        os.close(report_write)
-        self._frames, self._report = open(frames_write, "wb"), open(report_read, "rb")
+        finally:
+            os.close(frames_read)
+        self._frames = open(frames_write, "wb")
         try:
             # 1 MiB, Linux's default pipe-max-size, holds about 40 default-sized
             # snapshot files: work for the writer while a block computes
@@ -262,15 +249,12 @@ class WriterProcess:
     def __exit__(self, exc_type, exc, tb) -> None:
         with contextlib.suppress(BrokenPipeError):  # the child has quit; its report says why
             self._frames.close()
-        with self._report:
-            report = self._report.read()
-        status = os.waitpid(self._pid, 0)[1]
-        if exc_type is not None and not issubclass(exc_type, Exception):
-            return  # an interrupt or exit goes on as it is
-        if report or status:
-            raise RuntimeError(report.decode(errors="replace").strip()
-                               or "snapshot writer exited with status "
-                                  f"{os.waitstatus_to_exitcode(status)}")
+        try:
+            _reap_child(self._pid, self._report, "the snapshot writer ended without a report")
+        except RuntimeError:
+            if exc_type is None or issubclass(exc_type, Exception):
+                raise
+            # an interrupt or exit goes on as it is
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -289,7 +273,7 @@ def _parse_generations(text: str, last: int) -> list[int]:
     out_of_range = [k for k in wanted if not 0 <= k <= last]
     if out_of_range:
         raise ValueError(f"--generations out of range 0..{last}: {out_of_range}")
-    return wanted
+    return list(dict.fromkeys(wanted))  # each generation once, in first-seen order
 
 
 def _run_zero(config: ExperimentConfig) -> Trajectories:

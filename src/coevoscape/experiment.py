@@ -464,11 +464,10 @@ def _slices(runs: int, workers: int) -> list[range]:
     return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _fork_slice(config: ExperimentConfig, objective: ObjectiveSide,
-                runs: range) -> tuple[int, BinaryIO]:
-    """Fork a child that measures `runs` and reports on a pipe, then exits:
-    b"+" and the measures' float64 bytes, or b"-" and the failure's text.
-    Returns the child's pid and the pipe's read end."""
+def _fork_child(work: Callable[[], bytes]) -> tuple[int, BinaryIO]:
+    """Fork a child that runs `work()`, reports on a pipe and leaves by
+    `os._exit`: b"+" and the bytes `work` returns, or b"-" and its failure's
+    text. Returns the child's pid and the pipe's read end, for `_reap_child`."""
     read, write = os.pipe()
     try:
         pid = os.fork()
@@ -479,9 +478,11 @@ def _fork_slice(config: ExperimentConfig, objective: ObjectiveSide,
     if pid == 0:  # the child: leaves with os._exit, never returns
         code = 1
         try:
+            # a terminal's Ctrl-C reaches the parent too, which ends the child
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
             os.close(read)
             try:
-                report = b"+" + _measure_slice(config, objective, runs).tobytes()  # float64
+                report = b"+" + work()
             except Exception as e:
                 report = b"-" + str(e).encode()
             with open(write, "wb") as pipe:
@@ -493,17 +494,18 @@ def _fork_slice(config: ExperimentConfig, objective: ObjectiveSide,
     return pid, open(read, "rb")
 
 
-def _slice_result(config: ExperimentConfig, runs: range, report: bytes,
-                  status: int) -> np.ndarray:
-    """A reaped child's measures of `runs`, or its failure raised as the
-    serial path words it."""
-    shape = (len(runs), config.generations + 1, len(POPULATIONS), len(MEASURES))
+def _reap_child(pid: int, pipe: BinaryIO, ended: str) -> bytes:
+    """Read a `_fork_child` child's report from `pipe` and reap the child:
+    the bytes its work returned, or its failure raised with its text. A
+    child that left no report is named by `ended` and its exit code."""
+    with pipe:
+        report = pipe.read()
+    status = os.waitpid(pid, 0)[1]
     if status == 0 and report[:1] == b"-":
         raise RuntimeError(report[1:].decode(errors="replace"))
-    if status == 0 and report[:1] == b"+" and len(report) == 1 + 8 * math.prod(shape):
-        return np.frombuffer(report, np.float64, offset=1).reshape(shape)
-    raise RuntimeError(f"runs {runs.start}-{runs.stop - 1}: the worker process ended "
-                       f"without a result (exit code {os.waitstatus_to_exitcode(status)})")
+    if status == 0 and report[:1] == b"+":
+        return report[1:]
+    raise RuntimeError(f"{ended} (exit code {os.waitstatus_to_exitcode(status)})")
 
 
 def _forked_measures(config: ExperimentConfig, objective: ObjectiveSide, slices: list[range],
@@ -516,15 +518,22 @@ def _forked_measures(config: ExperimentConfig, objective: ObjectiveSide, slices:
     children = {}  # pid -> (runs, pipe) of each child not yet reaped
     try:
         for runs in slices[1:]:
-            pid, pipe = _fork_slice(config, objective, runs)
+            # the child runs this at once, so `runs` is still this slice's
+            pid, pipe = _fork_child(lambda: _measure_slice(config, objective, runs).tobytes())
             children[pid] = (runs, pipe)
         parts = [_measure_slice(config, objective, slices[0], per_run)]
         for pid, (runs, pipe) in list(children.items()):
-            with pipe:
-                report = pipe.read()
-            status = os.waitpid(pid, 0)[1]
+            shape = (len(runs), config.generations + 1, len(POPULATIONS), len(MEASURES))
+            ended = f"runs {runs.start}-{runs.stop - 1}: the worker process ended without a result"
+            try:
+                report = _reap_child(pid, pipe, ended)
+            except RuntimeError:
+                del children[pid]  # reaped: only an interrupt leaves it to kill
+                raise
             del children[pid]
-            parts.append(_slice_result(config, runs, report, status))
+            if len(report) != 8 * math.prod(shape):
+                raise RuntimeError(f"{ended} (exit code 0)")
+            parts.append(np.frombuffer(report, np.float64).reshape(shape))
         return np.concatenate(parts)
     finally:
         for pid, (_, pipe) in children.items():

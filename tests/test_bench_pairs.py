@@ -1,9 +1,11 @@
 """Unit tests of tools/bench_pairs.py: the verdicts it prints, on synthetic
-numbers, and the copy of the working tree it runs the change from."""
+numbers and output trees, the output sweep's command lines, and the copy of
+the working tree it runs the change from."""
 
 from __future__ import annotations
 
 import importlib.util
+import json
 import subprocess
 from pathlib import Path
 
@@ -117,12 +119,44 @@ def test_change_side_runs_from_a_fresh_copy_of_the_working_tree(tmp_path, monkey
         ".gitignore", "src/tracked.py", "tools/untracked.py"]
 
 
+def test_output_verdict_reads_differ_when_one_byte_differs(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for root in (parent, change):
+        (root / "run_000").mkdir(parents=True)
+        (root / "measures.csv").write_bytes(b"generation,mean\n0,0.25\n")
+        (root / "run_000" / "landscape_k0.csv").write_bytes(b"x\n1.0\n")
+    assert bench_pairs.compare_outputs(parent, change) == ("identical", 2, [])
+    (change / "measures.csv").write_bytes(b"generation,mean\n0,0.26\n")
+    assert bench_pairs.compare_outputs(parent, change) == ("differ", 2, ["measures.csv"])
+    (change / "run_000" / "landscape_k1.csv").write_bytes(b"x\n1.0\n")
+    assert bench_pairs.compare_outputs(parent, change) == (
+        "differ", 2, ["run_000/landscape_k1.csv", "measures.csv"])
+
+
+def test_sweep_runs_every_config_in_both_formats_at_one_and_two_workers(tmp_path):
+    configs = tmp_path / "configs"
+    configs.mkdir()
+    for name in ("a", "b"):
+        (configs / f"{name}.json").write_text('{"experiment": {"runs": 100, "master_seed": 3}}')
+    commands = bench_pairs.sweep_commands(configs, tmp_path)
+    outs = [argv[argv.index("--out") + 1] for argv in commands]
+    assert len(set(outs)) == len(outs) == 2 * 2 * 2 * 4
+    assert {(out.split("/")[0], argv[-3], argv[-1], argv[0]) for out, argv in
+            zip(outs, commands)} == {(name, fmt, workers, command) for name in ("a", "b")
+                                     for fmt in ("csv", "json") for workers in ("1", "2")
+                                     for command in ("measures", "simulate", "landscape")}
+    batch = json.loads((tmp_path / "a_measures_snapshots.json").read_text())
+    assert batch["experiment"] == {"runs": bench_pairs.SWEEP_RUNS, "master_seed": 3,
+                                   "snapshots": True}
+
+
 def _fake_pairs(monkeypatch, batch_wall_s):
     """main's benchmark runs replaced by records whose batch_wall_s is
     `batch_wall_s(side, pair)` and whose other metrics are the same on both
     sides."""
     monkeypatch.setattr(bench_pairs, "extract", lambda rev, into: None)
     monkeypatch.setattr(bench_pairs, "copy_worktree", lambda into: None)
+    monkeypatch.setattr(bench_pairs, "output_sweep", lambda trees, work: None)
 
     def run_bench(tree, workload, seed, seconds):
         side = tree.name

@@ -20,6 +20,7 @@ from coevoscape.evolution import run_trajectory
 from coevoscape.experiment import ExperimentConfig, run_batch, trajectory_seed
 from coevoscape.landscape import objective_side, subjective_profiles
 from coevoscape.substrate import kind_from_name
+from conftest import assert_no_child_process
 
 SMOOTH_SMALL = {
     "substrate": {"function": "smooth"},
@@ -38,12 +39,6 @@ def write_config(tmp_path, data, name="config.json"):
 def read_rows(path):
     lines = path.read_text().splitlines()
     return lines[0], [line.split(",") for line in lines[1:]]
-
-
-def assert_no_child_process():
-    """Every process a command started has been reaped."""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def run_python(code, *args):
@@ -880,3 +875,19 @@ def test_simulate_writes_each_csv_through_one_write_table_call(tmp_path, write_t
     for path, header, n_rows in write_table_calls:
         if path.name.startswith("landscape_k"):
             assert (header, n_rows) == (cli.SNAPSHOT_HEADER, 31)
+
+
+@pytest.mark.parametrize("command, generations, files", [
+    ("simulate", "1,0,1,1", ["trajectory.csv", "snapshots/landscape_k1.csv",
+                             "snapshots/landscape_k0.csv"]),
+    ("landscape", "3,3,6,3", ["landscape_k3.csv", "landscape_k6.csv"]),
+])
+def test_repeated_generations_are_written_once(tmp_path, write_table_calls, command,
+                                               generations, files):
+    """A generation listed twice is rendered and written once, in the order
+    the list first names it."""
+    cfg = write_config(tmp_path, SMOOTH_SMALL)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(cfg), "--out", str(out),
+                     "--generations", generations]) == 0
+    assert [path for path, _, _ in write_table_calls] == [out / name for name in files]

@@ -9,6 +9,7 @@ import json
 import math
 import os
 import re
+import signal
 import time
 import tracemalloc
 from dataclasses import FrozenInstanceError, fields, replace
@@ -36,6 +37,7 @@ from coevoscape.experiment import (
 )
 from coevoscape.landscape import measure_generation, objective_side, subjective_profiles
 from coevoscape.substrate import Task
+from conftest import assert_no_child_process
 
 # t(0.975, df=1) * std({0,1}, ddof=1) / sqrt(2): the df=1 t quantile is
 # tan(pi*(0.975 - 0.5)) and std({0,1}) = 1/sqrt(2), so the half width is tan(0.475*pi)/2
@@ -541,12 +543,6 @@ def two_cpus(monkeypatch):
     monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)
 
 
-def assert_no_child_process():
-    """Every process the batch started has been reaped."""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def fail_runs(failing, error=ValueError("boom")):
     """`run_trajectory` that raises `error` for a block holding a run of `failing`."""
     def run(config, seeds):
@@ -636,6 +632,78 @@ def test_interrupt_in_the_parents_slice_kills_the_children(monkeypatch, two_cpus
         run_batch(ExperimentConfig(runs=4), workers=2)
     assert time.perf_counter() - start < 30
     assert_no_child_process()
+
+
+@pytest.mark.parametrize("size", [0, 3 << 20], ids=["empty", "beyond-the-pipe-buffer"])
+def test_forked_child_report_round_trips(size):
+    """A report is read in full while the child writes it, so one larger
+    than the 1 MiB pipe buffer comes back whole, and so does an empty one."""
+    report = np.random.default_rng(size).bytes(size)
+    pid, pipe = experiment._fork_child(lambda: report)
+    assert experiment._reap_child(pid, pipe, "ended") == report
+    assert_no_child_process()
+
+
+def test_forked_child_failure_is_raised_with_its_text():
+    def fail():
+        raise ValueError("boom: run 7")
+
+    pid, pipe = experiment._fork_child(fail)
+    with pytest.raises(RuntimeError, match=r"^boom: run 7$"):
+        experiment._reap_child(pid, pipe, "ended")
+    assert_no_child_process()
+
+
+def test_forked_child_that_exits_without_a_report_is_named_with_its_exit_code():
+    pid, pipe = experiment._fork_child(lambda: os._exit(3))
+    with pytest.raises(RuntimeError, match=r"^the child ended \(exit code 3\)$"):
+        experiment._reap_child(pid, pipe, "the child ended")
+    assert_no_child_process()
+
+
+def test_killed_forked_child_is_named_with_the_signal():
+    pid, pipe = experiment._fork_child(lambda: time.sleep(60) or b"")
+    os.kill(pid, signal.SIGKILL)
+    with pytest.raises(RuntimeError, match=r"^the child ended \(exit code -9\)$"):
+        experiment._reap_child(pid, pipe, "the child ended")
+    assert_no_child_process()
+
+
+def test_sigint_to_a_forked_child_does_not_stop_its_report():
+    """A terminal's Ctrl-C reaches the children too; they leave the
+    interrupt to this process and report as usual."""
+    ready_read, ready_write = os.pipe()
+    go_read, go_write = os.pipe()
+
+    def wait_for_go():
+        os.write(ready_write, b".")
+        os.read(go_read, 1)  # the SIGINT arrives while the child waits here
+        return b"done"
+
+    try:
+        pid, pipe = experiment._fork_child(wait_for_go)
+        os.read(ready_read, 1)
+        os.kill(pid, signal.SIGINT)
+        time.sleep(0.1)
+        os.write(go_write, b".")
+        assert experiment._reap_child(pid, pipe, "ended") == b"done"
+    finally:
+        for fd in (ready_read, ready_write, go_read, go_write):
+            os.close(fd)
+    assert_no_child_process()
+
+
+def test_refused_fork_closes_the_report_pipe(monkeypatch):
+    def refuse():
+        raise OSError("fork refused")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    fds = Path("/proc/self/fd")
+    before = len(list(fds.iterdir())) if fds.is_dir() else None
+    with pytest.raises(OSError, match="^fork refused$"):
+        experiment._fork_child(lambda: b"")
+    if before is not None:
+        assert len(list(fds.iterdir())) == before
 
 
 @settings(max_examples=60, deadline=None)

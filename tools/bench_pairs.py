@@ -13,6 +13,13 @@ own program, started from its own fresh tree in the same directory, so each
 side measures its own code and creates its files under the same
 conditions. Nothing is written outside the temporary directory.
 
+Before timing, both copies run one fixed output sweep (`sweep_commands`):
+every config the change ships, each as `measures` with and without
+snapshots at SWEEP_RUNS runs, `simulate --generations 0,5,10` and
+`landscape`, in both `--format`s and at `--workers` 1 and 2. It prints
+whether the two output trees are identical byte for byte, and how many files
+each holds.
+
 It prints every pair, each side's median and quartiles of every end-to-end
 metric of BENCHMARK.json, and two verdicts:
 
@@ -46,6 +53,15 @@ ROOT = Path(__file__).resolve().parents[1]
 MIN_PAIRS = 10
 WIN_SHARE = 0.9
 CLAIM = "runs_per_s"  # the metric whose gain is judged by default
+SWEEP_RUNS = 30
+# runs the sweep's command lines, given as JSON, in one process of a tree's package
+SWEEP_SCRIPT = """\
+import json, sys
+from coevoscape.cli import main
+for argv in json.loads(sys.argv[1]):
+    if main(argv) != 0:
+        sys.exit("failed: coevoscape " + " ".join(argv))
+"""
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -131,6 +147,66 @@ def copy_worktree(into: Path) -> None:
             shutil.copy2(source, into / name)
 
 
+def sweep_commands(configs: Path, into: Path) -> list[list[str]]:
+    """The output sweep's command lines for every `configs/*.json`, each with
+    a relative `--out` of its own. The configs the `measures` lines read,
+    set to SWEEP_RUNS runs with and without snapshots, are written under
+    `into`."""
+    commands = []
+    for config in sorted(configs.glob("*.json")):
+        data = json.loads(config.read_text(encoding="utf-8"))
+        variants = [("simulate", ["simulate", "--generations", "0,5,10", "--config", str(config)]),
+                    ("landscape", ["landscape", "--config", str(config)])]
+        for name in ("measures", "measures_snapshots"):
+            batch = into / f"{config.stem}_{name}.json"
+            batch.write_text(json.dumps({**data, "experiment": {
+                **data.get("experiment", {}), "runs": SWEEP_RUNS,
+                "snapshots": name == "measures_snapshots"}}))
+            variants.append((name, ["measures", "--config", str(batch)]))
+        for fmt in ("csv", "json"):
+            for workers in ("1", "2"):
+                commands += [[*command, "--out", f"{config.stem}/{fmt}/workers_{workers}/{name}",
+                              "--format", fmt, "--workers", workers]
+                             for name, command in variants]
+    return commands
+
+
+def run_sweep(tree: Path, commands: list[list[str]], out: Path) -> None:
+    """`commands` run by `tree`'s package, with `--out` under `out`."""
+    out.mkdir(parents=True)
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    proc = subprocess.run([sys.executable, "-c", SWEEP_SCRIPT, json.dumps(commands)],
+                          cwd=out, env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"output sweep in {tree} exited {proc.returncode}: "
+                           f"{proc.stderr.strip()[-500:]}")
+
+
+def compare_outputs(parent: Path, change: Path) -> tuple[str, int, list[str]]:
+    """("identical" or "differ", the number of files under `parent`, the
+    relative names of the files that differ or exist on one side only)."""
+    names = [{p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()}
+             for root in (parent, change)]
+    differing = sorted(names[0] ^ names[1]) + sorted(
+        name for name in names[0] & names[1]
+        if (parent / name).read_bytes() != (change / name).read_bytes())
+    return ("differ" if differing else "identical"), len(names[0]), differing
+
+
+def output_sweep(trees: dict[str, Path], work: Path) -> None:
+    """Run the output sweep from both trees under `work` and print the verdict."""
+    (work / "configs").mkdir(parents=True)
+    commands = sweep_commands(trees["change"] / "configs", work / "configs")
+    for side, tree in trees.items():
+        run_sweep(tree, commands, work / side)
+    verdict, count, differing = compare_outputs(work / "parent", work / "change")
+    print(f"outputs: {verdict} byte for byte, {count} files from {len(commands)} commands "
+          f"in the parent's tree, {len(differing)} differing")
+    for name in differing[:20]:
+        print(f"  differs: {name}")
+    sys.stdout.flush()
+
+
 def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One `bench/run.py --trace 0` from `tree`: its final JSON line."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
@@ -161,6 +237,7 @@ def main(argv=None) -> int:
         trees = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
         extract(args.parent, trees["parent"])
         copy_worktree(trees["change"])
+        output_sweep(trees, Path(tmp) / "sweep")
         for i in range(args.pairs):
             seed = args.seed + i
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
