@@ -15,28 +15,24 @@ exactly like run 0 of a batch with the same master seed, so `simulate
 
 Exit code 0 means every requested file was written and read back equal to
 its bytes; any failure prints a message to stderr and exits 1. A `measures`
-batch with snapshots hands its snapshot files to one forked writer process,
-so creating them overlaps the batch's compute. The writer reports back as a
-`--workers` slice does (`experiment._fork_child`): the command reaps it and
-raises its first failure, or its exit code if it left no report.
+batch with snapshots runs in at least two `--workers` slices where it can,
+and each slice writes the snapshot files of its own runs, so creating them
+overlaps the other slice's compute. A slice's failure names its run, as in
+one process.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
-import functools
 import json
 import os
-import pickle
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .evolution import Trajectories, run_trajectory
-from .experiment import (ConfigError, ExperimentConfig, _fork_child, _reap_child, _run_failed,
-                         run_batch, trajectory_seed)
+from .experiment import ConfigError, ExperimentConfig, _run_failed, run_batch, trajectory_seed
 from .landscape import objective_profile, subjective_profiles
 from .substrate import Task
 
@@ -82,9 +78,9 @@ def _cell(value) -> str:
 
 
 def write_table(path: Path, header: tuple[str, ...], rows, json_mirror: bool,
-                text: np.ndarray | None = None, write=write_file) -> Path:
-    """Write one CSV table (plus optional JSON mirror) through `write`, which
-    writes each file and reads it back (`write_file`, or a `WriterProcess`).
+                text: np.ndarray | None = None) -> Path:
+    """Write one CSV table (plus optional JSON mirror) with `write_file`,
+    which reads each file back.
 
     `rows` holds one sequence of str, int or float cells per row. `text`, if
     given, holds the same rows already rendered to all-number CSV cells, as a
@@ -104,10 +100,10 @@ def write_table(path: Path, header: tuple[str, ...], rows, json_mirror: bool,
                                      for row, row_cells in zip(rows, cells)], len(header))
     csv = ",".join(header) + "\n" + _interleave(text, ["", *[","] * (len(header) - 1)], "\n")
     _check_csv(path, csv, header, len(rows))
-    write(path, csv.encode())
+    write_file(path, csv.encode())
     if json_mirror:
-        write(path.with_suffix(".json"), _mirror_text(header, json_text).encode(),
-              (header, len(rows)))
+        write_file(path.with_suffix(".json"), _mirror_text(header, json_text).encode(),
+                   (header, len(rows)))
     return path
 
 
@@ -172,7 +168,7 @@ def _repr_text(values: np.ndarray) -> np.ndarray:
 
 
 def write_snapshots(directory: Path, fixed: np.ndarray, sub: np.ndarray, generations,
-                    json_mirror: bool, write=write_file) -> None:
+                    json_mirror: bool) -> None:
     """landscape_k<k>.csv for each generation k of one run: the batch's x and
     f_obj text `fixed` (`_fixed_columns`), the same in every file, next to
     the run's subjective profiles `sub` (generations+1, 2, grid points).
@@ -184,7 +180,7 @@ def write_snapshots(directory: Path, fixed: np.ndarray, sub: np.ndarray, generat
     for i, k in enumerate(generations):
         rows = np.concatenate((fixed, text[i]), axis=1)
         write_table(directory / f"landscape_k{k}.csv", SNAPSHOT_HEADER, rows,
-                    json_mirror, rows, write)
+                    json_mirror, rows)
 
 
 def _fixed_columns(config: ExperimentConfig) -> np.ndarray:
@@ -201,60 +197,6 @@ def _write_run_zero_snapshots(config: ExperimentConfig, traj: Trajectories, dire
     """Snapshots of `traj`'s run 0, the same bytes as `measures` writes for run 0."""
     sub = subjective_profiles(traj, 0, config.grid(), config.objective_kind())
     write_snapshots(directory, _fixed_columns(config), sub, generations, json_mirror)
-
-
-def _serve(frames_read: int, frames_write: int) -> bytes:
-    """In the forked writer: `write_file` each frame pickled on the pipe until
-    it ends. The parent's end `frames_write` is closed first: while it is
-    open here, the frames never end."""
-    os.close(frames_write)
-    with open(frames_read, "rb") as frames:
-        while True:
-            try:
-                path, data, records = pickle.load(frames)
-            except EOFError:
-                return b""
-            write_file(path, data, records)
-
-
-class WriterProcess:
-    """A forked child that writes and re-reads the files sent to it, so
-    creating them overlaps this process's compute. Called like `write_file`.
-    On exit it closes the pipe, reaps the child and raises the first failure
-    it reported. POSIX only."""
-
-    def __enter__(self) -> WriterProcess:
-        frames_read, frames_write = os.pipe()
-        try:
-            self._pid, self._report = _fork_child(
-                functools.partial(_serve, frames_read, frames_write))
-        except BaseException:
-            os.close(frames_write)
-            raise
-        finally:
-            os.close(frames_read)
-        self._frames = open(frames_write, "wb")
-        try:
-            # 1 MiB, Linux's default pipe-max-size, holds about 40 default-sized
-            # snapshot files: work for the writer while a block computes
-            import fcntl
-            fcntl.fcntl(self._frames, fcntl.F_SETPIPE_SZ, 1 << 20)
-        except (ImportError, AttributeError, OSError):
-            pass  # keep the default pipe size
-        return self
-
-    def __call__(self, path: Path, data: bytes, records=None) -> None:
-        pickle.dump((str(path), data, records), self._frames, pickle.HIGHEST_PROTOCOL)
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        with contextlib.suppress(BrokenPipeError):  # the child has quit; its report says why
-            self._frames.close()
-        try:
-            _reap_child(self._pid, self._report, "the snapshot writer ended without a report")
-        except RuntimeError:
-            if exc_type is None or issubclass(exc_type, Exception):
-                raise
-            # an interrupt or exit goes on as it is
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -312,13 +254,14 @@ def cmd_measures(args) -> int:
     json_mirror = args.fmt == "json"
     if config.snapshots:
         fixed = _fixed_columns(config)
-        writer = WriterProcess() if hasattr(os, "fork") else contextlib.nullcontext(write_file)
-        with writer as write:
-            def per_run(r: int, sub: np.ndarray) -> None:
-                write_snapshots(args.out / "snapshots" / f"run_{r:03d}", fixed, sub,
-                                range(len(sub)), json_mirror, write)
 
-            series = run_batch(config, per_run=per_run, workers=args.workers)
+        def per_run(r: int, sub: np.ndarray) -> None:
+            write_snapshots(args.out / "snapshots" / f"run_{r:03d}", fixed, sub,
+                            range(len(sub)), json_mirror)
+
+        # each slice writes its own runs' files: with a second slice, creating
+        # them overlaps compute even at --workers 1
+        series = run_batch(config, per_run=per_run, workers=max(args.workers, 2))
     else:
         series = run_batch(config, workers=args.workers)
     write_table(args.out / "measures.csv", MEASURES_HEADER, list(series.rows()),
@@ -343,9 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--workers", type=int, default=1,
                         help="measures: split the batch's runs across up to this "
                              "many processes (must be >= 1; capped at the runs and "
-                             "the usable CPUs; forked, POSIX only). Snapshot batches "
-                             "measure their runs in one process. Results are identical "
-                             "for any value")
+                             "the usable CPUs; forked, POSIX only). A snapshot batch "
+                             "uses at least 2, and each process writes its own runs' "
+                             "files. Results are identical for any value")
     common.add_argument("--format", choices=("csv", "json"), default="csv",
                         dest="fmt",
                         help="csv only, or json to mirror every CSV as JSON")

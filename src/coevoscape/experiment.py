@@ -437,9 +437,10 @@ def _measure_block(config: ExperimentConfig, objective: ObjectiveSide, runs: ran
 
 
 def _measure_slice(config: ExperimentConfig, objective: ObjectiveSide, runs: range,
-                   per_run: Callable[[int, np.ndarray], None] | None = None) -> np.ndarray:
+                   per_run: Callable[[int, np.ndarray], None] | None) -> np.ndarray:
     """Measures of the runs `runs`, shape (len(runs), generations+1, 2, 3),
-    computed block by block from the slice's first run."""
+    computed block by block from the slice's first run, with the hook
+    `per_run`."""
     values = np.empty((len(runs), config.generations + 1, len(POPULATIONS), len(MEASURES)))
     size = _block_runs(config)
     for start in range(0, len(runs), size):
@@ -510,8 +511,8 @@ def _reap_child(pid: int, pipe: BinaryIO, ended: str) -> bytes:
 
 def _forked_measures(config: ExperimentConfig, objective: ObjectiveSide, slices: list[range],
                      per_run: Callable[[int, np.ndarray], None] | None) -> np.ndarray:
-    """Measures of every run: slice 0 in this process, with the hook
-    `per_run`, each other slice in a forked child, joined in run order, so a
+    """Measures of every run: slice 0 in this process and each other slice in
+    a forked child, each with the hook `per_run`, joined in run order, so a
     one-slice list forks nothing. The first failure in run order is raised.
     Every child is reaped before this returns or raises; on any exception
     here, interrupts included, the children left are killed."""
@@ -519,7 +520,8 @@ def _forked_measures(config: ExperimentConfig, objective: ObjectiveSide, slices:
     try:
         for runs in slices[1:]:
             # the child runs this at once, so `runs` is still this slice's
-            pid, pipe = _fork_child(lambda: _measure_slice(config, objective, runs).tobytes())
+            pid, pipe = _fork_child(
+                lambda: _measure_slice(config, objective, runs, per_run).tobytes())
             children[pid] = (runs, pipe)
         parts = [_measure_slice(config, objective, slices[0], per_run)]
         for pid, (runs, pipe) in list(children.items()):
@@ -555,18 +557,23 @@ def run_batch(config: ExperimentConfig,
     so the series does not depend on the blocks. The objective side is built
     once per batch, and the runs' subjective profiles are built and measured
     against it a chunk of a few runs at a time, each run's the same bytes as
-    on its own. `per_run(r, sub)` is an optional hook (e.g. snapshot
-    writing) that receives run r's measured subjective profiles, shape
-    (generations+1, 2, grid points) as `subjective_profiles` gives them:
-    exactly once for each run before the first failure, in run order, after
-    that run's measures succeed.
+    on its own.
 
     The runs are cut into `min(workers, runs, usable CPUs)` contiguous
-    slices, or into one slice when there is a hook or no `os.fork` (POSIX
-    only): the first is measured in this process and each other one in a
-    forked child, and the slices are joined in run order, so the series is
-    the same bytes for any `workers`. `config` was checked when it was made,
-    so the batch checks nothing of it again.
+    slices, or into one slice where there is no `os.fork` (POSIX only): the
+    first is measured in this process and each other one in a forked child,
+    and the slices are joined in run order, so the series is the same bytes
+    for any `workers`. `config` was checked when it was made, so the batch
+    checks nothing of it again.
+
+    `per_run(r, sub)` is an optional hook (e.g. snapshot writing) that
+    receives run r's measured subjective profiles, shape (generations+1, 2,
+    grid points) as `subjective_profiles` gives them, after that run's
+    measures succeed. It is called once per run, in run order within its
+    slice, in the process that measures the run, so a forked slice's calls
+    act in that child: what the hook leaves in this process's memory is
+    left only by slice 0's runs. A slice stops at its first failure, and the
+    other slices' hooks may by then have seen later runs.
 
     Any failing run aborts the batch with its run index and seed derivation
     reported; across slices, the first failure in run order. A block whose
@@ -574,11 +581,10 @@ def run_batch(config: ExperimentConfig,
     measures fail is measured again, one run at a time to find the run; a
     hook call that fails names its run directly.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    if not _is_int(workers) or workers < 1:
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     # every run of the batch is measured against the same objective side
     objective = objective_side(config.objective_kind(), config.grid(), config.tasks(),
                                grid_factor=config.dist_grid_factor)
-    slices = ([range(config.runs)] if per_run is not None or not hasattr(os, "fork")
-              else _slices(config.runs, workers))
+    slices = _slices(config.runs, workers) if hasattr(os, "fork") else [range(config.runs)]
     return MeasureSeries.from_runs(_forked_measures(config, objective, slices, per_run))

@@ -150,13 +150,17 @@ def test_sweep_runs_every_config_in_both_formats_at_one_and_two_workers(tmp_path
                                    "snapshots": True}
 
 
+OUTPUTS = {"verdict": "identical", "files": 2, "commands": 1, "differing": []}
+
+
 def _fake_pairs(monkeypatch, batch_wall_s):
     """main's benchmark runs replaced by records whose batch_wall_s is
     `batch_wall_s(side, pair)` and whose other metrics are the same on both
     sides."""
     monkeypatch.setattr(bench_pairs, "extract", lambda rev, into: None)
     monkeypatch.setattr(bench_pairs, "copy_worktree", lambda into: None)
-    monkeypatch.setattr(bench_pairs, "output_sweep", lambda trees, work: None)
+    monkeypatch.setattr(bench_pairs, "output_sweep", lambda trees, work: OUTPUTS)
+    monkeypatch.setattr(bench_pairs, "git_commit", lambda rev: f"commit of {rev}")
 
     def run_bench(tree, workload, seed, seconds):
         side = tree.name
@@ -189,3 +193,36 @@ def test_a_claim_outside_the_end_to_end_metrics_is_an_argument_error(monkeypatch
                           "--claim", name])
     assert exit_info.value.code == 2
     assert "--claim" in capsys.readouterr().err
+
+
+def test_record_round_trips_through_json(tmp_path, monkeypatch, capsys):
+    """--record writes what the run printed as JSON that reads back to the
+    same values; a second run of the same parent and change adds an entry,
+    and a record of another parent is refused before any pair runs."""
+    _fake_pairs(monkeypatch, lambda side, i: PARENT[i] / (1 if side == "parent" else 2))
+    path = tmp_path / "BENCH.json"
+    argv = ["--workload", "w", "--seconds", "1", "--record", str(path)]
+    assert bench_pairs.main(["--parent", "HEAD", *argv]) == 0
+    text = path.read_text()
+    record = json.loads(text)
+    assert json.dumps(record, indent=2) + "\n" == text
+    assert record["parent"] == "commit of HEAD"
+    assert record["change"]["base"] == "commit of HEAD"
+    [entry] = record["entries"]
+    assert (entry["workload"], entry["pairs"], entry["seeds"]) == ("w", 10, [1, 10])
+    assert entry["outputs"] == OUTPUTS
+    assert set(entry["machine"]) == {"cpus", "python", "numpy"}
+    wall = entry["metrics"]["batch_wall_s"]
+    assert wall["parent"] == {"runs": PARENT, "quartiles": [99.25, 100.0, 101.0]}
+    assert wall["change"]["quartiles"] == [99.25 / 2, 50.0, 50.5]
+    assert (wall["wins"], wall["verdict"]) == (10, "better")
+    assert entry["metrics"]["setup_s"]["verdict"] == "within"
+    assert entry["claim"]["metric"] == "runs_per_s" and not entry["claim"]["claimed"]
+    assert capsys.readouterr().out.count("change better in 10/10") == 1
+
+    assert bench_pairs.main(["--parent", "HEAD", *argv]) == 0
+    assert len(json.loads(path.read_text())["entries"]) == 2
+    monkeypatch.setattr(bench_pairs, "run_bench", lambda *args: pytest.fail("ran a pair"))
+    with pytest.raises(SystemExit, match="records another parent or change"):
+        bench_pairs.main(["--parent", "other", *argv])
+    assert len(json.loads(path.read_text())["entries"]) == 2

@@ -262,7 +262,7 @@ def test_truncated_json_mirror_fails_the_command(tmp_path, capsys, monkeypatch, 
     assert rc == 1
     assert "trajectory.json" in capsys.readouterr().err
 
-    # a snapshot batch's mirrors are checked the same way, by the writer process
+    # a snapshot batch's mirrors are checked the same way, by the slice that writes them
     data = dict(data, landscape={"grid_points": 21}, experiment={"runs": 12, "snapshots": True})
     cfg = write_config(tmp_path, data, "snapshots.json")
     out = tmp_path / "meas"
@@ -409,9 +409,9 @@ def test_import_and_config_load_leave_scipy_out(tmp_path):
     """Importing the CLI, loading a config, a `simulate` and a 100-run
     `measures` never import scipy: `ci95` reads its t quantile from a table
     up to 1,001 runs. With scipy blocked, `measures` writes the same bytes.
-    Nor do they import subprocess: a snapshot batch forks its writer, and a
-    `measures --workers 2` forks its workers, so neither imports
-    multiprocessing nor concurrent, and the forked batch writes the same bytes."""
+    Nor do they import subprocess: a snapshot batch and a `measures
+    --workers 2` fork their slices, so neither imports multiprocessing nor
+    concurrent, and the forked batch writes the same bytes."""
     cfg = write_config(tmp_path, SMOOTH_SMALL)
     snapshots = write_config(tmp_path, dict(SMOOTH_SMALL, experiment={"runs": 3,
                                                                       "snapshots": True}),
@@ -493,7 +493,7 @@ def test_invalid_config_key_reports_error(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
-def test_measures_per_run_snapshots(tmp_path):
+def test_measures_per_run_snapshots(tmp_path, two_cpus):
     data = {
         "substrate": {"function": "ridge"},
         "evolution": {"generations": 1},
@@ -513,11 +513,11 @@ def test_measures_per_run_snapshots(tmp_path):
     pytest.param(4, id="last-run"),
     pytest.param(12, id="mid-batch"),
 ])
-def test_writer_process_failure_names_the_file(tmp_path, capsys, runs):
-    """A file the writer process cannot create fails the command with the
-    file's name, whether it is the batch's last run or the writer has quit
-    while runs were still being sent; the writer is reaped either way."""
-    # default-sized snapshots: the runs after run 3 overfill the pipe
+def test_writer_process_failure_names_the_file(tmp_path, capsys, two_cpus, runs):
+    """A file a slice cannot create fails the command with the file's name,
+    whether it falls to the forked slice (runs 2-3 of 4) or to this process's
+    (runs 0-5 of 12) while the other slice still runs; every slice is reaped
+    either way."""
     cfg = write_config(tmp_path, {"experiment": {"runs": runs, "master_seed": 3,
                                                  "snapshots": True}})
     out = tmp_path / "meas"
@@ -530,9 +530,10 @@ def test_writer_process_failure_names_the_file(tmp_path, capsys, runs):
     assert_no_child_process()
 
 
-def test_run_failure_in_a_snapshot_batch_reaps_the_writer(tmp_path, capsys, monkeypatch):
+def test_run_failure_in_a_snapshot_batch_reaps_the_writer(tmp_path, capsys, monkeypatch,
+                                                          two_cpus):
     """A run failing in the second block of a snapshot batch (its second
-    run) names itself; the runs before it are written."""
+    run), in the forked slice, names itself; the runs before it are written."""
     real_run_trajectory = experiment.run_trajectory
     failing = experiment._block_runs(ExperimentConfig()) + 1
 
@@ -554,17 +555,20 @@ def test_run_failure_in_a_snapshot_batch_reaps_the_writer(tmp_path, capsys, monk
     assert_no_child_process()
 
 
-def test_interrupt_in_a_snapshot_batch_reaps_the_writer(tmp_path, monkeypatch):
-    """An interrupt mid-batch propagates as itself, after the writer is reaped."""
+def test_interrupt_in_a_snapshot_batch_reaps_the_writer(tmp_path, monkeypatch, two_cpus):
+    """An interrupt mid-batch, in this process's slice (runs 0-2 of 6), where
+    a real one lands since the forked slice ignores SIGINT, propagates as
+    itself after the forked slice is killed and reaped."""
     real_write_snapshots = cli.write_snapshots
+    parent = os.getpid()
 
     def interrupted(directory, *args):
-        if directory.name == "run_002":
+        if directory.name == "run_002" and os.getpid() == parent:
             raise KeyboardInterrupt
         real_write_snapshots(directory, *args)
 
     monkeypatch.setattr(cli, "write_snapshots", interrupted)
-    cfg = write_config(tmp_path, dict(SMOOTH_SMALL, experiment={"runs": 4, "snapshots": True}))
+    cfg = write_config(tmp_path, dict(SMOOTH_SMALL, experiment={"runs": 6, "snapshots": True}))
     out = tmp_path / "meas"
     with pytest.raises(KeyboardInterrupt):
         cli.main(["measures", "--config", str(cfg), "--out", str(out)])
@@ -572,9 +576,9 @@ def test_interrupt_in_a_snapshot_batch_reaps_the_writer(tmp_path, monkeypatch):
     assert_no_child_process()
 
 
-def test_snapshot_batch_leaves_stdout_alone_and_no_process(tmp_path, capfd):
-    """In process, a snapshot batch prints nothing, not even from its writer
-    process, and reaps it."""
+def test_snapshot_batch_leaves_stdout_alone_and_no_process(tmp_path, capfd, two_cpus):
+    """In process, a snapshot batch prints nothing, not even from its forked
+    slice, and reaps it."""
     data = dict(SMOOTH_SMALL, experiment={"runs": 3, "snapshots": True})
     cfg = write_config(tmp_path, data)
     out = tmp_path / "meas"
@@ -585,9 +589,9 @@ def test_snapshot_batch_leaves_stdout_alone_and_no_process(tmp_path, capfd):
     assert_no_child_process()
 
 
-def test_snapshot_batch_without_fork_writes_in_process(tmp_path, monkeypatch):
+def test_snapshot_batch_without_fork_writes_in_process(tmp_path, monkeypatch, two_cpus):
     """Where os.fork is missing, a snapshot batch writes its files in this
-    process: the same bytes as through the forked writer, and no child."""
+    process: the same bytes as with a forked slice, and no child."""
     cfg = write_config(tmp_path, dict(SMOOTH_SMALL, experiment={"runs": 3, "snapshots": True}))
     forked, serial = tmp_path / "forked", tmp_path / "serial"
     assert cli.main(["measures", "--config", str(cfg), "--out", str(forked),
@@ -603,9 +607,9 @@ def test_snapshot_batch_without_fork_writes_in_process(tmp_path, monkeypatch):
         assert (serial / name).read_bytes() == (forked / name).read_bytes()
 
 
-def test_writer_fork_failure_fails_the_command(tmp_path, capsys, monkeypatch):
-    """If the writer cannot be forked, the snapshot batch exits 1 with the
-    error, and the writer's pipes are closed again."""
+def test_writer_fork_failure_fails_the_command(tmp_path, capsys, monkeypatch, two_cpus):
+    """If a snapshot batch's second slice cannot be forked, the batch exits 1
+    with the error, and the slice's pipe is closed again."""
     def refuse():
         raise OSError("fork refused")
 
@@ -659,17 +663,21 @@ def test_run_zero_failure_names_the_run_and_its_seed(tmp_path, capsys, command):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command, workers", [
-    pytest.param("measures", "0", id="0"),
-    pytest.param("measures", "-2", id="-2"),
-    pytest.param("simulate", "0", id="simulate-0"),
-    pytest.param("simulate", "-2", id="simulate--2"),
-    pytest.param("landscape", "0", id="landscape-0"),
-    pytest.param("landscape", "-3", id="landscape--3"),
+@pytest.mark.parametrize("command, workers, snapshots", [
+    pytest.param("measures", "0", False, id="0"),
+    pytest.param("measures", "-2", False, id="-2"),
+    # a snapshot batch runs at least two slices, but only from a valid count
+    pytest.param("measures", "0", True, id="snapshots-0"),
+    pytest.param("measures", "-1", True, id="snapshots--1"),
+    pytest.param("simulate", "0", False, id="simulate-0"),
+    pytest.param("simulate", "-2", False, id="simulate--2"),
+    pytest.param("landscape", "0", False, id="landscape-0"),
+    pytest.param("landscape", "-3", False, id="landscape--3"),
 ])
-def test_measures_rejects_worker_count_below_one(tmp_path, capsys, command, workers):
+def test_measures_rejects_worker_count_below_one(tmp_path, capsys, command, workers, snapshots):
     """Every subcommand rejects the worker count at config load, before any run."""
-    cfg = write_config(tmp_path, SMOOTH_SMALL)
+    cfg = write_config(tmp_path, dict(SMOOTH_SMALL, experiment=dict(SMOOTH_SMALL["experiment"],
+                                                                    snapshots=snapshots)))
     out = tmp_path / "out"
     rc = cli.main([command, "--config", str(cfg), "--out", str(out),
                    "--workers", workers])
@@ -759,10 +767,11 @@ def test_repr_text_matches_per_value_repr(pool, picks):
         assert text.ravel().tolist() == [repr(float(v)) for v in values.ravel()]
 
 
-def test_shared_snapshot_columns_are_rendered_once(tmp_path, monkeypatch):
+def test_shared_snapshot_columns_are_rendered_once(tmp_path, monkeypatch, one_cpu):
     """x and f_obj, the same in every snapshot file, are rendered once per
     command; each run's subjective columns are rendered in one block, and no
-    text is kept from one run to the next."""
+    text is kept from one run to the next. One usable CPU keeps every run in
+    this process, where the calls are counted."""
     shapes = []
     real_repr_text = cli._repr_text
 
@@ -786,12 +795,13 @@ def test_shared_snapshot_columns_are_rendered_once(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("function", SUBSTRATES)
-def test_measures_snapshot_files_match_per_value_text(tmp_path, function, fmt):
+def test_measures_snapshot_files_match_per_value_text(tmp_path, one_cpu, function, fmt):
     """Every per-run snapshot file, and its JSON mirror, equals the text built
     cell by cell from P1's row of `objective_side` and `subjective_profiles`
     with the plain per-value expressions, across the two blocks (a full one,
     then 1 run) of a batch at the defaults, whose text the renderer reuses
-    from run to run."""
+    from run to run. One usable CPU keeps the batch in one slice, so it has
+    those two blocks."""
     runs = experiment._block_runs(ExperimentConfig(function=function)) + 1
     data = {"substrate": {"function": function},
             "experiment": {"runs": runs, "master_seed": 8, "snapshots": True}}
@@ -844,8 +854,9 @@ def write_table_calls(monkeypatch):
     return calls
 
 
-def test_snapshot_batch_writes_each_csv_through_one_write_table_call(tmp_path,
+def test_snapshot_batch_writes_each_csv_through_one_write_table_call(tmp_path, one_cpu,
                                                                     write_table_calls):
+    # one usable CPU keeps every run in this process, where the calls are counted
     data = {"substrate": {"function": "smooth"},
             "evolution": {"generations": 3},
             "landscape": {"grid_points": 41},

@@ -537,12 +537,6 @@ def test_run_batch_hook_gets_the_measured_profiles():
         assert np.array_equal(measure_generation(objective, sub), series.values[r])
 
 
-@pytest.fixture
-def two_cpus(monkeypatch):
-    """`run_batch` sees two usable CPUs, so `workers=2` forks on any runner."""
-    monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)
-
-
 def fail_runs(failing, error=ValueError("boom")):
     """`run_trajectory` that raises `error` for a block holding a run of `failing`."""
     def run(config, seeds):
@@ -744,19 +738,38 @@ def test_run_batch_forks_once_per_extra_slice(monkeypatch, two_cpus):
     assert_no_child_process()
 
 
-@pytest.mark.parametrize("runs, workers, hook", [
-    pytest.param(1, 2, None, id="one-run"),
-    pytest.param(4, 1, None, id="one-worker"),
-    pytest.param(4, 2, lambda r, profiles: None, id="hook"),
+@pytest.mark.parametrize("runs, workers", [
+    pytest.param(1, 2, id="one-run"),
+    pytest.param(4, 1, id="one-worker"),
 ])
-def test_run_batch_forks_nothing_for_one_slice_or_a_hook(monkeypatch, two_cpus, runs,
-                                                         workers, hook):
+def test_run_batch_forks_nothing_for_one_slice_or_a_hook(monkeypatch, two_cpus, runs, workers):
     def no_fork():
         raise AssertionError("forked")
 
     monkeypatch.setattr(os, "fork", no_fork)
     cfg = ExperimentConfig(runs=runs, generations=1)
-    assert run_batch(cfg, per_run=hook, workers=workers).values.shape == (runs, 2, 2, 3)
+    assert run_batch(cfg, workers=workers).values.shape == (runs, 2, 2, 3)
+
+
+def test_run_batch_calls_the_hook_in_the_process_that_measures_the_run(tmp_path, two_cpus):
+    """At `workers=2` each slice calls the hook for its own runs, once per
+    run and in ascending order, in its own process: this one for the first
+    half, one forked child for the second."""
+    def hook(r, profiles):
+        with open(tmp_path / f"run_{r}", "x") as fp:  # a second call for r fails
+            fp.write(str(os.getpid()))
+        with open(tmp_path / f"calls_{os.getpid()}", "a") as fp:
+            fp.write(f"{r}\n")
+
+    cfg = ExperimentConfig(runs=6, generations=1)
+    series = run_batch(cfg, per_run=hook, workers=2)
+    assert_no_child_process()
+    assert np.array_equal(series.values, run_batch(cfg).values)
+    pids = [int((tmp_path / f"run_{r}").read_text()) for r in range(cfg.runs)]
+    assert pids[:3] == [os.getpid()] * 3
+    assert pids[3:] == [pids[3]] * 3 and pids[3] != os.getpid()
+    for pid, runs in ((pids[0], [0, 1, 2]), (pids[3], [3, 4, 5])):
+        assert (tmp_path / f"calls_{pid}").read_text().split() == [str(r) for r in runs]
 
 
 def test_run_batch_runs_serially_without_fork(monkeypatch, two_cpus):
@@ -766,8 +779,19 @@ def test_run_batch_runs_serially_without_fork(monkeypatch, two_cpus):
 
 
 def test_run_batch_rejects_fewer_than_one_worker():
-    with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
+    with pytest.raises(ValueError, match="workers must be an integer >= 1, got 0"):
         run_batch(ExperimentConfig(runs=2, generations=1), workers=0)
+
+
+@pytest.mark.parametrize("cpus", [2, 4])
+@pytest.mark.parametrize("workers", [2.5, 2.0, True, "2", None])
+def test_run_batch_rejects_a_worker_count_that_is_not_an_integer(monkeypatch, cpus, workers):
+    """Whatever the CPU count, before any run or fork."""
+    monkeypatch.setattr(experiment, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    expected = f"workers must be an integer >= 1, got {workers!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+        run_batch(ExperimentConfig(runs=4, generations=1), workers=workers)
 
 
 def test_run_batch_names_run_whose_hook_fails():
@@ -781,8 +805,8 @@ def test_run_batch_names_run_whose_hook_fails():
 
 
 def test_run_batch_calls_hook_once_per_run_up_to_the_failure():
-    # a hook that keeps failing once it has failed, like a send to a writer
-    # process that has quit, is still blamed on the run that failed first
+    # a hook that keeps failing once it has failed, like writes to a full
+    # disk, is still blamed on the run that failed first
     seen = []
 
     def hook(r, profiles):

@@ -1,6 +1,7 @@
 """Compare a parent revision with the working tree by alternating benchmark pairs.
 
     python tools/bench_pairs.py --parent REV --workload W --pairs N --seconds S [--claim M]
+                                [--record PATH]
 
 Extracts `git archive REV` into a temporary directory, copies the working
 tree next to it (its tracked files and the untracked ones git does not
@@ -33,14 +34,25 @@ metric of BENCHMARK.json, and two verdicts:
   parent's by more than the metric's bound, or the runs spread too widely
   for the bound to tell (unresolved), unless every run of the change reads
   better than every run of the parent.
+
+`--record PATH` also writes what it printed to PATH as JSON: the parent's
+commit, the change's base commit and a digest of its files, and one entry
+for this invocation with the machine (usable CPU count, Python and numpy
+versions), the output sweep's verdict, and per metric each side's runs,
+quartiles, the pairs the change won and the verdict. If PATH already holds a
+record of the same parent and change, the entry is added to its list, so
+one file can hold every set of pairs a change was measured with.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
+import importlib.metadata
 import io
 import json
 import os
+import platform
 import shutil
 import statistics
 import subprocess
@@ -193,8 +205,9 @@ def compare_outputs(parent: Path, change: Path) -> tuple[str, int, list[str]]:
     return ("differ" if differing else "identical"), len(names[0]), differing
 
 
-def output_sweep(trees: dict[str, Path], work: Path) -> None:
-    """Run the output sweep from both trees under `work` and print the verdict."""
+def output_sweep(trees: dict[str, Path], work: Path) -> dict:
+    """Run the output sweep from both trees under `work`, print the verdict
+    and return it for the record."""
     (work / "configs").mkdir(parents=True)
     commands = sweep_commands(trees["change"] / "configs", work / "configs")
     for side, tree in trees.items():
@@ -205,6 +218,8 @@ def output_sweep(trees: dict[str, Path], work: Path) -> None:
     for name in differing[:20]:
         print(f"  differs: {name}")
     sys.stdout.flush()
+    return {"verdict": verdict, "files": count, "commands": len(commands),
+            "differing": differing[:20]}
 
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -219,6 +234,67 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def summarize(runs: dict[str, list[dict]], spec: dict, claim: str) -> dict:
+    """Per end-to-end metric of `spec`: each side's runs and quartiles, the
+    pairs the change won and the bound verdict; the failed shares; and the
+    gain verdict on `claim`."""
+    values = {side: {name: [r["metrics"][name]["value"] for r in rs] for name in spec}
+              for side, rs in runs.items()}
+    failed = {side: sum(r["failed"] for r in rs) / max(1, sum(r["attempted"] for r in rs))
+              for side, rs in runs.items()}
+    metrics = {}
+    for name, m in spec.items():
+        p, c = values["parent"][name], values["change"][name]
+        metrics[name] = {
+            "better": m["better"], "bound": m["bound"],
+            "parent": {"runs": p, "quartiles": list(quartiles(p))},
+            "change": {"runs": c, "quartiles": list(quartiles(c))},
+            "wins": sum(_better(b, a, m["better"]) for a, b in zip(p, c)),
+            "verdict": bound_verdict(p, c, m["better"], m["bound"])}
+    return {"failed": failed, "metrics": metrics,
+            "claim": {"metric": claim, **gain_verdict(values["parent"][claim],
+                                                      values["change"][claim],
+                                                      spec[claim]["better"],
+                                                      (failed["parent"], failed["change"]))}}
+
+
+def git_commit(rev: str) -> str:
+    """The full commit id `rev` names."""
+    return subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], cwd=ROOT,
+                          check=True, capture_output=True, text=True).stdout.strip()
+
+
+def tree_digest(tree: Path, skip: str | None = None) -> str:
+    """sha256 over the relative name and bytes of every file under `tree`
+    but the one named `skip`."""
+    digest = hashlib.sha256()
+    for path in sorted(p for p in tree.rglob("*") if p.is_file()):
+        name = path.relative_to(tree).as_posix()
+        if name != skip:
+            for part in (name.encode(), path.read_bytes()):
+                digest.update(len(part).to_bytes(8, "big") + part)
+    return digest.hexdigest()
+
+
+def machine() -> dict:
+    """The usable CPU count and the Python and numpy versions the pairs ran with."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return {"cpus": cpus, "python": platform.python_version(),
+            "numpy": importlib.metadata.version("numpy")}
+
+
+def open_record(path: Path, parent: str, change: dict) -> dict:
+    """The record of `parent` and `change` that `path` holds, or a new one
+    with no entries if there is no file; a file that records another parent
+    or change is an error, raised before any pair runs."""
+    if not path.exists():
+        return {"parent": parent, "change": change, "entries": []}
+    record = json.loads(path.read_text(encoding="utf-8"))
+    if (record.get("parent"), record.get("change")) != (parent, change):
+        raise SystemExit(f"error: {path} records another parent or change")
+    return record
+
+
 def main(argv=None) -> int:
     spec = {m["name"]: m for m in
             json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]}
@@ -230,6 +306,9 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
     parser.add_argument("--claim", choices=list(spec), default=CLAIM,
                         help=f"end-to-end metric whose gain is judged (default {CLAIM})")
+    parser.add_argument("--record", type=Path, default=None,
+                        help="also write the results as JSON to this file, or add them to "
+                             "its record of the same parent and change")
     args = parser.parse_args(argv)
 
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
@@ -237,7 +316,13 @@ def main(argv=None) -> int:
         trees = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
         extract(args.parent, trees["parent"])
         copy_worktree(trees["change"])
-        output_sweep(trees, Path(tmp) / "sweep")
+        if args.record is not None:
+            # the record itself, if the working tree holds it, is not part of the change
+            path = args.record.resolve()
+            skip = path.relative_to(ROOT).as_posix() if path.is_relative_to(ROOT) else None
+            record = open_record(args.record, git_commit(args.parent), {
+                "base": git_commit("HEAD"), "tree_sha256": tree_digest(trees["change"], skip)})
+        outputs = output_sweep(trees, Path(tmp) / "sweep")
         for i in range(args.pairs):
             seed = args.seed + i
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -248,26 +333,26 @@ def main(argv=None) -> int:
                 f"{runs['change'][-1]['metrics'][name]['value']:.6g}" for name in spec),
                 flush=True)
 
-    values = {side: {name: [r["metrics"][name]["value"] for r in rs] for name in spec}
-              for side, rs in runs.items()}
-    failed = {side: sum(r["failed"] for r in rs) / max(1, sum(r["attempted"] for r in rs))
-              for side, rs in runs.items()}
+    summary = summarize(runs, spec, args.claim)
+    failed = summary["failed"]
     print(f"\nworkload {args.workload}, parent {args.parent}, {args.pairs} pairs, "
           f"{args.seconds:g} s, seeds {args.seed}-{args.seed + args.pairs - 1}")
     print(f"failed batches: parent {failed['parent']:.3g}, change {failed['change']:.3g}")
-    for name, m in spec.items():
-        p, c = values["parent"][name], values["change"][name]
-        pq, cq = quartiles(p), quartiles(c)
-        wins = sum(_better(b, a, m["better"]) for a, b in zip(p, c))
-        print(f"{name:12s} parent {pq[1]:.6g} [{pq[0]:.6g}, {pq[2]:.6g}]  change {cq[1]:.6g} "
-              f"[{cq[0]:.6g}, {cq[2]:.6g}]  change better in {wins}/{len(p)}  "
-              f"({m['better']} is better, bound {m['bound']:.0%}): "
-              f"{bound_verdict(p, c, m['better'], m['bound'])}")
-    v = gain_verdict(values["parent"][args.claim], values["change"][args.claim],
-                     spec[args.claim]["better"], (failed["parent"], failed["change"]))
+    for name, m in summary["metrics"].items():
+        (p1, pm, p3), (c1, cm, c3) = m["parent"]["quartiles"], m["change"]["quartiles"]
+        print(f"{name:12s} parent {pm:.6g} [{p1:.6g}, {p3:.6g}]  change {cm:.6g} "
+              f"[{c1:.6g}, {c3:.6g}]  change better in {m['wins']}/{args.pairs}  "
+              f"({m['better']} is better, bound {m['bound']:.0%}): {m['verdict']}")
+    v = summary["claim"]
     print(f"claim {args.claim}: won {v['wins']}/{v['pairs']} (ties {v['ties']}), median gap "
           f"{v['gap']:.6g} vs parent IQR {v['parent_iqr']:.6g}: "
           + ("gain may be claimed" if v["claimed"] else "NOT MET (" + "; ".join(v["reasons"]) + ")"))
+    if args.record is not None:
+        record["entries"].append({
+            "workload": args.workload, "pairs": args.pairs, "seconds": args.seconds,
+            "seeds": [args.seed, args.seed + args.pairs - 1], "machine": machine(),
+            "outputs": outputs, **summary})
+        args.record.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     return 0
 
 
