@@ -24,6 +24,7 @@ one process.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -32,13 +33,16 @@ from pathlib import Path
 import numpy as np
 
 from .evolution import Trajectories, run_trajectory
-from .experiment import ConfigError, ExperimentConfig, _run_failed, run_batch, trajectory_seed
+from .experiment import (MEASURES, POPULATIONS, ConfigError, ExperimentConfig, MeasureSeries,
+                         _run_failed, run_batch, trajectory_seed)
 from .landscape import objective_profile, subjective_profiles
 from .substrate import Task
 
 TRAJECTORY_HEADER = ("generation", "best_p1", "fitness_p1", "best_p2", "fitness_p2")
 SNAPSHOT_HEADER = ("x", "f_obj", "f_sub_p1", "f_sub_p2")
 MEASURES_HEADER = ("generation", "population", "measure", "mean", "ci_lo", "ci_hi")
+# columns of plain text, quoted in a JSON mirror; every other cell is a number
+TEXT_COLUMNS = ("population", "measure")
 
 
 def write_file(path, data: bytes, records: tuple[tuple[str, ...], int] | None = None) -> None:
@@ -70,46 +74,23 @@ def write_file(path, data: bytes, records: tuple[tuple[str, ...], int] | None = 
         raise RuntimeError(f"{path}: expected {n} records keyed by {keys}")
 
 
-def _cell(value) -> str:
-    # repr of a Python int or float is its shortest round-trip and JSON text
-    if isinstance(value, str):
-        return value
-    return repr(int(value) if isinstance(value, (int, np.integer)) else float(value))
-
-
-def write_table(path: Path, header: tuple[str, ...], rows, json_mirror: bool,
-                text: np.ndarray | None = None) -> Path:
+def write_table(path: Path, header: tuple[str, ...], text: np.ndarray,
+                json_mirror: bool) -> Path:
     """Write one CSV table (plus optional JSON mirror) with `write_file`,
-    which reads each file back.
-
-    `rows` holds one sequence of str, int or float cells per row. `text`, if
-    given, holds the same rows already rendered to all-number CSV cells, as a
-    (rows, columns) object array of str (`write_snapshots` passes the same
-    array as both); otherwise each cell is rendered here. The JSON mirror carries
-    the CSV cells' text, str cells quoted. The CSV text's header, row count
-    and cell count are checked before it is written.
-    """
-    json_text = text
-    if text is None:
-        rows = list(rows)
-        cells = [[_cell(v) for v in row] for row in rows]
-        text = json_text = _cell_array(cells, len(header))
-        if json_mirror:
-            json_text = _cell_array([[json.dumps(c) if isinstance(v, str) else c
-                                      for v, c in zip(row, row_cells)]
-                                     for row, row_cells in zip(rows, cells)], len(header))
+    which reads each file back. `text` holds the rows' CSV cells, a (rows,
+    columns) object array of str: numbers as their `repr`, and plain text in
+    the TEXT_COLUMNS, which the mirror quotes. The CSV text's header, row
+    count and cell count are checked before it is written."""
     csv = ",".join(header) + "\n" + _interleave(text, ["", *[","] * (len(header) - 1)], "\n")
-    _check_csv(path, csv, header, len(rows))
+    _check_csv(path, csv, header, len(text))
     write_file(path, csv.encode())
     if json_mirror:
-        write_file(path.with_suffix(".json"), _mirror_text(header, json_text).encode(),
-                   (header, len(rows)))
+        quoted = [i for i, name in enumerate(header) if name in TEXT_COLUMNS]
+        text = text.copy()  # the caller's cells stay as they are
+        text[:, quoted] = np.frompyfunc(json.dumps, 1, 1)(text[:, quoted])
+        write_file(path.with_suffix(".json"), _mirror_text(header, text).encode(),
+                   (header, len(text)))
     return path
-
-
-def _cell_array(cells: list[list[str]], columns: int) -> np.ndarray:
-    """`cells` as a (rows, columns) object array; a row of another length fails."""
-    return np.array(cells, dtype=object).reshape(len(cells), columns)
 
 
 def _interleave(cells: np.ndarray, before: list[str], after: str) -> str:
@@ -145,17 +126,6 @@ def _check_csv(path: Path, csv: str, header: tuple[str, ...], n_rows: int) -> No
         raise RuntimeError(f"{path}: expected {len(header)} cells in each row")
 
 
-def trajectory_rows(traj: Trajectories) -> list[tuple]:
-    """Per generation of the block's first run: each population's best member
-    and its best fitness under its task."""
-    columns = []
-    for i, task in enumerate(traj.tasks):
-        fitnesses = traj.fitnesses[0, :, i]
-        best_fitness = fitnesses.max(axis=-1) if task is Task.MAXIMIZE else fitnesses.min(axis=-1)
-        columns += [traj.best[0, :, i].tolist(), best_fitness.tolist()]
-    return [(k, *row) for k, row in enumerate(zip(*columns))]
-
-
 def _repr_text(values: np.ndarray) -> np.ndarray:
     """`repr(float(v))` of every float64 in `values`, as an object array of the
     same shape. Each distinct bit pattern is formatted once (so 0.0 and -0.0
@@ -165,6 +135,28 @@ def _repr_text(values: np.ndarray) -> np.ndarray:
     texts = [repr(v) for v in bits.view(np.float64).tolist()]
     # the inverse's shape differs across numpy versions
     return np.array(texts, dtype=object)[inverse.ravel()].reshape(values.shape)
+
+
+def trajectory_text(traj: Trajectories) -> np.ndarray:
+    """trajectory.csv's cells for the block's first run: per generation, its
+    number, and each population's best member and its best fitness under
+    its task."""
+    columns = []
+    for i, task in enumerate(traj.tasks):
+        fitnesses = traj.fitnesses[0, :, i]
+        best_fitness = fitnesses.max(axis=-1) if task is Task.MAXIMIZE else fitnesses.min(axis=-1)
+        columns += [traj.best[0, :, i], best_fitness]
+    generations = np.array([[str(k)] for k in range(traj.best.shape[1])], dtype=object)
+    return np.concatenate((generations, _repr_text(np.stack(columns, axis=-1))), axis=1)
+
+
+def measures_text(series: MeasureSeries) -> np.ndarray:
+    """measures.csv's cells: one row per generation, population and measure,
+    in that order, with the mean and 95% interval over the runs."""
+    generations = map(str, range(len(series.mean)))
+    labels = np.array(list(itertools.product(generations, POPULATIONS, MEASURES)), dtype=object)
+    values = np.stack((series.mean, series.ci_lo, series.ci_hi), axis=-1).reshape(-1, 3)
+    return np.concatenate((labels, _repr_text(values)), axis=1)
 
 
 def write_snapshots(directory: Path, fixed: np.ndarray, sub: np.ndarray, generations,
@@ -178,9 +170,8 @@ def write_snapshots(directory: Path, fixed: np.ndarray, sub: np.ndarray, generat
     # (generation, point, population): f_sub_p1 and f_sub_p2 in each file's rows
     text = _repr_text(sub[generations].transpose(0, 2, 1))
     for i, k in enumerate(generations):
-        rows = np.concatenate((fixed, text[i]), axis=1)
-        write_table(directory / f"landscape_k{k}.csv", SNAPSHOT_HEADER, rows,
-                    json_mirror, rows)
+        write_table(directory / f"landscape_k{k}.csv", SNAPSHOT_HEADER,
+                    np.concatenate((fixed, text[i]), axis=1), json_mirror)
 
 
 def _fixed_columns(config: ExperimentConfig) -> np.ndarray:
@@ -234,8 +225,8 @@ def cmd_simulate(args) -> int:
         wanted = _parse_generations(args.generations, config.generations)
     traj = _run_zero(config)
     json_mirror = args.fmt == "json"
-    write_table(args.out / "trajectory.csv", TRAJECTORY_HEADER,
-                trajectory_rows(traj), json_mirror)
+    write_table(args.out / "trajectory.csv", TRAJECTORY_HEADER, trajectory_text(traj),
+                json_mirror)
     if wanted is not None:
         _write_run_zero_snapshots(config, traj, args.out / "snapshots", wanted, json_mirror)
     return 0
@@ -264,7 +255,7 @@ def cmd_measures(args) -> int:
         series = run_batch(config, per_run=per_run, workers=max(args.workers, 2))
     else:
         series = run_batch(config, workers=args.workers)
-    write_table(args.out / "measures.csv", MEASURES_HEADER, list(series.rows()),
+    write_table(args.out / "measures.csv", MEASURES_HEADER, measures_text(series),
                 json_mirror)
     return 0
 

@@ -340,12 +340,6 @@ class MeasureSeries:
         """Aggregate per-run measures, shape (runs, generations+1, 2, 3)."""
         return cls(values, *ci95(values))
 
-    def rows(self) -> Iterator[tuple[int, str, str, float, float, float]]:
-        """Deterministic row order: generation, then population, then measure."""
-        for k, i, j in np.ndindex(self.mean.shape):
-            yield (k, POPULATIONS[i], MEASURES[j], float(self.mean[k, i, j]),
-                   float(self.ci_lo[k, i, j]), float(self.ci_hi[k, i, j]))
-
 
 # A block of runs is one `run_trajectory` pass. It holds about this many bytes
 # in the arrays that pass keeps for its runs (`run_bytes`: 51 test-based or 74

@@ -293,7 +293,7 @@ def output_checks(directory, seed: int, series) -> tuple[bool, bool, int]:
 
     # the standard-setup series written through the same emitter as the CLI
     path = cli.write_table(directory / "measures.csv", cli.MEASURES_HEADER,
-                           series.rows(), json_mirror=False)
+                           cli.measures_text(series), json_mirror=False)
     return deterministic, schema_ok, len(path.read_text().splitlines()) - 1
 
 

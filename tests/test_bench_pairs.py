@@ -157,8 +157,17 @@ def _fake_pairs(monkeypatch, batch_wall_s):
     """main's benchmark runs replaced by records whose batch_wall_s is
     `batch_wall_s(side, pair)` and whose other metrics are the same on both
     sides."""
-    monkeypatch.setattr(bench_pairs, "extract", lambda rev, into: None)
-    monkeypatch.setattr(bench_pairs, "copy_worktree", lambda into: None)
+
+    def package(into: Path, modules: dict[str, str]) -> None:
+        (into / "src" / "coevoscape").mkdir(parents=True)
+        for name, text in modules.items():
+            (into / "src" / "coevoscape" / name).write_text(text)
+
+    # 5 lines in the parent's package and 3 in the change's; other files do not count
+    monkeypatch.setattr(bench_pairs, "extract", lambda rev, into: package(
+        into, {"a.py": "1\n2\n", "b.py": "1\n2\n3\n", "c.txt": "1\n"}))
+    monkeypatch.setattr(bench_pairs, "copy_worktree", lambda into: package(
+        into, {"a.py": "1\n2\n3\n"}))
     monkeypatch.setattr(bench_pairs, "output_sweep", lambda trees, work: OUTPUTS)
     monkeypatch.setattr(bench_pairs, "git_commit", lambda rev: f"commit of {rev}")
 
@@ -211,6 +220,7 @@ def test_record_round_trips_through_json(tmp_path, monkeypatch, capsys):
     [entry] = record["entries"]
     assert (entry["workload"], entry["pairs"], entry["seeds"]) == ("w", 10, [1, 10])
     assert entry["outputs"] == OUTPUTS
+    assert entry["src_lines"] == {"parent": 5, "change": 3}
     assert set(entry["machine"]) == {"cpus", "python", "numpy"}
     wall = entry["metrics"]["batch_wall_s"]
     assert wall["parent"] == {"runs": PARENT, "quartiles": [99.25, 100.0, 101.0]}
@@ -218,7 +228,9 @@ def test_record_round_trips_through_json(tmp_path, monkeypatch, capsys):
     assert (wall["wins"], wall["verdict"]) == (10, "better")
     assert entry["metrics"]["setup_s"]["verdict"] == "within"
     assert entry["claim"]["metric"] == "runs_per_s" and not entry["claim"]["claimed"]
-    assert capsys.readouterr().out.count("change better in 10/10") == 1
+    out = capsys.readouterr().out
+    assert out.count("change better in 10/10") == 1
+    assert "src/coevoscape/*.py: 5 lines in the parent, 3 in the change" in out
 
     assert bench_pairs.main(["--parent", "HEAD", *argv]) == 0
     assert len(json.loads(path.read_text())["entries"]) == 2

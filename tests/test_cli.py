@@ -162,6 +162,10 @@ def test_measures_row_shape(tmp_path):
     assert len(rows) == 66
     assert rows[0][:3] == ["0", "P1", "dist"]
     assert rows[-1][:3] == ["10", "P2", "bhatt"]
+    # generation, then population, then measure
+    assert [row[:3] for row in rows] == [[str(k), population, measure] for k in range(11)
+                                         for population in ("P1", "P2")
+                                         for measure in ("dist", "kld", "bhatt")]
 
 
 def test_measures_single_run_degenerate_ci(tmp_path):
@@ -283,34 +287,42 @@ def test_typed_mirrors_match_json_dumps(tmp_path):
         assert cli.main([command, "--config", str(cfg), "--out", str(out),
                          "--format", "json"]) == 0
     config = ExperimentConfig.from_dict(data)
-    trajectory = cli.trajectory_rows(run_trajectory(config, [trajectory_seed(11, 0)]))
-    measures = list(run_batch(config).rows())
+    traj = run_trajectory(config, [trajectory_seed(11, 0)])
+    series = run_batch(config)
+    # P1 minimises and P2 maximises: each row's best fitness is its min or max
+    trajectory = [(k, float(traj.best[0, k, 0]), float(traj.fitnesses[0, k, 0].min()),
+                   float(traj.best[0, k, 1]), float(traj.fitnesses[0, k, 1].max()))
+                  for k in range(4)]
+    measures = [(k, population, measure, float(series.mean[k, i, j]),
+                 float(series.ci_lo[k, i, j]), float(series.ci_hi[k, i, j]))
+                for k in range(4) for i, population in enumerate(experiment.POPULATIONS)
+                for j, measure in enumerate(experiment.MEASURES)]
     for name, header, rows in (("trajectory", cli.TRAJECTORY_HEADER, trajectory),
                                ("measures", cli.MEASURES_HEADER, measures)):
-        assert [type(v) for v in rows[0]] == (
-            [int, float, float, float, float] if name == "trajectory"
-            else [int, str, str, float, float, float])
         records = [dict(zip(header, row)) for row in rows]
         assert (out / f"{name}.json").read_text(encoding="utf-8") == (
             json.dumps(records, indent=2) + "\n"), name
 
 
 def test_zero_row_table_mirror_is_an_empty_list(tmp_path):
-    path = cli.write_table(tmp_path / "empty.csv", cli.MEASURES_HEADER, [], True)
+    path = cli.write_table(tmp_path / "empty.csv", cli.MEASURES_HEADER,
+                           np.empty((0, 6), dtype=object), True)
     assert path.read_text(encoding="utf-8") == ",".join(cli.MEASURES_HEADER) + "\n"
     assert (tmp_path / "empty.json").read_text(encoding="utf-8") == json.dumps([]) + "\n"
 
 
 @pytest.mark.parametrize("row, wanted", [
-    pytest.param((0, "P,1", "dist", 1.0, 2.0, 3.0), "cells in each row", id="comma-in-cell"),
-    pytest.param((0, "P1\nP2", "dist", 1.0, 2.0, 3.0), "data rows", id="newline-in-cell"),
-    pytest.param((0, "P1", "dist", 1.0, 2.0), "cannot reshape", id="short-row"),
+    pytest.param(("0", "P,1", "dist", "1.0", "2.0", "3.0"), "cells in each row",
+                 id="comma-in-cell"),
+    pytest.param(("0", "P1\nP2", "dist", "1.0", "2.0", "3.0"), "data rows",
+                 id="newline-in-cell"),
 ])
 def test_malformed_csv_text_is_never_written(tmp_path, row, wanted):
     """The CSV text is checked before it is written: a cell holding a comma or
-    a line break, or a row of the wrong length, fails and leaves no file."""
-    with pytest.raises((RuntimeError, ValueError), match=wanted):
-        cli.write_table(tmp_path / "bad.csv", cli.MEASURES_HEADER, [row], False)
+    a line break fails and leaves no file."""
+    with pytest.raises(RuntimeError, match=wanted):
+        cli.write_table(tmp_path / "bad.csv", cli.MEASURES_HEADER,
+                        np.array([row], dtype=object), False)
     assert not (tmp_path / "bad.csv").exists()
 
 
@@ -319,7 +331,7 @@ def test_non_finite_cell_fails_the_json_mirror(tmp_path, value):
     """A mirror must be standard JSON: `repr` text of nan or inf fails the re-read."""
     with pytest.raises(RuntimeError, match=r"bad\.json"):
         cli.write_table(tmp_path / "bad.csv", cli.SNAPSHOT_HEADER,
-                        [(0.0, value, 1.0, 2.0)], True)
+                        cli._repr_text(np.array([[0.0, value, 1.0, 2.0]])), True)
 
 
 @pytest.mark.parametrize("seed", [None, 12])
@@ -770,8 +782,9 @@ def test_repr_text_matches_per_value_repr(pool, picks):
 def test_shared_snapshot_columns_are_rendered_once(tmp_path, monkeypatch, one_cpu):
     """x and f_obj, the same in every snapshot file, are rendered once per
     command; each run's subjective columns are rendered in one block, and no
-    text is kept from one run to the next. One usable CPU keeps every run in
-    this process, where the calls are counted."""
+    text is kept from one run to the next. trajectory.csv's and measures.csv's
+    floats go through the same renderer, in one block each. One usable CPU
+    keeps every run in this process, where the calls are counted."""
     shapes = []
     real_repr_text = cli._repr_text
 
@@ -786,11 +799,13 @@ def test_shared_snapshot_columns_are_rendered_once(tmp_path, monkeypatch, one_cp
                                   "landscape": {"grid_points": 41},
                                   "experiment": {"runs": runs, "snapshots": True}})
     assert cli.main(["measures", "--config", str(cfg), "--out", str(tmp_path / "meas")]) == 0
-    assert shapes == [(41, 2)] + [(4, 41, 2)] * runs
+    # measures.csv: (generations+1) * 6 rows of mean, ci_lo and ci_hi
+    assert shapes == [(41, 2)] + [(4, 41, 2)] * runs + [(24, 3)]
     shapes.clear()
     assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim"),
                      "--generations", "0,2"]) == 0
-    assert shapes == [(41, 2), (2, 41, 2)]
+    # trajectory.csv: one row of four floats per generation
+    assert shapes == [(4, 4), (41, 2), (2, 41, 2)]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -351,26 +351,16 @@ def test_trajectory_seed_derivation():
     assert np.array_equal(sa, np.random.default_rng(trajectory_seed(1, 0)).random(4))
 
 
-def test_measure_series_rows_order_and_count():
+def test_measure_series_cells_match_ci95():
     # every (run, generation, population, measure) cell holds its own value
     values = np.arange(2 * 11 * 2 * 3, dtype=float).reshape(2, 11, 2, 3) ** 1.5
     series = MeasureSeries.from_runs(values)
     assert series.values is values
     assert series.mean.shape == series.ci_lo.shape == series.ci_hi.shape == (11, 2, 3)
-    rows = list(series.rows())
-    assert len(rows) == 66
-    assert [r[0] for r in rows[:6]] == [0] * 6
-    assert [r[1] for r in rows[:6]] == ["P1", "P1", "P1", "P2", "P2", "P2"]
-    assert [r[2] for r in rows[:6]] == ["dist", "kld", "bhatt"] * 2
-    assert rows[-1][0] == 10
-    expected = []
-    for k in range(11):
-        for i, pop in enumerate(POPULATIONS):
-            for j, measure in enumerate(MEASURES):
-                expected.append((k, pop, measure, *ci95(values[:, k, i, j])))
-    assert rows == expected
-    for _, _, _, mean, lo, hi in rows:
-        assert lo < mean < hi
+    for k, i, j in np.ndindex(11, len(POPULATIONS), len(MEASURES)):
+        cell = (series.mean[k, i, j], series.ci_lo[k, i, j], series.ci_hi[k, i, j])
+        assert cell == ci95(values[:, k, i, j])
+        assert cell[1] < cell[0] < cell[2]
 
 
 @settings(max_examples=200, deadline=None)
@@ -397,8 +387,8 @@ def test_run_batch_single_run_has_zero_width_ci():
     cfg = ExperimentConfig(runs=1, generations=2)
     series = run_batch(cfg)
     assert series.values.shape == (1, 3, 2, 3)
-    for _, _, _, mean, lo, hi in series.rows():
-        assert lo == mean == hi
+    assert np.array_equal(series.ci_lo, series.mean)
+    assert np.array_equal(series.ci_hi, series.mean)
 
     # the batch mean of one run is that run's measures
     traj = run_trajectory(cfg, [trajectory_seed(cfg.master_seed, 0)])

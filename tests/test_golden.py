@@ -4,7 +4,8 @@ Each case is a shipped config (or a variant of one) cut to RUNS runs at
 master seed SEED. For every case the files under tests/golden/<case>/ are
 the `measures` batch output, and the `simulate` trajectory plus one
 landscape snapshot of run 0. A `measures` batch with per-run snapshots must
-reproduce the same measures and, for run 0, the same snapshot. The cases in
+reproduce the same measures and, for run 0, the same snapshot, and
+`landscape` the same snapshot. The cases in
 JSON_CASES run with `--format json`, so their JSON mirrors are pinned too.
 
 The files pin the RNG stream. Re-record them only for a declared stream
@@ -36,7 +37,7 @@ CASES = {
     "smooth_cooperative": ("smooth_cooperative.json", {}),
     "ridge_competitive": ("ridge_competitive.json", {}),
     "sinusoid_competitive": ("sinusoid_competitive.json", {}),
-    "crisp_competitive": ("smooth_competitive.json", {"substrate": {"function": "crisp"}}),
+    "crisp_competitive": ("crisp_competitive.json", {}),
     # every switch off its default: P1 maximising picks the other reference
     # partner row, and both landscape switches change every measure
     "switches_ridge": ("ridge_competitive.json", {
@@ -123,6 +124,19 @@ def test_per_run_snapshots_match_golden_files(tmp_path, case):
         elif name.startswith("landscape"):
             snapshot = out / "snapshots" / "run_000" / name
             assert snapshot.read_bytes() == (golden / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_landscape_matches_golden_files(tmp_path, case):
+    config = case_config(case, tmp_path)
+    out = tmp_path / "out"
+    assert cli.main(["landscape", "--config", str(config), "--seed", str(SEED),
+                     "--out", str(out), "--format", case_format(case),
+                     "--generations", str(SNAPSHOT_GENERATION)]) == 0
+    snapshots = [name for name in golden_files(case) if name.startswith("landscape")]
+    assert sorted(p.name for p in out.iterdir()) == sorted(snapshots)
+    for name in snapshots:
+        assert (out / name).read_bytes() == (GOLDEN_DIR / case / name).read_bytes(), name
 
 
 def test_regenerate_records_only_the_cases_it_is_given(tmp_path, monkeypatch, capsys):

@@ -38,7 +38,8 @@ metric of BENCHMARK.json, and two verdicts:
 `--record PATH` also writes what it printed to PATH as JSON: the parent's
 commit, the change's base commit and a digest of its files, and one entry
 for this invocation with the machine (usable CPU count, Python and numpy
-versions), the output sweep's verdict, and per metric each side's runs,
+versions), the output sweep's verdict, each side's line count of
+`src/coevoscape/*.py` (`src_lines`), and per metric each side's runs,
 quartiles, the pairs the change won and the verdict. If PATH already holds a
 record of the same parent and change, the entry is added to its list, so
 one file can hold every set of pairs a change was measured with.
@@ -276,6 +277,12 @@ def tree_digest(tree: Path, skip: str | None = None) -> str:
     return digest.hexdigest()
 
 
+def src_lines(tree: Path) -> int:
+    """Lines in the package's modules, `src/coevoscape/*.py`, under `tree`, as
+    `wc -l` counts them."""
+    return sum(p.read_bytes().count(b"\n") for p in (tree / "src" / "coevoscape").glob("*.py"))
+
+
 def machine() -> dict:
     """The usable CPU count and the Python and numpy versions the pairs ran with."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
@@ -322,6 +329,9 @@ def main(argv=None) -> int:
             skip = path.relative_to(ROOT).as_posix() if path.is_relative_to(ROOT) else None
             record = open_record(args.record, git_commit(args.parent), {
                 "base": git_commit("HEAD"), "tree_sha256": tree_digest(trees["change"], skip)})
+        lines = {side: src_lines(tree) for side, tree in trees.items()}
+        print(f"src/coevoscape/*.py: {lines['parent']} lines in the parent, "
+              f"{lines['change']} in the change")
         outputs = output_sweep(trees, Path(tmp) / "sweep")
         for i in range(args.pairs):
             seed = args.seed + i
@@ -351,7 +361,7 @@ def main(argv=None) -> int:
         record["entries"].append({
             "workload": args.workload, "pairs": args.pairs, "seconds": args.seconds,
             "seeds": [args.seed, args.seed + args.pairs - 1], "machine": machine(),
-            "outputs": outputs, **summary})
+            "outputs": outputs, "src_lines": lines, **summary})
         args.record.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     return 0
 
